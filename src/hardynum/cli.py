@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import function_norms, identities
 from ._serialize import fmt_float, growth_csv, json_dumps, profile_csv, write_text
-from .errors import HardynumError
+from .errors import HardynumError, ZeroMeasure
 from .geometry import HalfPlane, Sector, TailQuery, domain_to_dict, load_domain
 from .hardy_estimator import default_grid, estimate_hardy_number
 from .membership import MembershipQuery, classify_bergman, classify_hardy, fit_decay
@@ -251,6 +251,9 @@ def _cmd_report(args) -> int:
     domain, grid, cfg = _load_inputs(args)
     profile = estimate_profile(domain, grid, cfg)
     fit = fit_decay(profile, tail_window=args.window)
+    if not math.isfinite(fit.q):
+        raise ZeroMeasure("the tail measure vanishes beyond a finite radius (q = inf); "
+                          "there is no decay slope to plot")
     write_text(Path(args.out) / "profile.csv", profile_csv(profile))
     script = _REPORT_TEMPLATE.format(
         amp=fmt_float(math.exp(fit.log_intercept)),

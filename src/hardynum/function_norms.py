@@ -1,11 +1,18 @@
 """Integral means, area integrals, and empirical critical exponents for a
 small catalog of analytic test functions on the unit disk.
 
-Everything here is numerical but deterministic: circle means are computed
-with adaptive quadrature in log space (so astronomically large integrands
-such as exp((1+z)/(1-z)) never overflow), area integrals nest a radial
-quadrature over those circle means, and critical exponents are located by
-bisection on a bounded/unbounded growth classifier.
+Everything here is numerical but deterministic, and every disk-side integral
+goes through one rule: composite Gauss-Legendre on geometrically graded
+panels, summed in log space with logsumexp, so astronomically large
+integrands such as exp((1+z)/(1-z)) never overflow. Circle means grade their
+theta panels at the scale s of the boundary gap, toward theta = 0 and toward
+theta = pi; area integrals nest those circle means inside the same rule in s,
+graded toward both ends of each radial band. The rule has no tolerance
+parameter: its node count, panel density and grading floor are module
+constants, and its accuracy contract is CIRCLE_REL_TOL relative error on
+circle means and AREA_REL_TOL on area integrals, which the tests check
+against closed forms and against adaptive quadrature. Critical exponents are
+located by bisection on a bounded/unbounded growth classifier.
 
 Radii are parametrized by the boundary gap s = 1 - r throughout, which keeps
 the integrand formulas cancellation-free down to s ~ 1e-12:
@@ -21,8 +28,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaincc
+from scipy.special import gammaincc, logsumexp
 from scipy.special import gamma as gamma_fn
 
 from .errors import QuadratureFailure, UnsupportedImage, ZeroOnDisk
@@ -178,94 +186,74 @@ def identity_map() -> CatalogFunction:
 
 
 # ---------------------------------------------------------------------------
-# stable log-integrand pieces on the circle |z| = 1 - s
+# the quadrature rule: composite Gauss-Legendre on geometrically graded panels
+
+GL_NODES = 10
+PANELS_PER_DECADE = 2
+GRADING_FLOOR = 1e-9
+RADIAL_BLOCK = 16  # radial nodes per block of circle means; bounds the 2-D node arrays
+
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(GL_NODES)
+_GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W  # moved to [0, 1]
 
 
-def _log_moduli_sq(s: float, theta: float) -> tuple[float, float]:
-    """(|1-z|^2, |1+z|^2) for z = (1-s) e^{i theta}, cancellation-free."""
-    base = 4.0 * (1.0 - s)
-    return (
-        s * s + base * math.sin(0.5 * theta) ** 2,
-        s * s + base * math.cos(0.5 * theta) ** 2,
-    )
+def _graded_rule(h: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights on [0, length], one row per scale in the column h.
+
+    The panels are [0, GRADING_FLOOR * h] and then geometric panels,
+    PANELS_PER_DECADE per decade, up to length. All rows share the panel count
+    of the smallest scale; edges beyond length are clipped to it, so rows with
+    a larger scale end in zero-width panels whose weights are exactly zero.
+    """
+    n = math.ceil(PANELS_PER_DECADE * math.log10(length / (GRADING_FLOOR * h.min())))
+    edges = np.minimum(GRADING_FLOOR * h * 10.0 ** (np.arange(n + 1) / PANELS_PER_DECADE), length)
+    edges = np.concatenate([np.zeros_like(h), edges], axis=1)
+    edges[:, -1] = length
+    width = np.diff(edges, axis=1)[:, :, None]
+    t = (edges[:, :-1, None] + width * _GL_T).reshape(len(h), -1)
+    return t, (width * _GL_W).reshape(len(h), -1)
 
 
-def _log_integrand(f: CatalogFunction, p_f: float, p_fp: float, s: float, theta: float) -> float:
-    """log( |f|^p_f * |f'|^p_fp ) at z = (1-s) e^{i theta}."""
+def _log_kernel(f: CatalogFunction, p_f: float, p_fp: float, s: np.ndarray,
+                sin2: np.ndarray, cos2: np.ndarray) -> np.ndarray:
+    """log( |f|^p_f * |f'|^p_fp ) at z = (1-s) e^{i theta}, elementwise.
+
+    The angle enters as sin2 = sin^2(theta/2) and cos2 = cos^2(theta/2), so a
+    caller can mirror theta about pi/2 by swapping them without losing the
+    digits of |1+z| near theta = pi.
+    """
     if f.kind == KIND_IDENTITY:
-        r = 1.0 - s
-        base = p_f * math.log(r) if r > 0.0 else (-math.inf if p_f > 0 else 0.0)
-        return base  # f' == 1
-    m_minus, m_plus = _log_moduli_sq(s, theta)
-    log_minus = 0.5 * math.log(m_minus)
-    log_plus = 0.5 * math.log(m_plus)
-    if f.kind == KIND_CAYLEY:
-        log_f = log_plus - log_minus
-        log_fp = math.log(2.0) - 2.0 * log_minus
-    elif f.kind == KIND_SECTOR_POWER:
+        return np.broadcast_to(p_f * np.log(1.0 - s), sin2.shape)  # f' == 1
+    base = 4.0 * (1.0 - s)
+    m_minus = s * s + base * sin2  # |1-z|^2
+    log_minus = 0.5 * np.log(m_minus)
+    if f.kind == KIND_EXP_CAYLEY:
+        log_f = math.log(f.scale) + s * (2.0 - s) / m_minus
+        log_fp = log_f + math.log(2.0) - 2.0 * log_minus
+    else:  # cayley is sector_power at beta = 1
         b = f.beta
+        log_plus = 0.5 * np.log(s * s + base * cos2)  # log |1+z|
         log_f = b * (log_plus - log_minus)
         log_fp = math.log(2.0 * b) + (b - 1.0) * log_plus - (b + 1.0) * log_minus
-    else:  # exp_cayley
-        re_cay = s * (2.0 - s) / m_minus
-        log_f = math.log(f.scale) + re_cay
-        log_fp = log_f + math.log(2.0) - 2.0 * log_minus
     return p_f * log_f + p_fp * log_fp
 
 
-def _quad(fn, a, b, rel, points=None, limit=800) -> float:
-    val, err, info, *rest = quad(fn, a, b, epsrel=rel, epsabs=0.0, limit=limit,
-                                 points=points, full_output=1)
-    if rest:
-        scale = max(abs(val), 1e-300)
-        if err > 100.0 * rel * scale:
-            raise QuadratureFailure(f"quadrature did not converge: {rest[0]}")
-    return val
-
-
-def _log_circle_mean(f: CatalogFunction, p_f: float, p_fp: float, s: float,
-                     rel: float = CIRCLE_REL_TOL) -> float:
-    """log of the circle integral of |f|^p_f |f'|^p_fp over theta in [0, 2pi).
+def _log_circle_means(f: CatalogFunction, p_f: float, p_fp: float, s) -> np.ndarray:
+    """log of the circle integral of |f|^p_f |f'|^p_fp over theta in [0, 2pi),
+    at radius 1 - s for each gap in the sequence s.
 
     All catalog kinds have real Taylor coefficients, so the integrand is
-    symmetric about theta = 0 and the integral is twice the [0, pi] part.
+    symmetric about theta = 0 and the integral is twice the [0, pi] part. That
+    half is split at pi/2, and each quarter is graded at scale s toward its
+    end: toward theta = 0, where 1/|1-z| peaks, and toward theta = pi, where
+    |1+z| has its cusp.
     """
-    def g(theta: float) -> float:
-        return _log_integrand(f, p_f, p_fp, s, theta)
-
-    # peak hint: integrand concentrates in a theta-window of width ~ s
-    breaks = sorted({min(s * 10.0**k, 0.5 * math.pi) for k in range(5)})
-    probe = [0.0, math.pi] + breaks
-    g0 = g(0.0)
-    shift = max([g0] + [g(t) for t in probe[1:]])
-    if not math.isfinite(shift):
-        if shift == -math.inf:  # identically zero circle (identity map at r = 0)
-            return -math.inf
-        raise QuadratureFailure("circle integrand is not finite")
-
-    # A Gaussian peak at theta = 0 too narrow for any subdivision to sample
-    # (exponentially large boundary values) is integrated analytically:
-    # g(theta) ~ g(0) - c theta^2 gives a circle integral of e^g(0) sqrt(pi/c).
-    if g0 == shift and g0 - max(g(t) for t in probe[1:]) > 200.0:
-        dt = s
-        for _ in range(80):
-            drop = g0 - g(dt)
-            if 0.5 <= drop <= 2.0:
-                break
-            dt = dt * 2.0 if drop <= 0.0 else dt / math.sqrt(drop)
-        else:
-            raise QuadratureFailure("could not calibrate the boundary peak width")
-        c = drop / (dt * dt)
-        return g0 + 0.5 * math.log(math.pi / c)
-
-    def h(theta: float) -> float:
-        e = g(theta) - shift
-        return math.exp(e) if e < 700.0 else math.inf
-
-    val = _quad(h, 0.0, math.pi, rel, points=breaks)
-    if val <= 0.0:
-        return -math.inf
-    return shift + math.log(2.0 * val)
+    s = np.asarray(s, dtype=float)[:, None]
+    t, w = _graded_rule(s, 0.5 * math.pi)
+    sin2, cos2 = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
+    g = np.concatenate([_log_kernel(f, p_f, p_fp, s, sin2, cos2),
+                        _log_kernel(f, p_f, p_fp, s, cos2, sin2)], axis=1)
+    return math.log(2.0) + logsumexp(g, b=np.concatenate([w, w], axis=1), axis=1)
 
 
 def log_hardy_mean(f: CatalogFunction, p: float, r: float) -> float:
@@ -277,7 +265,7 @@ def log_hardy_mean(f: CatalogFunction, p: float, r: float) -> float:
     if r == 0.0:
         v = abs(f.value(0.0))
         return math.log(2.0 * math.pi) + (p * math.log(v) if v > 0 else (-math.inf if p > 0 else 0.0))
-    return _log_circle_mean(f, p, 0.0, 1.0 - r)
+    return float(_log_circle_means(f, p, 0.0, [1.0 - r])[0])
 
 
 def hardy_mean(f: CatalogFunction, p: float, r: float) -> float:
@@ -296,54 +284,38 @@ def hardy_mean(f: CatalogFunction, p: float, r: float) -> float:
 
 
 def _log_radial_integral(f: CatalogFunction, p_f: float, p_fp: float,
-                         s_lo: float, s_hi: float, log_weight,
-                         rel: float = AREA_REL_TOL) -> float:
+                         s_lo: float, s_hi: float, log_weight) -> float:
     """log of integral over s in [s_lo, s_hi] of M(s) * exp(log_weight(s)) ds,
     where M(s) is the circle integral of |f|^p_f |f'|^p_fp at radius 1 - s.
 
     Area integrals in the coordinates (s, theta) read
     integral r dr dtheta = integral over s of (1-s) * [circle part] ds,
-    and the (1-s) Jacobian is folded into log_weight by the callers.
+    and the (1-s) Jacobian is folded into log_weight by the callers. The band
+    is split at its midpoint, and each half is graded toward its end at the
+    scale of that end: near s_lo the circle means grow on the scale s_lo (and
+    on s_lo^2 for exponentially large means), and s_hi = 1 is the center of
+    the disk, where the Green weight log(1/r) is singular.
     """
-    inner_rel = max(rel * 0.01, 1e-10)
-
-    def log_h(s: float) -> float:
-        return _log_circle_mean(f, p_f, p_fp, s, inner_rel) + log_weight(s)
-
-    # coarse geometric scan for the log-space shift
-    n_scan = 40
-    ratio = (s_hi / s_lo) ** (1.0 / (n_scan - 1)) if s_lo > 0 else None
-    scan = [s_lo * ratio**k for k in range(n_scan)] if ratio else [s_hi * 0.5**k for k in range(n_scan)]
-    scan[0], scan[-1] = s_lo, s_hi
-    levels = [log_h(s) for s in scan]
-    shift = max(levels)
-    if shift == -math.inf:
-        return -math.inf
-    if not math.isfinite(shift):
-        raise QuadratureFailure("radial integrand is not finite")
-
-    # When the integrand collapses into a boundary layer at s_lo far narrower
-    # than any quadrature subdivision (exponentially large means near the
-    # boundary), integrate the layer analytically: with log_h locally
-    # log_h(s_lo) - lam*(s - s_lo), the integral is exp(log_h(s_lo)) / lam.
-    if levels[0] - max(levels[1:]) > 200.0:
-        ds = s_lo * 1e-4
-        lam = (levels[0] - log_h(s_lo + ds)) / ds
-        return levels[0] - math.log(lam)
-
-    def h(s: float) -> float:
-        e = log_h(s) - shift
-        return math.exp(e) if e < 700.0 else math.inf
-
-    points = sorted({min(max(x, s_lo), s_hi) for x in scan[:: max(n_scan // 8, 1)]})
-    val = _quad(h, s_lo, s_hi, rel, points=points, limit=400)
-    if val <= 0.0:
-        return -math.inf
-    return shift + math.log(val)
+    half = 0.5 * (s_hi - s_lo)
+    t_lo, w_lo = _graded_rule(np.array([[s_lo]]), half)
+    t_hi, w_hi = _graded_rule(np.array([[s_hi]]), half)
+    s = np.concatenate([s_lo + t_lo[0], s_hi - t_hi[0]])
+    log_m = np.concatenate([_log_circle_means(f, p_f, p_fp, s[k:k + RADIAL_BLOCK])
+                            for k in range(0, s.size, RADIAL_BLOCK)])
+    return float(logsumexp(log_m + log_weight(s), b=np.concatenate([w_lo[0], w_hi[0]])))
 
 
-def log_bergman_integral(f: CatalogFunction, p: float, alpha: float, delta: float,
-                         rel: float = AREA_REL_TOL) -> float:
+def _area_log_weight(alpha: float):
+    """(1-s) from the area Jacobian times (1-|z|^2)^alpha = (s(2-s))^alpha."""
+    return lambda s: np.log(1.0 - s) + alpha * np.log(s * (2.0 - s))
+
+
+def _green_log_weight(w: float):
+    """(1-s) from the area Jacobian times (log 1/r)^w with r = 1 - s."""
+    return lambda s: np.log(1.0 - s) + w * np.log(-np.log1p(-s))
+
+
+def log_bergman_integral(f: CatalogFunction, p: float, alpha: float, delta: float) -> float:
     """log of the area integral of |f|^p (1-|z|^2)^alpha over |z| <= 1 - delta."""
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
@@ -351,12 +323,7 @@ def log_bergman_integral(f: CatalogFunction, p: float, alpha: float, delta: floa
         raise ValueError("exponent p must be nonnegative")
     if alpha <= -1.0:
         raise ValueError("weight alpha must be > -1")
-
-    def log_w(s: float) -> float:
-        # (1-s) from the area Jacobian, (1-|z|^2)^alpha = (s(2-s))^alpha
-        return math.log(1.0 - s) + alpha * math.log(s * (2.0 - s)) if s < 1.0 else -math.inf
-
-    return _log_radial_integral(f, p, 0.0, delta, 1.0, log_w, rel)
+    return _log_radial_integral(f, p, 0.0, delta, 1.0, _area_log_weight(alpha))
 
 
 def bergman_integral(f: CatalogFunction, p: float, alpha: float, delta: float) -> float:
@@ -386,14 +353,7 @@ def yamashita_integral(f: CatalogFunction, p: float, delta: float,
     if w <= 0.0:
         raise ValueError("weight power must be positive")
 
-    def log_wt(s: float) -> float:
-        # (1-s) Jacobian and (log 1/r)^w with r = 1 - s
-        if s <= 0.0 or s >= 1.0:
-            return -math.inf
-        lg = -math.log1p(-s)
-        return math.log(1.0 - s) + w * math.log(lg)
-
-    log_ring = _log_radial_integral(f, p - 2.0, 2.0, delta, 1.0 - delta, log_wt)
+    log_ring = _log_radial_integral(f, p - 2.0, 2.0, delta, 1.0 - delta, _green_log_weight(w))
     ring = math.exp(log_ring) if log_ring > -math.inf else 0.0
 
     # core |z| < delta: integral_0^delta r (log 1/r)^w dr = Gamma(w+1, 2 log 1/delta) / 2^(w+1)
@@ -413,12 +373,22 @@ def yamashita_integral(f: CatalogFunction, p: float, delta: float,
 # change of variable: disk-side area integral vs image-plane Green integral
 
 
-def change_of_variable_check(f: CatalogFunction, p: float, delta: float,
-                             rel: float = AREA_REL_TOL) -> tuple[float, float]:
+def _quad(fn, a, b, rel, points=None, limit=800) -> float:
+    val, err, info, *rest = quad(fn, a, b, epsrel=rel, epsabs=0.0, limit=limit,
+                                 points=points, full_output=1)
+    if rest:
+        scale = max(abs(val), 1e-300)
+        if err > 100.0 * rel * scale:
+            raise QuadratureFailure(f"quadrature did not converge: {rest[0]}")
+    return val
+
+
+def change_of_variable_check(f: CatalogFunction, p: float, delta: float) -> tuple[float, float]:
     """Both sides of the Green-function change of variable for the truncated
     region |z| <= 1 - delta, for univalent catalog maps with unbounded image.
 
-    Left side: area integral over the disk region of |f|^(p-2) |f'|^2 log(1/|z|).
+    Left side: area integral over the disk region of |f|^(p-2) |f'|^2 log(1/|z|),
+    by the module's quadrature rule.
     Right side: area integral over the image of the region of |w|^(p-2) times
     the half-plane Green's function with pole at f(0), written in the Cayley
     coordinate u (where w = u^beta) so one formula covers every opening:
@@ -429,7 +399,8 @@ def change_of_variable_check(f: CatalogFunction, p: float, delta: float,
         |u|^(beta p - 2) * log|(u+1)/(u-1)| dA(u),
 
     parametrized by polar coordinates around u = 1 where the Green factor has
-    its logarithmic singularity.
+    its logarithmic singularity. The right side is integrated by adaptive
+    scipy quadrature to AREA_REL_TOL, an independent route to the same number.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
@@ -439,13 +410,7 @@ def change_of_variable_check(f: CatalogFunction, p: float, delta: float,
         raise UnsupportedImage("image is bounded; no Green integral to compare against")
     beta = f.beta if f.kind == KIND_SECTOR_POWER else 1.0
 
-    def log_wt(s: float) -> float:
-        if s <= 0.0 or s >= 1.0:
-            return -math.inf
-        lg = -math.log1p(-s)
-        return math.log(1.0 - s) + math.log(lg)
-
-    lhs_log = _log_radial_integral(f, p - 2.0, 2.0, delta, 1.0, log_wt, rel)
+    lhs_log = _log_radial_integral(f, p - 2.0, 2.0, delta, 1.0, _green_log_weight(1.0))
     lhs = math.exp(lhs_log) if lhs_log > -math.inf else 0.0
 
     big_r = 1.0 - delta
@@ -471,9 +436,9 @@ def change_of_variable_check(f: CatalogFunction, p: float, delta: float,
             return math.exp(0.5 * power * math.log(mod_u_sq)) * green * s
 
         pts = sorted({min(10.0**k, top * 0.5) for k in range(-6, 3)})
-        return _quad(integrand, 0.0, top, rel * 0.1, points=pts, limit=400)
+        return _quad(integrand, 0.0, top, 0.1 * AREA_REL_TOL, points=pts, limit=400)
 
-    rhs = 2.0 * beta**2 * _quad(inner, 0.0, math.pi, rel, limit=200)
+    rhs = 2.0 * beta**2 * _quad(inner, 0.0, math.pi, AREA_REL_TOL, limit=200)
     return lhs, rhs
 
 
@@ -512,10 +477,7 @@ def _classify_growth(gaps, log_values, slope_tol) -> GrowthProfile:
 def hardy_growth_profile(f: CatalogFunction, p: float,
                          gaps: tuple[float, ...] = HARDY_GAPS) -> GrowthProfile:
     """Circle means along radii 1 - gap; bounded means f is in H^p."""
-    try:
-        vals = [_log_circle_mean(f, p, 0.0, s, 1e-9) for s in gaps]
-    except QuadratureFailure:
-        return GrowthProfile(tuple(gaps), (), (), CLASS_INCONCLUSIVE)
+    vals = [float(v) for v in _log_circle_means(f, p, 0.0, gaps)]
     return _classify_growth(gaps, vals, HARDY_SLOPE_TOL)
 
 
@@ -523,34 +485,16 @@ def bergman_growth_profile(f: CatalogFunction, p: float, alpha: float = 0.0,
                            gaps: tuple[float, ...] = BERGMAN_GAPS) -> GrowthProfile:
     """Truncated area integrals at shrinking gaps, computed incrementally:
     the annulus between consecutive gaps is integrated once and accumulated."""
-    def log_w(s: float) -> float:
-        return math.log(1.0 - s) + alpha * math.log(s * (2.0 - s)) if s < 1.0 else -math.inf
-
-    try:
-        bands = sorted(gaps) + [1.0]  # ascending gap boundaries
-        seg_logs = [
-            _log_radial_integral(f, p, 0.0, bands[k], bands[k + 1], log_w, 1e-7)
-            for k in range(len(bands) - 1)
-        ]
-    except QuadratureFailure:
-        return GrowthProfile(tuple(gaps), (), (), CLASS_INCONCLUSIVE)
+    bands = sorted(gaps) + [1.0]  # ascending gap boundaries
+    seg_logs = [
+        _log_radial_integral(f, p, 0.0, bands[k], bands[k + 1], _area_log_weight(alpha))
+        for k in range(len(bands) - 1)
+    ]
     # the truncated integral at a given gap sums every segment above that gap
-    acc = -math.inf
-    log_by_gap: dict[float, float] = {}
-    for k in range(len(bands) - 2, -1, -1):
-        acc = _logaddexp(acc, seg_logs[k])
-        log_by_gap[bands[k]] = acc
-    vals = [log_by_gap[g] for g in gaps]
+    acc = np.logaddexp.accumulate(seg_logs[::-1])[::-1]
+    log_by_gap = dict(zip(bands, acc))
+    vals = [float(log_by_gap[g]) for g in gaps]
     return _classify_growth(gaps, vals, BERGMAN_SLOPE_TOL)
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
 
 
 @dataclass(frozen=True)

@@ -130,16 +130,28 @@ def _structural_zero(profile: DecayProfile, entry: ProfileEntry) -> bool:
     return False
 
 
-def estimate_hardy_number(
-    profile: DecayProfile,
-    tail_window: int = 4,
-    max_rel_stderr: float = MAX_REL_STDERR,
-) -> HardyNumberEstimate:
+def _informative_entries(profile: DecayProfile, tail_window: int) -> list[ProfileEntry]:
+    """The positive-omega entries up to the first whose relative standard
+    error exceeds MAX_REL_STDERR, keeping at least tail_window + 1 of them when
+    that many are positive. Oracle entries carry no stderr and are all kept."""
+    positive = [e for e in profile.entries if e.omega > 0.0]
+    kept = 0
+    for e in positive:
+        if e.stderr / e.omega > MAX_REL_STDERR:
+            break
+        kept += 1
+    used = positive[:max(kept, min(tail_window + 1, len(positive)))]
+    if len(used) < 2:
+        raise TooFewPoints("fewer than two informative profile entries")
+    return used
+
+
+def estimate_hardy_number(profile: DecayProfile, tail_window: int = 4) -> HardyNumberEstimate:
     """Liminf proxy: minimum local slope over the trailing window.
 
     Returns +inf with warnings when the boundary tail is empty at some
     finite radius. For Monte Carlo profiles, entries with relative standard
-    error above ``max_rel_stderr`` (and empty-count entries at radii the
+    error above MAX_REL_STDERR (and empty-count entries at radii the
     boundary does reach) are dropped before the window is applied, keeping at
     least tail_window + 1 entries when that many carry information at all.
     """
@@ -168,20 +180,7 @@ def estimate_hardy_number(
             warnings=tuple(warnings),
         )
 
-    positive = [e for e in profile.entries if e.omega > 0.0]
-
-    # informative prefix: relative precision within tolerance
-    kept = 0
-    for e in positive:
-        if e.stderr / e.omega <= max_rel_stderr:
-            kept += 1
-        else:
-            break
-    kept = max(kept, min(tail_window + 1, len(positive)))
-    used = positive[:kept]
-    if len(used) < 2:
-        raise TooFewPoints("fewer than two informative profile entries")
-
+    used = _informative_entries(profile, tail_window)
     sub = DecayProfile(tuple(used), profile.source)
     slopes = local_slopes(sub)
     stderrs = _slope_stderrs(used)

@@ -18,9 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import trapezoid
 
-from .errors import TooFewPoints, ZeroMeasure
-from .hardy_estimator import MAX_REL_STDERR, DecayProfile
+from .errors import ZeroMeasure
+from .hardy_estimator import DecayProfile, _informative_entries, _structural_zero
 
 __all__ = [
     "DecayFit",
@@ -82,27 +83,26 @@ class MembershipVerdict:
     query_ratio: float  # p for Hardy, p/(alpha+2) for Bergman
 
 
-def _tail_entries(profile: DecayProfile, tail_window: int):
-    positive = [e for e in profile.entries if e.omega > 0.0]
-    if profile.source == "monte_carlo":
-        kept = 0
-        for e in positive:
-            if e.stderr / e.omega <= MAX_REL_STDERR:
-                kept += 1
-            else:
-                break
-        kept = max(kept, min(tail_window + 1, len(positive)))
-        positive = positive[:kept]
-    if len(positive) < 2:
-        raise TooFewPoints("need at least two positive-omega entries to fit a decay")
-    return positive[-(tail_window + 1):]
-
-
 def fit_decay(profile: DecayProfile, tail_window: int = 4) -> DecayFit:
-    """Least-squares line through (log r, log 1/omega) on the tail window."""
-    if all(e.omega == 0.0 for e in profile.entries):
+    """Least-squares line through (log r, log 1/omega) on the tail window.
+
+    A tail set that is empty beyond some radius (a structural zero, the same
+    rule estimate_hardy_number applies) means omega vanishes faster than any
+    power: the fit is q = inf, with log_intercept = inf (zero amplitude). On a
+    non-regular domain that zero is an artifact of the boundary, not a decay
+    rate, and ZeroMeasure is raised, as it is for a profile that is zero
+    everywhere for no structural reason.
+    """
+    zeros = [e for e in profile.entries if e.omega == 0.0]
+    structural = any(_structural_zero(profile, e) for e in zeros)
+    if structural and profile.domain_regular is not False:
+        span = (profile.entries[0].r, profile.entries[-1].r)
+        return DecayFit(math.inf, math.inf, 0.0, span, len(profile.entries))
+    if structural:
+        raise ZeroMeasure("the tail measure vanishes on a non-regular domain; no decay rate to fit")
+    if len(zeros) == len(profile.entries):
         raise ZeroMeasure("profile is identically zero; no decay rate to fit")
-    used = _tail_entries(profile, tail_window)
+    used = _informative_entries(profile, tail_window)[-(tail_window + 1):]
     log_r = np.log([e.r for e in used])
     log_inv = -np.log([e.omega for e in used])
     q, intercept = np.polyfit(log_r, log_inv, 1)
@@ -177,7 +177,7 @@ def criterion_integral(
     t = np.array([e.r for e in entries])
     omega = np.array([e.omega for e in entries])
     if t.size >= 2:
-        truncated = float(np.trapezoid(t ** (query.p - 1.0) * omega**beta, t))
+        truncated = float(trapezoid(t ** (query.p - 1.0) * omega**beta, t))
     else:
         truncated = 0.0
 

@@ -102,6 +102,31 @@ def test_member_bergman_space_verdict(tmp_path, halfplane_json):
     assert payload["verdict"] == "not_member"
 
 
+def test_member_on_empty_tails(tmp_path, disk_exterior_json, capsys):
+    disk = tmp_path / "disk.json"
+    disk.write_text('{"shape": "disk", "radius": 1.0, "basepoint": [0.0, 0.0]}')
+    out = tmp_path / "out"
+    # a bounded domain is in every H^p and A^p_alpha
+    rc = main(["member", "--domain", str(disk), "--samples", "2000",
+               "--p", "2.5", "--alpha", "1.0", "--out", str(out)])
+    assert rc == 0
+    payload = read_json(out / "member.json")
+    assert payload["verdict"] == "member"
+    assert payload["fit"]["q"] == "inf"
+
+    # report has no finite slope to draw and says so
+    rc = main(["report", "--domain", str(disk), "--samples", "2000", "--out", str(out)])
+    assert rc == 2
+    assert "no decay slope to plot" in capsys.readouterr().err
+    assert not (out / "report.gp").exists()
+
+    # the empty tail of a non-regular domain is not a decay rate
+    rc = main(["member", "--domain", disk_exterior_json, "--samples", "500",
+               "--grid", "2,2,5", "--p", "0.5", "--out", str(tmp_path / "ext")])
+    assert rc == 2
+    assert "non-regular" in capsys.readouterr().err
+
+
 def test_member_requires_p(tmp_path, halfplane_json):
     with pytest.raises(SystemExit) as exc:
         main(["member", "--domain", halfplane_json, "--out", str(tmp_path / "o")])

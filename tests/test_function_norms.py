@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from scipy.integrate import quad
 
 from hardynum import (
     HalfPlane,
@@ -26,8 +27,32 @@ from hardynum import (
     sector_power,
     yamashita_integral,
 )
+from hardynum.function_norms import AREA_REL_TOL, CIRCLE_REL_TOL
 
 TWO_PI = 2 * math.pi
+CATALOG = (cayley(), sector_power(0.5), exp_cayley(), identity_map())
+
+
+def log_abs_f(f, s, theta):
+    """log |f((1-s) e^{i theta})| from the cancellation-free moduli."""
+    if f.kind == "identity":
+        return math.log(1.0 - s)
+    m_minus = s * s + 4.0 * (1.0 - s) * math.sin(0.5 * theta) ** 2
+    if f.kind == "exp_cayley":
+        return math.log(f.scale) + s * (2.0 - s) / m_minus
+    m_plus = s * s + 4.0 * (1.0 - s) * math.cos(0.5 * theta) ** 2
+    return 0.5 * f.beta * (math.log(m_plus) - math.log(m_minus))
+
+
+def quad_log_mean(f, p, s):
+    """log circle integral of |f|^p by adaptive quadrature of exp(g - max g),
+    with breaks at the peak scales s * 10^k."""
+    breaks = sorted({min(s * 10.0**k, 0.5 * math.pi) for k in range(-6, 5)})
+    g = lambda t: p * log_abs_f(f, s, t)
+    shift = max(g(t) for t in [0.0, math.pi] + breaks)
+    val = quad(lambda t: math.exp(g(t) - shift), 0.0, math.pi, points=breaks,
+               epsrel=1e-9, epsabs=0.0, limit=500)[0]
+    return shift + math.log(2.0 * val)
 
 
 # ---- catalog ---------------------------------------------------------------
@@ -74,9 +99,33 @@ def test_catalog_parameter_validation():
 def test_cayley_second_mean_closed_form():
     # integral of |(1+z)/(1-z)|^2 over the circle of radius r is
     # 2*pi*(1 + 4 r^2 / (1 - r^2))
-    for r in (0.1, 0.5, 0.9, 0.999):
+    for r in (0.1, 0.5, 0.9, 0.999, 0.9999):
         expected = TWO_PI * (1.0 + 4.0 * r * r / (1.0 - r * r))
         assert hardy_mean(cayley(), 2.0, r) == pytest.approx(expected, rel=1e-10)
+
+
+def test_means_match_high_precision_references():
+    # 40-digit mpmath integrals of the same cancellation-free integrands; the
+    # last is exp-cayley's peak at gap 1e-10, about 2.5e-6 gaps wide, whose
+    # log near 1.6e11 resolves only to one ulp (3e-5)
+    cases = (
+        (log_hardy_mean(exp_cayley(), 1 / 32, 1 - 1e-4), 613.11317670270873),
+        (hardy_growth_profile(cayley(), 1.5).log_values[-1], 14.209746761257510),
+        (hardy_growth_profile(exp_cayley(), 8.0).log_values[-1], 159999999956.64728836),
+    )
+    for got, ref in cases:
+        assert abs(got - ref) <= 1e-8 + math.ulp(ref), ref
+
+
+def test_circle_means_match_adaptive_quadrature():
+    for f in CATALOG:
+        for p in (0.5, 1.0, 2.0, 4.0):
+            for gap in (1e-1, 1e-4, 1e-7):
+                r = 1.0 - gap
+                ref = quad_log_mean(f, p, 1.0 - r)
+                # a log value near 8e7 (exp-cayley at gap 1e-7) resolves only ~1.5e-8
+                tol = CIRCLE_REL_TOL + math.ulp(ref)
+                assert abs(log_hardy_mean(f, p, r) - ref) <= tol, (f, p, gap)
 
 
 def test_identity_means_exact():
@@ -101,9 +150,9 @@ def test_log_and_linear_means_agree():
 
 def test_sector_power_mean_is_cayley_power_mean():
     # |cayley^beta|^p = |cayley|^(beta*p) pointwise, so the means coincide
-    for beta in (0.5, 2.0):
+    for beta in (0.5, 1.0, 2.0):
         for p in (1.0, 2.0):
-            for r in (0.4, 0.9):
+            for r in (0.4, 0.9, 1.0 - 1e-7):
                 lhs = hardy_mean(sector_power(beta), p, r)
                 rhs = hardy_mean(cayley(), beta * p, r)
                 assert lhs == pytest.approx(rhs, rel=1e-8)
@@ -132,11 +181,23 @@ def test_mean_parameter_validation():
 def test_cayley_bergman_closed_form():
     # integral of |(1+z)/(1-z)|^2 over |z| <= R is
     # 2*pi*(-3 R^2 / 2 - 2 log(1 - R^2))
-    for delta in (0.5, 0.2, 0.05):
+    for delta in (0.5, 0.2, 0.05, 1e-4):
         radius = 1.0 - delta
         expected = TWO_PI * (-1.5 * radius**2 - 2.0 * math.log(1.0 - radius**2))
         got = bergman_integral(cayley(), 2.0, 0.0, delta)
         assert got == pytest.approx(expected, rel=1e-8)
+
+
+def test_area_band_matches_adaptive_quadrature():
+    # exp-cayley's area integrand is a boundary layer of width ~delta^2 at |z| = 1 - delta
+    f, delta = exp_cayley(), 1e-3
+    log_h = lambda s: quad_log_mean(f, 1.0, s) + math.log(1.0 - s)
+    shift = log_h(delta)
+    breaks = [delta + delta * 10.0**k for k in range(-6, 2)]
+    val = quad(lambda s: math.exp(log_h(s) - shift), delta, 1.0, points=breaks,
+               epsrel=1e-9, epsabs=0.0, limit=500)[0]
+    ref = shift + math.log(val)
+    assert log_bergman_integral(f, 1.0, 0.0, delta) == pytest.approx(ref, abs=AREA_REL_TOL)
 
 
 def test_identity_weighted_area_integral():

@@ -49,18 +49,38 @@ def test_fit_window_controls_points():
 
 
 def test_fit_rejects_degenerate_profiles():
+    # a bounded domain's tail is empty beyond its boundary: omega decays
+    # faster than any power
     zeros = tuple(ProfileEntry(r, 0.0) for r in (2.0, 4.0, 8.0))
     profile = DecayProfile(entries=zeros, source="oracle", domain_regular=True,
                            domain_bounded=True, boundary_sup=1.0)
-    with pytest.raises(ZeroMeasure):
-        fit_decay(profile)
+    fit = fit_decay(profile)
+    assert fit.q == math.inf and fit.log_intercept == math.inf
+    assert classify_hardy(fit, MembershipQuery(2.5)).verdict == "member"
 
     one = DecayProfile(
         entries=(ProfileEntry(2.0, 0.5), ProfileEntry(4.0, 0.0)),
         source="oracle", domain_regular=True, domain_bounded=True, boundary_sup=3.0,
     )
+    assert fit_decay(one).q == math.inf
+
+    # the same empty tail on a non-regular domain (a disk exterior) is no decay rate
+    non_regular = DecayProfile(entries=zeros, source="monte_carlo", domain_regular=False,
+                               domain_bounded=False, boundary_sup=1.0)
+    with pytest.raises(ZeroMeasure):
+        fit_decay(non_regular)
+
+    unexplained = DecayProfile(entries=zeros, source="monte_carlo", domain_regular=True,
+                               domain_bounded=False, boundary_sup=math.inf)
+    with pytest.raises(ZeroMeasure):
+        fit_decay(unexplained)
+
+    single = DecayProfile(
+        entries=(ProfileEntry(2.0, 0.5, 0.01), ProfileEntry(4.0, 0.0)),
+        source="monte_carlo", domain_regular=True, domain_bounded=False, boundary_sup=math.inf,
+    )
     with pytest.raises(TooFewPoints):
-        fit_decay(one)
+        fit_decay(single)
 
 
 def test_fit_ignores_noisy_monte_carlo_tail():
