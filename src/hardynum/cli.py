@@ -27,8 +27,8 @@ from . import function_norms, identities
 from ._serialize import fmt_float, growth_csv, json_dumps, profile_csv, write_text
 from .errors import HardynumError, ZeroMeasure
 from .geometry import HalfPlane, Sector, TailQuery, domain_to_dict, load_domain
-from .hardy_estimator import default_grid, estimate_hardy_number
-from .membership import MembershipQuery, classify_bergman, classify_hardy, fit_decay
+from .hardy_estimator import default_grid, estimate_hardy_number, fit_decay
+from .membership import MembershipQuery, classify_bergman, classify_hardy
 from .oracles import exact_hm
 from .wos import WosConfig, estimate_hm, estimate_profile
 
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", default=None, metavar="R0,RATIO,COUNT",
                        help="geometric radius grid (default 2*max(1,|a|), ratio 2, 13 points)")
         p.add_argument("--window", type=int, default=DEFAULT_WINDOW,
-                       help="trailing slope window for the estimate")
+                       help="tail fit over the last WINDOW+1 informative radii (>= 1)")
         p.add_argument("--chunk", type=int, default=65536,
                        help="walk batch size (no effect on results)")
         p.add_argument("--out", default=".", help="output directory")
@@ -112,7 +112,6 @@ def _estimate_payload(est, args, domain) -> dict:
         "warnings": list(est.warnings),
         "ci_halfwidth": est.ci_halfwidth,
         "tail_window": est.tail_window,
-        "local_slopes": list(est.local_slopes),
         "used_radii": list(est.used_radii) if est.used_radii is not None else None,
         "seed": args.seed,
         "n_samples": args.samples,

@@ -5,12 +5,14 @@ Hardy number equals
 
     liminf over r of  log(1 / omega(r)) / log(r)
 
-which this module approximates by the minimum of the local log-log slopes
-over the last few grid points of a decay profile. Profiles can come from the
-closed-form oracles or from the walk-on-spheres sampler; Monte Carlo
-profiles are first trimmed to the radii whose estimates are statistically
-informative, since an empirical zero at a rarely-hit radius says nothing
-about the true decay.
+which this module approximates by the slope q of a least-squares line
+through (log r, log 1/omega) over the last tail_window + 1 informative grid
+points of a decay profile (fit_decay). The same fit feeds the membership
+classifiers, so the Hardy number and the membership verdicts rest on one
+exponent. Profiles can come from the closed-form oracles or from the
+walk-on-spheres sampler; Monte Carlo profiles are first trimmed to the radii
+whose estimates are statistically informative, since an empirical zero at a
+rarely-hit radius says nothing about the true decay.
 
 An exact zero is a different matter: when the tail set itself is empty
 (bounded domains, disk exteriors past their boundary radius) the formula
@@ -32,24 +34,29 @@ from .oracles import exact_hm
 __all__ = [
     "ProfileEntry",
     "DecayProfile",
+    "DecayFit",
     "HardyNumberEstimate",
-    "local_slopes",
+    "fit_decay",
     "estimate_hardy_number",
     "default_grid",
     "oracle_profile",
 ]
 
 # Monte Carlo profile entries above this relative standard error are dropped
-# before slopes are taken (an entry backed by a handful of tail hits has a
-# log-scale noise comparable to the slope itself).
+# before the fit (an entry backed by a handful of tail hits has a log-scale
+# noise comparable to the slope itself).
 MAX_REL_STDERR = 0.05
 
 # confidence multiplier for the reported halfwidth
 _CI_FACTOR = 1.96
 
+# fraction of unterminated walks above which an estimate is flagged
+UNRELIABLE_RATIO = 0.01
+
 WARN_ZERO_TAIL = "zero_measure_tail"
 WARN_NON_REGULAR = "non_regular_domain"
 WARN_BOUNDED = "bounded_domain"
+WARN_UNTERMINATED = "unterminated_walks"
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,8 @@ class DecayProfile:
     domain_regular: bool | None = None
     domain_bounded: bool | None = None
     boundary_sup: float | None = None  # sup of boundary moduli; None if unknown
+    n_samples: int = 0  # walks behind a Monte Carlo profile
+    n_unterminated: int = 0  # walks that exhausted the step budget
 
     def __post_init__(self) -> None:
         radii = [e.r for e in self.entries]
@@ -81,41 +90,34 @@ class DecayProfile:
             if any(b > a + 1e-12 for a, b in zip(omegas, omegas[1:])):
                 raise ValueError("oracle profiles must be non-increasing in r")
 
-    def radii(self) -> np.ndarray:
-        return np.array([e.r for e in self.entries])
-
     def omegas(self) -> np.ndarray:
         return np.array([e.omega for e in self.entries])
 
 
 @dataclass(frozen=True)
+class DecayFit:
+    """Least-squares power law omega ~ exp(-log_intercept) * r**(-q).
+
+    The fitted line is log(1/omega) = q * log(r) + log_intercept, so
+    log_intercept is minus the log of the amplitude. stderr is the
+    delta-method standard error of q (0 for oracle profiles).
+    """
+
+    q: float
+    log_intercept: float
+    residual: float  # max abs deviation in log space
+    fit_range: tuple[float, float]
+    n_points: int
+    stderr: float
+
+
+@dataclass(frozen=True)
 class HardyNumberEstimate:
     value: float  # math.inf marks an empty tail
-    local_slopes: tuple[float, ...]
     tail_window: int
-    ci_halfwidth: float
+    ci_halfwidth: float  # 95% half-width on value
     warnings: tuple[str, ...] = ()
     used_radii: tuple[float, float] | None = None
-
-
-def local_slopes(profile: DecayProfile) -> np.ndarray:
-    """Log-log slopes of 1/omega between consecutive grid radii."""
-    if len(profile.entries) < 2:
-        raise TooFewPoints("need at least two profile entries for a slope")
-    omega = profile.omegas()
-    if np.any(omega == 0.0):
-        raise ZeroMeasure("profile contains omega = 0; the decay rate there is +inf")
-    log_inv = -np.log(omega)
-    log_r = np.log(profile.radii())
-    return np.diff(log_inv) / np.diff(log_r)
-
-
-def _slope_stderrs(entries: list[ProfileEntry]) -> np.ndarray:
-    # delta method: d log(omega) = d omega / omega, consecutive entries
-    # treated as independent (an overestimate when walks are shared)
-    rel = np.array([e.stderr / e.omega for e in entries])
-    gaps = np.diff(np.log([e.r for e in entries]))
-    return np.sqrt(rel[:-1] ** 2 + rel[1:] ** 2) / gaps
 
 
 def _structural_zero(profile: DecayProfile, entry: ProfileEntry) -> bool:
@@ -146,56 +148,80 @@ def _informative_entries(profile: DecayProfile, tail_window: int) -> list[Profil
     return used
 
 
-def estimate_hardy_number(profile: DecayProfile, tail_window: int = 4) -> HardyNumberEstimate:
-    """Liminf proxy: minimum local slope over the trailing window.
+def fit_decay(profile: DecayProfile, tail_window: int = 4) -> DecayFit:
+    """Least-squares line through (log r, log 1/omega) over the last
+    tail_window + 1 informative entries.
 
-    Returns +inf with warnings when the boundary tail is empty at some
-    finite radius. For Monte Carlo profiles, entries with relative standard
-    error above MAX_REL_STDERR (and empty-count entries at radii the
-    boundary does reach) are dropped before the window is applied, keeping at
-    least tail_window + 1 entries when that many carry information at all.
+    A tail set that is empty beyond some radius (a structural zero) means
+    omega vanishes faster than any power: the fit is q = inf, with
+    log_intercept = inf (zero amplitude). On a non-regular domain that zero is
+    an artifact of the boundary, not a decay rate, and ZeroMeasure is raised,
+    as it is for a profile that is zero everywhere for no structural reason.
     """
     if tail_window < 1:
         raise ValueError("tail_window must be >= 1")
-    if len(profile.entries) < tail_window + 1:
-        raise TooFewPoints(
-            f"profile has {len(profile.entries)} entries, need {tail_window + 1}"
-        )
-
-    zero_entries = [e for e in profile.entries if e.omega == 0.0]
-    structural = [e for e in zero_entries if _structural_zero(profile, e)]
-    all_zero = len(zero_entries) == len(profile.entries)
-    if structural or all_zero:
-        warnings = []
-        if profile.domain_regular is False:
-            warnings.append(WARN_NON_REGULAR)
-        if profile.domain_bounded:
-            warnings.append(WARN_BOUNDED)
-        warnings.append(WARN_ZERO_TAIL)
-        return HardyNumberEstimate(
-            value=math.inf,
-            local_slopes=(),
-            tail_window=tail_window,
-            ci_halfwidth=0.0,
-            warnings=tuple(warnings),
-        )
-
-    used = _informative_entries(profile, tail_window)
-    sub = DecayProfile(tuple(used), profile.source)
-    slopes = local_slopes(sub)
-    stderrs = _slope_stderrs(used)
-    window = min(tail_window, len(slopes))
-    tail_slopes = slopes[-window:]
-    tail_stderrs = stderrs[-window:]
-    k = int(np.argmin(tail_slopes))
-    return HardyNumberEstimate(
-        value=float(tail_slopes[k]),
-        local_slopes=tuple(float(s) for s in slopes),
-        tail_window=tail_window,
-        ci_halfwidth=float(_CI_FACTOR * tail_stderrs[k]),
-        warnings=(),
-        used_radii=(used[0].r, used[-1].r),
+    zeros = [e for e in profile.entries if e.omega == 0.0]
+    structural = any(_structural_zero(profile, e) for e in zeros)
+    if structural and profile.domain_regular is not False:
+        span = (profile.entries[0].r, profile.entries[-1].r)
+        return DecayFit(math.inf, math.inf, 0.0, span, len(profile.entries), 0.0)
+    if structural:
+        raise ZeroMeasure("the tail measure vanishes on a non-regular domain; no decay rate to fit")
+    if len(zeros) == len(profile.entries):
+        raise ZeroMeasure("profile is identically zero; no decay rate to fit")
+    used = _informative_entries(profile, tail_window)[-(tail_window + 1):]
+    log_r = np.log([e.r for e in used])
+    log_inv = -np.log([e.omega for e in used])
+    q, intercept = np.polyfit(log_r, log_inv, 1)
+    residual = float(np.max(np.abs(q * log_r + intercept - log_inv)))
+    # The walks beyond r_j are a subset of those beyond r_i <= r_j, so
+    # Cov(log omega_i, log omega_j) = (stderr_i / omega_i)**2; c holds the
+    # least-squares slope weights, q = c @ log_inv.
+    rel2 = np.array([(e.stderr / e.omega) ** 2 for e in used])
+    k = np.arange(len(used))
+    dx = log_r - log_r.mean()
+    c = dx / (dx @ dx)
+    var = float(c @ rel2[np.minimum.outer(k, k)] @ c)
+    return DecayFit(
+        q=float(q),
+        log_intercept=float(intercept),
+        residual=residual,
+        fit_range=(used[0].r, used[-1].r),
+        n_points=len(used),
+        stderr=math.sqrt(max(var, 0.0)),  # rounding can dip below 0 when var is ~0
     )
+
+
+def estimate_hardy_number(profile: DecayProfile, tail_window: int = 4) -> HardyNumberEstimate:
+    """The decay exponent of fit_decay, with a 95% half-width and warnings.
+
+    Where the tail is empty -- fit_decay returns q = inf or raises
+    ZeroMeasure -- the estimate is +inf with warnings saying whether that is
+    meaningful (bounded domain) or an artifact (non-regular domain). More
+    than UNRELIABLE_RATIO unterminated walks add the unterminated_walks
+    warning, since the fit then sees only the walks that found the boundary.
+    """
+    warnings = []
+    if profile.n_unterminated > UNRELIABLE_RATIO * profile.n_samples:
+        warnings.append(WARN_UNTERMINATED)
+    try:
+        fit = fit_decay(profile, tail_window)
+    except ZeroMeasure:
+        fit = None
+    if fit is not None and math.isfinite(fit.q):
+        return HardyNumberEstimate(
+            value=fit.q,
+            tail_window=tail_window,
+            ci_halfwidth=_CI_FACTOR * fit.stderr,
+            warnings=tuple(warnings),
+            used_radii=fit.fit_range,
+        )
+    if profile.domain_regular is False:
+        warnings.append(WARN_NON_REGULAR)
+    if profile.domain_bounded:
+        warnings.append(WARN_BOUNDED)
+    warnings.append(WARN_ZERO_TAIL)
+    return HardyNumberEstimate(math.inf, tail_window, 0.0, tuple(warnings))
 
 
 def default_grid(d: Domain, count: int = 13, ratio: float = 2.0) -> list[float]:

@@ -5,7 +5,8 @@ r**(-q) belongs to H^p when p < q and fails to belong when p > q; the
 weighted Bergman space A^p_alpha compares p/(alpha+2) against the same
 exponent. Near the critical index both memberships are genuinely
 undecidable from decay rates alone (either can happen), so the classifiers
-return a three-valued verdict with an explicit margin.
+return a three-valued verdict with an explicit margin. The exponent is the
+DecayFit of hardy_estimator.fit_decay, the fit behind the Hardy number.
 
 Membership verdicts for Bergman spaces are only ever justified through the
 embedding H^q into A^p_alpha (valid when p/(alpha+2) <= q <= p); the
@@ -20,15 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .errors import ZeroMeasure
-from .hardy_estimator import DecayProfile, _informative_entries, _structural_zero
+from .hardy_estimator import DecayFit, DecayProfile, fit_decay
 
 __all__ = [
-    "DecayFit",
     "MembershipQuery",
     "MembershipVerdict",
     "IntegralEstimate",
-    "fit_decay",
     "classify_hardy",
     "classify_bergman",
     "criterion_integral",
@@ -45,21 +43,6 @@ RATIONALE_DECAY = "decay_sufficient"
 RATIONALE_DIVERGES = "integral_diverges"
 RATIONALE_NEAR_CRITICAL = "near_critical"
 RATIONALE_EMBEDDING = "embedding_sufficient"
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    """Least-squares power law omega ~ exp(-log_intercept) * r**(-q).
-
-    The fitted line is log(1/omega) = q * log(r) + log_intercept, so
-    log_intercept is minus the log of the amplitude.
-    """
-
-    q: float
-    log_intercept: float
-    residual: float  # max abs deviation in log space
-    fit_range: tuple[float, float]
-    n_points: int
 
 
 @dataclass(frozen=True)
@@ -81,39 +64,6 @@ class MembershipVerdict:
     rationale: str
     critical_ratio: float  # fitted decay exponent q
     query_ratio: float  # p for Hardy, p/(alpha+2) for Bergman
-
-
-def fit_decay(profile: DecayProfile, tail_window: int = 4) -> DecayFit:
-    """Least-squares line through (log r, log 1/omega) on the tail window.
-
-    A tail set that is empty beyond some radius (a structural zero, the same
-    rule estimate_hardy_number applies) means omega vanishes faster than any
-    power: the fit is q = inf, with log_intercept = inf (zero amplitude). On a
-    non-regular domain that zero is an artifact of the boundary, not a decay
-    rate, and ZeroMeasure is raised, as it is for a profile that is zero
-    everywhere for no structural reason.
-    """
-    zeros = [e for e in profile.entries if e.omega == 0.0]
-    structural = any(_structural_zero(profile, e) for e in zeros)
-    if structural and profile.domain_regular is not False:
-        span = (profile.entries[0].r, profile.entries[-1].r)
-        return DecayFit(math.inf, math.inf, 0.0, span, len(profile.entries))
-    if structural:
-        raise ZeroMeasure("the tail measure vanishes on a non-regular domain; no decay rate to fit")
-    if len(zeros) == len(profile.entries):
-        raise ZeroMeasure("profile is identically zero; no decay rate to fit")
-    used = _informative_entries(profile, tail_window)[-(tail_window + 1):]
-    log_r = np.log([e.r for e in used])
-    log_inv = -np.log([e.omega for e in used])
-    q, intercept = np.polyfit(log_r, log_inv, 1)
-    residual = float(np.max(np.abs(q * log_r + intercept - log_inv)))
-    return DecayFit(
-        q=float(q),
-        log_intercept=float(intercept),
-        residual=residual,
-        fit_range=(used[0].r, used[-1].r),
-        n_points=len(used),
-    )
 
 
 def _three_way(ratio: float, q: float, margin: float, member_rationale: str) -> MembershipVerdict:

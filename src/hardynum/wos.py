@@ -23,15 +23,12 @@ import numpy as np
 
 from .errors import BasepointOutsideDomain, DegenerateDomain
 from .geometry import Domain, TailQuery
-from .hardy_estimator import DecayProfile, ProfileEntry
+from .hardy_estimator import UNRELIABLE_RATIO, DecayProfile, ProfileEntry
 from .rng import stream_keys, uniforms
 
 __all__ = ["WosConfig", "HmEstimate", "estimate_hm", "estimate_profile"]
 
 _TWO_PI = 2.0 * math.pi
-
-# fraction of unterminated walks above which an estimate is flagged
-UNRELIABLE_RATIO = 0.01
 
 
 @dataclass(frozen=True)
@@ -151,14 +148,13 @@ def estimate_profile(d: Domain, grid: list[float], cfg: WosConfig) -> DecayProfi
         raise ValueError("grid radii must be >= 0")
 
     moduli = _exit_moduli(d, cfg)
-    entries = []
-    for r in radii:
-        est = _estimate_from_moduli(moduli, r, cfg.n_samples)
-        entries.append(ProfileEntry(r=r, omega=est.value, stderr=est.stderr))
+    ests = [_estimate_from_moduli(moduli, r, cfg.n_samples) for r in radii]
     return DecayProfile(
-        entries=tuple(entries),
+        entries=tuple(ProfileEntry(r=e.r, omega=e.value, stderr=e.stderr) for e in ests),
         source="monte_carlo",
         domain_regular=d.regular,
         domain_bounded=d.bounded,
         boundary_sup=d.boundary_modulus_sup(),
+        n_samples=cfg.n_samples,
+        n_unterminated=ests[0].n_unterminated,
     )

@@ -58,7 +58,9 @@ def test_hardy_estimates_halfplane_exponent(tmp_path, halfplane_json):
     assert payload["warnings"] == []
     assert payload["seed"] == 0
     assert payload["n_samples"] == 20000
-    assert 3 <= len(payload["local_slopes"]) <= 9  # noisy tail radii are trimmed
+    low, high = payload["used_radii"]
+    assert high == 2.0**3 * low  # the fit spans window + 1 grid radii
+    assert high < 2.0 * 2**9  # noisy tail radii are trimmed
     assert payload["domain"]["shape"] == "half_plane"
     assert (out / "profile.csv").exists()
 
@@ -125,6 +127,20 @@ def test_member_on_empty_tails(tmp_path, disk_exterior_json, capsys):
                "--grid", "2,2,5", "--p", "0.5", "--out", str(tmp_path / "ext")])
     assert rc == 2
     assert "non-regular" in capsys.readouterr().err
+
+
+def test_hardy_value_is_the_member_fit(tmp_path, halfplane_json):
+    slit = tmp_path / "slit.json"
+    dump_domain(Sector(2 * math.pi, 1.0), str(slit))
+    for domain in (halfplane_json, str(slit)):
+        common = ["--domain", domain, "--samples", "20000", "--seed", "7",
+                  "--grid", "2,2,12", "--window", "3"]
+        assert main(["hardy", *common, "--out", str(tmp_path / "h")]) == 0
+        assert main(["member", *common, "--p", "0.5", "--out", str(tmp_path / "m")]) == 0
+        hardy = read_json(tmp_path / "h" / "hardy.json")
+        fit = read_json(tmp_path / "m" / "member.json")["fit"]
+        assert hardy["value"] == fit["q"]
+        assert hardy["used_radii"] == fit["fit_range"]
 
 
 def test_member_requires_p(tmp_path, halfplane_json):
@@ -249,6 +265,14 @@ def test_malformed_grid_exits_2(tmp_path, halfplane_json):
     rc = main(["hardy", "--domain", halfplane_json, "--grid", "banana",
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_non_positive_window_exits_2(tmp_path, halfplane_json, capsys):
+    for command in (["hardy"], ["member", "--p", "0.5"], ["report"]):
+        rc = main([*command, "--domain", halfplane_json, "--samples", "2000",
+                   "--window", "0", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "tail_window must be >= 1" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_2():

@@ -156,7 +156,7 @@ def test_bergman_verdicts_on_halfplane():
 
 def test_margin_boundaries():
     fit = DecayFit(q=1.0, log_intercept=0.0, residual=0.0,
-                   fit_range=(2.0, 32.0), n_points=5)
+                   fit_range=(2.0, 32.0), n_points=5, stderr=0.0)
     assert classify_hardy(fit, MembershipQuery(0.94)).verdict == "member"
     assert classify_hardy(fit, MembershipQuery(0.96)).verdict == "inconclusive"
     assert classify_hardy(fit, MembershipQuery(1.04)).verdict == "inconclusive"
