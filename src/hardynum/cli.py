@@ -27,7 +27,7 @@ from . import function_norms, identities
 from ._serialize import fmt_float, growth_csv, json_dumps, profile_csv, write_text
 from .errors import HardynumError, ZeroMeasure
 from .geometry import HalfPlane, Sector, TailQuery, domain_to_dict, load_domain
-from .hardy_estimator import default_grid, estimate_hardy_number, fit_decay
+from .hardy_estimator import default_grid, estimate_hardy_number, fit_decay, sampling_warnings
 from .membership import MembershipQuery, classify_bergman, classify_hardy
 from .oracles import exact_hm
 from .wos import WosConfig, estimate_hm, estimate_profile
@@ -159,6 +159,9 @@ def _cmd_member(args) -> int:
             "fit_range": list(fit.fit_range),
             "n_points": fit.n_points,
         },
+        "warnings": sampling_warnings(profile),
+        "n_samples": profile.n_samples,
+        "n_unterminated": profile.n_unterminated,
         "seed": args.seed,
         "domain": domain_to_dict(domain),
     }
@@ -170,11 +173,13 @@ def _cmd_norms(args) -> int:
     out = Path(args.out)
     summary = {}
     for name, fn in _CATALOG:
-        hardy_gp = function_norms.hardy_growth_profile(fn, args.p)
-        bergman_gp = function_norms.bergman_growth_profile(fn, args.p, args.alpha)
+        table = function_norms.NodeTable.for_growth(fn)
+        hardy_gp = function_norms.hardy_growth_profile(table, args.p)
+        bergman_gp = function_norms.bergman_growth_profile(table, args.p, args.alpha)
         write_text(out / f"norms_{name}_hardy.csv", growth_csv(hardy_gp))
         write_text(out / f"norms_{name}_bergman.csv", growth_csv(bergman_gp))
-        exps = function_norms.empirical_hb(fn)
+        exps = function_norms.empirical_hb(table)
+        del table  # about 6 MB: free it before the next function's table is built
         summary[name] = {
             "h_hat": exps.h_hat,
             "b_hat": exps.b_hat,

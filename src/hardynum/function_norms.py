@@ -3,16 +3,25 @@ small catalog of analytic test functions on the unit disk.
 
 Everything here is numerical but deterministic, and every disk-side integral
 goes through one rule: composite Gauss-Legendre on geometrically graded
-panels, summed in log space with logsumexp, so astronomically large
-integrands such as exp((1+z)/(1-z)) never overflow. Circle means grade their
-theta panels at the scale s of the boundary gap, toward theta = 0 and toward
-theta = pi; area integrals nest those circle means inside the same rule in s,
-graded toward both ends of each radial band. The rule has no tolerance
-parameter: its node count, panel density and grading floor are module
-constants, and its accuracy contract is CIRCLE_REL_TOL relative error on
-circle means and AREA_REL_TOL on area integrals, which the tests check
-against closed forms and against adaptive quadrature. Critical exponents are
-located by bisection on a bounded/unbounded growth classifier.
+panels, summed in log space (max-shift, exp, weight, sum, log), so
+astronomically large integrands such as exp((1+z)/(1-z)) never overflow.
+Circle means grade their theta panels at the scale s of the boundary gap,
+toward theta = 0 and toward theta = pi; area integrals nest those circle
+means inside the same rule in s, graded toward both ends of each radial band.
+The rule has no tolerance parameter: its node count, panel density and
+grading floor are module constants, and its accuracy contract is
+CIRCLE_REL_TOL relative error on circle means and AREA_REL_TOL on area
+integrals, which the tests check against closed forms and against adaptive
+quadrature.
+
+Every integrand is exp(p_f log|f| + p_fp log|f'|), and the nodes depend only
+on the circles and bands, never on the exponents. So all integrals read a
+NodeTable, which evaluates log|f| (and log|f'| where p_fp is nonzero) once on
+the nodes of one function; an integral at any exponent is then a weighted
+log-space sum over the table. The single integrals build a table for their
+one circle or band. Critical exponents are located by bisection on a
+bounded/unbounded growth classifier, and every probe of one function reads
+one table over the classifier's circles and bands (NodeTable.for_growth).
 
 Radii are parametrized by the boundary gap s = 1 - r throughout, which keeps
 the integrand formulas cancellation-free down to s ~ 1e-12:
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaincc, logsumexp
+from scipy.special import gammaincc
 from scipy.special import gamma as gamma_fn
 
 from .errors import QuadratureFailure, UnsupportedImage, ZeroOnDisk
@@ -48,6 +57,7 @@ __all__ = [
     "log_bergman_integral",
     "yamashita_integral",
     "change_of_variable_check",
+    "NodeTable",
     "GrowthProfile",
     "hardy_growth_profile",
     "bergman_growth_profile",
@@ -198,7 +208,8 @@ _GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W  # moved to [0, 1]
 
 
 def _graded_rule(h: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t and weights on [0, length], one row per scale in the column h.
+    """Nodes t on [0, length], one row per scale in the column h, and the
+    width of each of their panels (_gl_weights turns widths into weights).
 
     The panels are [0, GRADING_FLOOR * h] and then geometric panels,
     PANELS_PER_DECADE per decade, up to length. All rows share the panel count
@@ -209,51 +220,165 @@ def _graded_rule(h: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
     edges = np.minimum(GRADING_FLOOR * h * 10.0 ** (np.arange(n + 1) / PANELS_PER_DECADE), length)
     edges = np.concatenate([np.zeros_like(h), edges], axis=1)
     edges[:, -1] = length
-    width = np.diff(edges, axis=1)[:, :, None]
-    t = (edges[:, :-1, None] + width * _GL_T).reshape(len(h), -1)
-    return t, (width * _GL_W).reshape(len(h), -1)
+    width = np.diff(edges, axis=1)
+    t = (edges[:, :-1, None] + width[:, :, None] * _GL_T).reshape(len(h), -1)
+    return t, width
 
 
-def _log_kernel(f: CatalogFunction, p_f: float, p_fp: float, s: np.ndarray,
-                sin2: np.ndarray, cos2: np.ndarray) -> np.ndarray:
-    """log( |f|^p_f * |f'|^p_fp ) at z = (1-s) e^{i theta}, elementwise.
+def _gl_weights(width: np.ndarray) -> np.ndarray:
+    """The weights of the nodes of _graded_rule, from its panel widths."""
+    return (width[:, :, None] * _GL_W).reshape(len(width), -1)
+
+
+def _log_sum_exp(g: np.ndarray, w: np.ndarray, axis=-1) -> np.ndarray:
+    """log of the sum over axis of w * exp(g), for weights w >= 0 that
+    broadcast against g.
+
+    The shift is the largest g at a node of positive weight, so the
+    zero-weight nodes of clipped panels neither set it nor enter the sum, and
+    a slice without a finite weighted entry reduces to -inf.
+    """
+    g = np.where(w > 0.0, g, -np.inf)
+    shift = np.max(g, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    g -= shift
+    np.exp(g, out=g)
+    g *= w
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(g, axis=axis)) + np.squeeze(shift, axis=axis)
+
+
+def _log_moduli(f: CatalogFunction, s: np.ndarray, sin2: np.ndarray, cos2: np.ndarray,
+                derivative: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """log|f| and, if derivative is set, log|f'| at z = (1-s) e^{i theta},
+    elementwise; None in place of log|f'| otherwise.
 
     The angle enters as sin2 = sin^2(theta/2) and cos2 = cos^2(theta/2), so a
     caller can mirror theta about pi/2 by swapping them without losing the
     digits of |1+z| near theta = pi.
     """
     if f.kind == KIND_IDENTITY:
-        return np.broadcast_to(p_f * np.log(1.0 - s), sin2.shape)  # f' == 1
+        log_f = np.broadcast_to(np.log(1.0 - s), sin2.shape)
+        return log_f, (np.zeros(sin2.shape) if derivative else None)  # f' == 1
     base = 4.0 * (1.0 - s)
     m_minus = s * s + base * sin2  # |1-z|^2
     log_minus = 0.5 * np.log(m_minus)
     if f.kind == KIND_EXP_CAYLEY:
         log_f = math.log(f.scale) + s * (2.0 - s) / m_minus
-        log_fp = log_f + math.log(2.0) - 2.0 * log_minus
-    else:  # cayley is sector_power at beta = 1
-        b = f.beta
-        log_plus = 0.5 * np.log(s * s + base * cos2)  # log |1+z|
-        log_f = b * (log_plus - log_minus)
-        log_fp = math.log(2.0 * b) + (b - 1.0) * log_plus - (b + 1.0) * log_minus
-    return p_f * log_f + p_fp * log_fp
+        log_fp = log_f + math.log(2.0) - 2.0 * log_minus if derivative else None
+        return log_f, log_fp
+    b = f.beta  # cayley is sector_power at beta = 1
+    log_plus = 0.5 * np.log(s * s + base * cos2)  # log |1+z|
+    log_f = b * (log_plus - log_minus)
+    if not derivative:
+        return log_f, None
+    return log_f, math.log(2.0 * b) + (b - 1.0) * log_plus - (b + 1.0) * log_minus
 
 
-def _log_circle_means(f: CatalogFunction, p_f: float, p_fp: float, s) -> np.ndarray:
-    """log of the circle integral of |f|^p_f |f'|^p_fp over theta in [0, 2pi),
-    at radius 1 - s for each gap in the sequence s.
+class _Circles:
+    """log|f| (and log|f'|) on the theta nodes of the circles at radius 1 - s,
+    one row per gap in the column s.
 
     All catalog kinds have real Taylor coefficients, so the integrand is
-    symmetric about theta = 0 and the integral is twice the [0, pi] part. That
-    half is split at pi/2, and each quarter is graded at scale s toward its
-    end: toward theta = 0, where 1/|1-z| peaks, and toward theta = pi, where
-    |1+z| has its cusp.
+    symmetric about theta = 0 and the circle integral is twice the [0, pi]
+    part. That half is split at pi/2 (axis 1 of the node arrays), and each
+    quarter is graded at scale s toward its end: toward theta = 0, where
+    1/|1-z| peaks, and toward theta = pi, where |1+z| has its cusp.
     """
-    s = np.asarray(s, dtype=float)[:, None]
-    t, w = _graded_rule(s, 0.5 * math.pi)
-    sin2, cos2 = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
-    g = np.concatenate([_log_kernel(f, p_f, p_fp, s, sin2, cos2),
-                        _log_kernel(f, p_f, p_fp, s, cos2, sin2)], axis=1)
-    return math.log(2.0) + logsumexp(g, b=np.concatenate([w, w], axis=1), axis=1)
+
+    def __init__(self, f: CatalogFunction, s: np.ndarray, derivative: bool) -> None:
+        t, self.width = _graded_rule(s, 0.5 * math.pi)
+        sin2, cos2 = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
+        (f_0, fp_0), (f_pi, fp_pi) = (_log_moduli(f, s, sin2, cos2, derivative),
+                                      _log_moduli(f, s, cos2, sin2, derivative))
+        self.log_f = np.stack([f_0, f_pi], axis=1)
+        self.log_fp = np.stack([fp_0, fp_pi], axis=1) if derivative else None
+
+    def log_means(self, p_f: float, p_fp: float) -> np.ndarray:
+        """log of the circle integral of |f|^p_f |f'|^p_fp, one per row."""
+        g = p_f * self.log_f
+        if p_fp != 0.0:
+            if self.log_fp is None:
+                raise ValueError("this node table holds no log|f'|")
+            g += p_fp * self.log_fp
+        # widths, not weights, are kept: weights would add half the table again
+        w = _gl_weights(self.width)[:, None, :]
+        return math.log(2.0) + _log_sum_exp(g, w, axis=(1, 2))
+
+
+class _Band:
+    """Radial nodes of the band s in [s_lo, s_hi] and the circle nodes at each.
+
+    Area integrals in the coordinates (s, theta) read
+    integral r dr dtheta = integral over s of (1-s) * [circle part] ds.
+    The band is split at its midpoint, and each half is graded toward its end
+    at the scale of that end: near s_lo the circle means grow on the scale
+    s_lo (and on s_lo^2 for exponentially large means), and s_hi = 1 is the
+    center of the disk, where the Green weight log(1/r) is singular. Circle
+    nodes are laid out RADIAL_BLOCK radial nodes at a time.
+    """
+
+    def __init__(self, f: CatalogFunction, s_lo: float, s_hi: float, derivative: bool) -> None:
+        half = 0.5 * (s_hi - s_lo)
+        t_lo, width_lo = _graded_rule(np.array([[s_lo]]), half)
+        t_hi, width_hi = _graded_rule(np.array([[s_hi]]), half)
+        self.s = np.concatenate([s_lo + t_lo[0], s_hi - t_hi[0]])
+        self.w = np.concatenate([_gl_weights(width_lo)[0], _gl_weights(width_hi)[0]])
+        self.blocks = [_Circles(f, self.s[k:k + RADIAL_BLOCK, None], derivative)
+                       for k in range(0, self.s.size, RADIAL_BLOCK)]
+
+    def log_integral(self, p_f: float, p_fp: float, log_weight) -> float:
+        """log of the integral over the band of M(s) * exp(log_weight(s)) ds,
+        where M(s) is the circle integral of |f|^p_f |f'|^p_fp at radius 1 - s;
+        callers fold the (1-s) Jacobian into log_weight."""
+        log_m = np.concatenate([c.log_means(p_f, p_fp) for c in self.blocks])
+        return float(_log_sum_exp(log_m + log_weight(self.s), self.w))
+
+
+class NodeTable:
+    """log|f| of one catalog function on the quadrature nodes of a set of
+    circles (at radii 1 - gap) and radial bands, and log|f'| as well when
+    built with derivative=True.
+
+    The nodes depend on the gaps and bands, never on the exponents, so the
+    logs are evaluated once here and an integral at any exponents (p_f, p_fp)
+    is only exp(p_f log|f| + p_fp log|f'|) summed with the quadrature weights
+    in log space. The growth-classifier table (for_growth) holds about 6 MB:
+    keep it while probing one function, not longer.
+    """
+
+    def __init__(self, f: CatalogFunction, gaps=(), bands=(), derivative: bool = False) -> None:
+        self.gaps = tuple(gaps)
+        self._circles = (_Circles(f, np.array(self.gaps, dtype=float)[:, None], derivative)
+                         if self.gaps else None)
+        self._bands = {tuple(band): _Band(f, *band, derivative) for band in bands}
+
+    @classmethod
+    def for_growth(cls, f: CatalogFunction) -> NodeTable:
+        """The table behind every growth profile at HARDY_GAPS and BERGMAN_GAPS."""
+        return cls(f, HARDY_GAPS, _bands(BERGMAN_GAPS))
+
+    def log_circle_means(self, gaps, p_f: float, p_fp: float = 0.0) -> np.ndarray:
+        """log of the circle integral of |f|^p_f |f'|^p_fp at radius 1 - gap,
+        for each gap; gaps must be the table's own."""
+        if tuple(gaps) != self.gaps:
+            raise ValueError(f"node table holds the circles at gaps {self.gaps}, not {tuple(gaps)}")
+        return self._circles.log_means(p_f, p_fp)
+
+    def log_band_integral(self, band: tuple[float, float], p_f: float, p_fp: float,
+                          log_weight) -> float:
+        """log of the integral over s in band of M(s) * exp(log_weight(s)) ds,
+        where M(s) is the circle integral of |f|^p_f |f'|^p_fp at radius 1 - s."""
+        nodes = self._bands.get(tuple(band))
+        if nodes is None:
+            raise ValueError(f"node table holds no band {tuple(band)}")
+        return nodes.log_integral(p_f, p_fp, log_weight)
+
+
+def _bands(gaps) -> list[tuple[float, float]]:
+    """The bands between consecutive gaps, and from the largest gap to the center."""
+    edges = sorted(gaps) + [1.0]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def log_hardy_mean(f: CatalogFunction, p: float, r: float) -> float:
@@ -265,7 +390,8 @@ def log_hardy_mean(f: CatalogFunction, p: float, r: float) -> float:
     if r == 0.0:
         v = abs(f.value(0.0))
         return math.log(2.0 * math.pi) + (p * math.log(v) if v > 0 else (-math.inf if p > 0 else 0.0))
-    return float(_log_circle_means(f, p, 0.0, [1.0 - r])[0])
+    gaps = (1.0 - r,)
+    return float(NodeTable(f, gaps).log_circle_means(gaps, p)[0])
 
 
 def hardy_mean(f: CatalogFunction, p: float, r: float) -> float:
@@ -280,29 +406,7 @@ def hardy_mean(f: CatalogFunction, p: float, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# radial nesting
-
-
-def _log_radial_integral(f: CatalogFunction, p_f: float, p_fp: float,
-                         s_lo: float, s_hi: float, log_weight) -> float:
-    """log of integral over s in [s_lo, s_hi] of M(s) * exp(log_weight(s)) ds,
-    where M(s) is the circle integral of |f|^p_f |f'|^p_fp at radius 1 - s.
-
-    Area integrals in the coordinates (s, theta) read
-    integral r dr dtheta = integral over s of (1-s) * [circle part] ds,
-    and the (1-s) Jacobian is folded into log_weight by the callers. The band
-    is split at its midpoint, and each half is graded toward its end at the
-    scale of that end: near s_lo the circle means grow on the scale s_lo (and
-    on s_lo^2 for exponentially large means), and s_hi = 1 is the center of
-    the disk, where the Green weight log(1/r) is singular.
-    """
-    half = 0.5 * (s_hi - s_lo)
-    t_lo, w_lo = _graded_rule(np.array([[s_lo]]), half)
-    t_hi, w_hi = _graded_rule(np.array([[s_hi]]), half)
-    s = np.concatenate([s_lo + t_lo[0], s_hi - t_hi[0]])
-    log_m = np.concatenate([_log_circle_means(f, p_f, p_fp, s[k:k + RADIAL_BLOCK])
-                            for k in range(0, s.size, RADIAL_BLOCK)])
-    return float(logsumexp(log_m + log_weight(s), b=np.concatenate([w_lo[0], w_hi[0]])))
+# area integrals
 
 
 def _area_log_weight(alpha: float):
@@ -323,7 +427,8 @@ def log_bergman_integral(f: CatalogFunction, p: float, alpha: float, delta: floa
         raise ValueError("exponent p must be nonnegative")
     if alpha <= -1.0:
         raise ValueError("weight alpha must be > -1")
-    return _log_radial_integral(f, p, 0.0, delta, 1.0, _area_log_weight(alpha))
+    band = (delta, 1.0)
+    return NodeTable(f, bands=[band]).log_band_integral(band, p, 0.0, _area_log_weight(alpha))
 
 
 def bergman_integral(f: CatalogFunction, p: float, alpha: float, delta: float) -> float:
@@ -353,7 +458,9 @@ def yamashita_integral(f: CatalogFunction, p: float, delta: float,
     if w <= 0.0:
         raise ValueError("weight power must be positive")
 
-    log_ring = _log_radial_integral(f, p - 2.0, 2.0, delta, 1.0 - delta, _green_log_weight(w))
+    band = (delta, 1.0 - delta)
+    log_ring = NodeTable(f, bands=[band], derivative=True).log_band_integral(
+        band, p - 2.0, 2.0, _green_log_weight(w))
     ring = math.exp(log_ring) if log_ring > -math.inf else 0.0
 
     # core |z| < delta: integral_0^delta r (log 1/r)^w dr = Gamma(w+1, 2 log 1/delta) / 2^(w+1)
@@ -390,17 +497,22 @@ def change_of_variable_check(f: CatalogFunction, p: float, delta: float) -> tupl
     Left side: area integral over the disk region of |f|^(p-2) |f'|^2 log(1/|z|),
     by the module's quadrature rule.
     Right side: area integral over the image of the region of |w|^(p-2) times
-    the half-plane Green's function with pole at f(0), written in the Cayley
-    coordinate u (where w = u^beta) so one formula covers every opening:
+    the Green's function of the image with pole at f(0), written in the
+    Cayley coordinate u = (1+z)/(1-z) (where w = u^beta) so one formula
+    covers every opening. The image of |z| <= R = 1 - delta under the Cayley
+    map is the disk |u - c| <= rho with c = (1+R^2)/(1-R^2) and
+    rho = 2R/(1-R^2); there the Green factor is the half-plane one,
+    log|(u+1)/(u-1)|, and dA(w) = beta^2 |u|^(2 beta - 2) dA(u). In polar
+    coordinates u = 1 + s e^{i phi} around the pole,
 
-        rhs = beta^2 * integral over the disk |u - 1| <= rho centered... (the
-        image of |z| <= R under the Cayley map is the disk |u - c| <= rho with
-        c = (1+R^2)/(1-R^2), rho = 2R/(1-R^2)) of
-        |u|^(beta p - 2) * log|(u+1)/(u-1)| dA(u),
+        rhs = 2 beta^2 * integral over phi in [0, pi] of
+              integral over s in [0, s_max(phi)] of
+              |u|^(beta p - 2) * log|(u+1)/(u-1)| * s ds dphi,
 
-    parametrized by polar coordinates around u = 1 where the Green factor has
-    its logarithmic singularity. The right side is integrated by adaptive
-    scipy quadrature to AREA_REL_TOL, an independent route to the same number.
+    where s_max(phi) reaches the boundary circle and the factor 2 (with
+    phi in [0, pi] only) comes from the symmetry phi <-> -phi of the
+    integrand and of the disk. The right side is integrated by adaptive scipy
+    quadrature to AREA_REL_TOL, an independent route to the same number.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
@@ -410,7 +522,9 @@ def change_of_variable_check(f: CatalogFunction, p: float, delta: float) -> tupl
         raise UnsupportedImage("image is bounded; no Green integral to compare against")
     beta = f.beta if f.kind == KIND_SECTOR_POWER else 1.0
 
-    lhs_log = _log_radial_integral(f, p - 2.0, 2.0, delta, 1.0, _green_log_weight(1.0))
+    band = (delta, 1.0)
+    lhs_log = NodeTable(f, bands=[band], derivative=True).log_band_integral(
+        band, p - 2.0, 2.0, _green_log_weight(1.0))
     lhs = math.exp(lhs_log) if lhs_log > -math.inf else 0.0
 
     big_r = 1.0 - delta
@@ -474,25 +588,31 @@ def _classify_growth(gaps, log_values, slope_tol) -> GrowthProfile:
     return GrowthProfile(tuple(gaps), tuple(log_values), tuple(slopes), cls)
 
 
-def hardy_growth_profile(f: CatalogFunction, p: float,
+def hardy_growth_profile(f: CatalogFunction | NodeTable, p: float,
                          gaps: tuple[float, ...] = HARDY_GAPS) -> GrowthProfile:
-    """Circle means along radii 1 - gap; bounded means f is in H^p."""
-    vals = [float(v) for v in _log_circle_means(f, p, 0.0, gaps)]
+    """Circle means along radii 1 - gap; bounded means f is in H^p.
+
+    f is a catalog function or a NodeTable of one that holds these gaps.
+    """
+    table = f if isinstance(f, NodeTable) else NodeTable(f, gaps)
+    vals = [float(v) for v in table.log_circle_means(gaps, p)]
     return _classify_growth(gaps, vals, HARDY_SLOPE_TOL)
 
 
-def bergman_growth_profile(f: CatalogFunction, p: float, alpha: float = 0.0,
+def bergman_growth_profile(f: CatalogFunction | NodeTable, p: float, alpha: float = 0.0,
                            gaps: tuple[float, ...] = BERGMAN_GAPS) -> GrowthProfile:
     """Truncated area integrals at shrinking gaps, computed incrementally:
-    the annulus between consecutive gaps is integrated once and accumulated."""
-    bands = sorted(gaps) + [1.0]  # ascending gap boundaries
-    seg_logs = [
-        _log_radial_integral(f, p, 0.0, bands[k], bands[k + 1], _area_log_weight(alpha))
-        for k in range(len(bands) - 1)
-    ]
+    the annulus between consecutive gaps is integrated once and accumulated.
+
+    f is a catalog function or a NodeTable of one that holds the bands
+    between these gaps.
+    """
+    bands = _bands(gaps)
+    table = f if isinstance(f, NodeTable) else NodeTable(f, bands=bands)
+    seg_logs = [table.log_band_integral(band, p, 0.0, _area_log_weight(alpha)) for band in bands]
     # the truncated integral at a given gap sums every segment above that gap
     acc = np.logaddexp.accumulate(seg_logs[::-1])[::-1]
-    log_by_gap = dict(zip(bands, acc))
+    log_by_gap = dict(zip(sorted(gaps), acc))
     vals = [float(log_by_gap[g]) for g in gaps]
     return _classify_growth(gaps, vals, BERGMAN_SLOPE_TOL)
 
@@ -531,14 +651,19 @@ def _bisect_critical(classify, resolution: float) -> tuple[float, tuple[float, f
     return 0.5 * (lo + hi), (lo, hi)
 
 
-def empirical_hb(f: CatalogFunction) -> EmpiricalExponents:
+def empirical_hb(f: CatalogFunction | NodeTable) -> EmpiricalExponents:
     """Bisect the bounded/unbounded transition of circle means and area
-    integrals; resolution 0.05 in the Hardy exponent and in b_hat = p/2."""
+    integrals; resolution 0.05 in the Hardy exponent and in b_hat = p/2.
+
+    f is a catalog function or its NodeTable.for_growth table; every probe
+    reads that one table.
+    """
+    table = f if isinstance(f, NodeTable) else NodeTable.for_growth(f)
     h_hat, h_bracket = _bisect_critical(
-        lambda p: hardy_growth_profile(f, p).classification, HARDY_RESOLUTION
+        lambda p: hardy_growth_profile(table, p).classification, HARDY_RESOLUTION
     )
     b_crit, b_bracket = _bisect_critical(
-        lambda p: bergman_growth_profile(f, p).classification, BERGMAN_RESOLUTION
+        lambda p: bergman_growth_profile(table, p).classification, BERGMAN_RESOLUTION
     )
     b_hat = b_crit / 2.0 if math.isfinite(b_crit) else b_crit
     b_bracket = tuple(x / 2.0 if math.isfinite(x) else x for x in b_bracket)

@@ -37,6 +37,7 @@ __all__ = [
     "DecayFit",
     "HardyNumberEstimate",
     "fit_decay",
+    "sampling_warnings",
     "estimate_hardy_number",
     "default_grid",
     "oracle_profile",
@@ -192,18 +193,24 @@ def fit_decay(profile: DecayProfile, tail_window: int = 4) -> DecayFit:
     )
 
 
+def sampling_warnings(profile: DecayProfile) -> list[str]:
+    """The warnings every fit to this profile carries: unterminated_walks when
+    more than UNRELIABLE_RATIO of the walks exhausted their step budget, since
+    the fit then sees only the walks that found the boundary."""
+    if profile.n_unterminated > UNRELIABLE_RATIO * profile.n_samples:
+        return [WARN_UNTERMINATED]
+    return []
+
+
 def estimate_hardy_number(profile: DecayProfile, tail_window: int = 4) -> HardyNumberEstimate:
     """The decay exponent of fit_decay, with a 95% half-width and warnings.
 
     Where the tail is empty -- fit_decay returns q = inf or raises
     ZeroMeasure -- the estimate is +inf with warnings saying whether that is
-    meaningful (bounded domain) or an artifact (non-regular domain). More
-    than UNRELIABLE_RATIO unterminated walks add the unterminated_walks
-    warning, since the fit then sees only the walks that found the boundary.
+    meaningful (bounded domain) or an artifact (non-regular domain). The
+    sampling_warnings of the profile come first.
     """
-    warnings = []
-    if profile.n_unterminated > UNRELIABLE_RATIO * profile.n_samples:
-        warnings.append(WARN_UNTERMINATED)
+    warnings = sampling_warnings(profile)
     try:
         fit = fit_decay(profile, tail_window)
     except ZeroMeasure:

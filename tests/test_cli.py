@@ -1,11 +1,13 @@
 """Command-line interface: artifacts, exit codes, serialization format."""
 
+import functools
 import json
 import math
 
 import pytest
 
-from hardynum import HalfPlane, Sector, dump_domain
+from hardynum import HalfPlane, Sector, WosConfig, dump_domain
+from hardynum import cli
 from hardynum.cli import main
 
 
@@ -90,6 +92,25 @@ def test_member_hardy_space_verdict(tmp_path, halfplane_json):
     assert payload["p"] == 0.5
     assert 0.5 < payload["critical_ratio"] < 1.5
     assert payload["fit"]["n_points"] >= 2
+    assert payload["n_samples"] == 20000
+    assert payload["n_unterminated"] == 0
+    assert payload["warnings"] == []
+
+
+def test_member_reports_unterminated_walks(tmp_path, monkeypatch):
+    # the CLI cannot set max_steps; a 30-step budget leaves about half of the
+    # slit-plane walks running, and the verdict rests on the other half
+    monkeypatch.setattr(cli, "WosConfig", functools.partial(WosConfig, max_steps=30))
+    slit = tmp_path / "slit.json"
+    dump_domain(Sector(2 * math.pi, 1.0), str(slit))
+    out = tmp_path / "out"
+    rc = main(["member", "--domain", str(slit), "--samples", "20000",
+               "--p", "0.25", "--out", str(out)])
+    assert rc == 0
+    payload = read_json(out / "member.json")
+    assert payload["n_samples"] == 20000
+    assert payload["n_unterminated"] > 0.01 * 20000
+    assert payload["warnings"] == ["unterminated_walks"]
 
 
 def test_member_bergman_space_verdict(tmp_path, halfplane_json):

@@ -1,9 +1,12 @@
 """Integral means, area integrals, and growth classification on the catalog."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from hardynum import (
     HalfPlane,
@@ -27,7 +30,13 @@ from hardynum import (
     sector_power,
     yamashita_integral,
 )
-from hardynum.function_norms import AREA_REL_TOL, CIRCLE_REL_TOL
+from hardynum.function_norms import (
+    AREA_REL_TOL,
+    BERGMAN_GAPS,
+    CIRCLE_REL_TOL,
+    NodeTable,
+    _log_sum_exp,
+)
 
 TWO_PI = 2 * math.pi
 CATALOG = (cayley(), sector_power(0.5), exp_cayley(), identity_map())
@@ -91,6 +100,68 @@ def test_catalog_parameter_validation():
         sector_power(3.0)
     with pytest.raises(ValueError):
         exp_cayley(0.0)
+
+
+# ---- log-space sums and the node table --------------------------------------
+
+
+def test_log_sum_exp_matches_scipy():
+    rng = np.random.default_rng(7)
+    g = rng.uniform(-300.0, 300.0, (40, 2, 250))
+    w = rng.uniform(0.0, 1.0, (40, 1, 250))
+    w[:, :, ::7] = 0.0
+    got = _log_sum_exp(g, w, axis=(1, 2))
+    ref = logsumexp(g, b=np.broadcast_to(w, g.shape), axis=(1, 2))
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+    got, ref = _log_sum_exp(g[:, 0], w[:, 0]), logsumexp(g[:, 0], b=w[:, 0], axis=-1)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_log_sum_exp_edge_cases():
+    inf = math.inf
+    g = np.array([[1000.0, 0.0, 1.0],     # the zero-weight node must not set the shift
+                  [-inf, -inf, -inf],     # nothing to sum
+                  [5.0, -inf, -inf],      # the only finite entry has zero weight
+                  [inf, 0.0, 1.0]])       # a zero-weight inf adds nothing either
+    w = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_sum_exp(g, w)
+    assert got[0] == pytest.approx(math.log(1.0 + math.e), rel=1e-15)
+    assert got[1] == -inf and got[2] == -inf
+    assert got[3] == got[0]
+
+
+def test_one_table_serves_every_probe():
+    # dyadic gaps, so that 1 - (1 - gap) == gap and log_hardy_mean sees the
+    # very circles of the table
+    gaps = (2.0**-14, 2.0**-24, 2.0**-34)
+    for f in CATALOG:
+        table = NodeTable(f, gaps)
+        growth = NodeTable.for_growth(f)
+        for p, alpha in ((2.5, 1.0), (0.5, 0.0), (2.5, 1.0)):  # the repeat catches a mutated table
+            for gap, v in zip(gaps, hardy_growth_profile(table, p, gaps).log_values):
+                ref = log_hardy_mean(f, p, 1.0 - gap)
+                assert abs(v - ref) <= 1e-13 * abs(ref), (f, p, gap)
+            assert hardy_growth_profile(growth, p) == hardy_growth_profile(f, p)
+            profile = bergman_growth_profile(growth, p, alpha)
+            assert profile == bergman_growth_profile(f, p, alpha)
+            # the outermost gap is one band on both sides; inner gaps sum
+            # bands, which agree with one long band to the rule's accuracy
+            for gap, v in zip(BERGMAN_GAPS, profile.log_values):
+                ref = log_bergman_integral(f, p, alpha, gap)
+                tol = 1e-13 if gap == max(BERGMAN_GAPS) else AREA_REL_TOL
+                assert abs(v - ref) <= tol * abs(ref), (f, p, alpha, gap)
+
+
+def test_table_holds_only_its_own_nodes():
+    table = NodeTable(cayley(), gaps=(1e-3,), bands=[(1e-3, 1.0)])
+    with pytest.raises(ValueError):
+        table.log_circle_means((1e-4,), 1.0)
+    with pytest.raises(ValueError):
+        table.log_band_integral((1e-4, 1.0), 1.0, 0.0, lambda s: 0.0 * s)
+    with pytest.raises(ValueError):  # no log|f'| without derivative=True
+        table.log_circle_means((1e-3,), 1.0, 2.0)
 
 
 # ---- circle means ------------------------------------------------------------
@@ -306,6 +377,20 @@ def test_exp_cayley_unbounded_at_every_exponent():
 
 
 # ---- empirical exponents -------------------------------------------------------------
+
+
+def test_empirical_brackets_are_pinned():
+    # the brackets of every catalog function, as the per-probe quadrature gave them
+    expected = {
+        "cayley": ((0.96875, 1.0), (0.96875, 1.0)),
+        "sector_power_half": ((1.96875, 2.0), (1.96875, 2.0)),
+        "exp_cayley": ((0.0, 0.03125), (0.0, 0.03125)),
+        "identity": ((8.0, math.inf), (4.0, math.inf)),
+    }
+    for name, f in zip(expected, CATALOG):
+        for source in (f, NodeTable.for_growth(f)):
+            result = empirical_hb(source)
+            assert (result.h_bracket, result.b_bracket) == expected[name], name
 
 
 def test_empirical_exponents_cayley():
