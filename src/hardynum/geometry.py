@@ -52,7 +52,6 @@ __all__ = [
     "dump_domain",
 ]
 
-_HALF_PI = math.pi / 2
 _TWO_PI = 2 * math.pi
 
 
@@ -172,6 +171,8 @@ class Sector(Domain):
         if not (0.0 < opening <= _TWO_PI):
             raise DegenerateDomain(f"sector opening must be in (0, 2*pi], got {opening!r}")
         self.opening = float(opening)
+        self._cos_half = math.cos(self.opening / 2)
+        self._sin_half = math.sin(self.opening / 2)
         self.basepoint = complex(basepoint)
         self._check_basepoint()
 
@@ -181,34 +182,26 @@ class Sector(Domain):
             return False
         return abs(math.atan2(z.imag, z.real)) < self.opening / 2
 
-    def _ray_angles(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # angle of each point relative to the two boundary rays
-        half = self.opening / 2
-        ang = np.angle(zs)
-        return ang - half, ang + half
+    def _frame(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # By the symmetry about the real axis the nearest ray of z is the
+        # upper ray for the folded point (x, |y|); in that ray's frame
+        # `along` is the coordinate along the ray, `perp` the distance from
+        # its line. Behind the vertex (along < 0) the nearest point is 0.
+        c, s = self._cos_half, self._sin_half
+        x, y = zs.real, np.abs(zs.imag)
+        along = x * c + y * s
+        perp = np.abs(y * c - x * s)
+        return along, perp
 
     def distances(self, zs: np.ndarray) -> np.ndarray:
-        psi_up, psi_dn = self._ray_angles(zs)
-        mod = np.abs(zs)
-
-        def ray_dist(psi: np.ndarray) -> np.ndarray:
-            # distance to the ray {t*e^{i*phi}: t >= 0}; past the ray's
-            # perpendicular at the origin the nearest point is the origin
-            return np.where(np.abs(psi) <= _HALF_PI, mod * np.abs(np.sin(psi)), mod)
-
-        return np.minimum(ray_dist(psi_up), ray_dist(psi_dn))
+        along, perp = self._frame(zs)
+        return np.where(along >= 0.0, perp, np.abs(zs))
 
     def projections(self, zs: np.ndarray) -> np.ndarray:
-        half = self.opening / 2
-        psi_up, psi_dn = self._ray_angles(zs)
-        mod = np.abs(zs)
-        d_up = np.where(np.abs(psi_up) <= _HALF_PI, mod * np.abs(np.sin(psi_up)), mod)
-        d_dn = np.where(np.abs(psi_dn) <= _HALF_PI, mod * np.abs(np.sin(psi_dn)), mod)
-        use_up = d_up <= d_dn
-        psi = np.where(use_up, psi_up, psi_dn)
-        phi = np.where(use_up, half, -half)
-        t = np.where(np.abs(psi) <= _HALF_PI, mod * np.cos(psi), 0.0)
-        return t * np.exp(1j * phi)
+        along, _ = self._frame(zs)
+        # copysign, not sign: y = +-0.0 must still land on a ray
+        ray = self._cos_half + 1j * np.copysign(self._sin_half, zs.imag)
+        return np.maximum(along, 0.0) * ray
 
     def boundary_modulus_sup(self) -> float:
         return math.inf

@@ -1,13 +1,18 @@
 """Walk-on-spheres sampling of harmonic measure.
 
 A walk starts at the basepoint and repeatedly jumps to a uniform point on
-the largest origin-centered-at-the-walker circle that stays inside the
-domain (radius = boundary distance). It is absorbed once the boundary
-distance drops below the absorption shell epsilon; the absorbed position is
-then projected to the nearest boundary point and scored against the tail
-query. There is no outer truncation sphere: walks far from the boundary
-keep going and either come back or exhaust the step budget, in which case
-they are reported as unterminated and excluded from the frequency estimate.
+the largest circle centered at the walker that stays inside the domain; its
+radius is the boundary distance. It is absorbed once the boundary distance
+drops below the absorption shell epsilon; the absorbed position is then
+projected to the nearest boundary point and scored against the tail query.
+There is no outer truncation sphere: walks far from the boundary keep going
+and either come back or exhaust the step budget, in which case they are
+reported as unterminated and excluded from the frequency estimate.
+
+Each jump takes its direction theta = 2*pi*u from one uniform u, in
+half-angle form: with t = tan(pi*u), (cos theta, sin theta) =
+(2/(1 + t*t) - 1, 2*t/(1 + t*t)). A walker-step therefore costs one
+transcendental, the tan, where cos and sin cost two.
 
 Randomness comes from counter-based per-sample streams keyed by
 (seed, sample index), so estimates are bit-identical for a fixed seed and
@@ -27,8 +32,6 @@ from .hardy_estimator import UNRELIABLE_RATIO, DecayProfile, ProfileEntry
 from .rng import stream_keys, uniforms
 
 __all__ = ["WosConfig", "HmEstimate", "estimate_hm", "estimate_profile"]
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,7 @@ def _walk_chunk(d: Domain, eps: float, max_steps: int, keys: np.ndarray) -> np.n
         for step in range(max_steps):
             dist = d.distances(z)
             hit = dist < eps
-            if hit.any():
+            if np.count_nonzero(hit):
                 out[pos[hit]] = np.abs(d.projections(z[hit]))
                 keep = ~hit
                 z = z[keep]
@@ -107,9 +110,16 @@ def _walk_chunk(d: Domain, eps: float, max_steps: int, keys: np.ndarray) -> np.n
                 dist = dist[keep]
                 if z.size == 0:
                     break
-            theta = _TWO_PI * uniforms(keys, step)
-            z = z + dist * np.exp(1j * theta)
+            _jump(z, dist, uniforms(keys, step))
     return out
+
+
+def _jump(z: np.ndarray, dist: np.ndarray, u: np.ndarray) -> None:
+    """Move each z, in place, by dist in the direction 2*pi*u (half-angle form)."""
+    t = np.tan(np.pi * u)
+    g = 2.0 * dist / (1.0 + t * t)
+    z.real += g - dist
+    z.imag += g * t
 
 
 def _estimate_from_moduli(moduli: np.ndarray, r: float, n: int) -> HmEstimate:

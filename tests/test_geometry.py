@@ -123,6 +123,60 @@ def test_projection_lies_on_boundary_at_stated_distance():
         assert np.all(np.abs(d.distances(proj)) <= 1e-9 * scale)
 
 
+SECTOR_OPENINGS = [math.pi / 4, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
+
+
+def _sector_rays(opening):
+    half = opening / 2
+    return [complex(math.cos(half), math.sin(half)), complex(math.cos(half), -math.sin(half))]
+
+
+def _brute_ray_distance(z, rays):
+    # minimum over sampled points t*u, t >= 0, of both rays; the distance is
+    # convex in t, so zooming in around the best sample converges to it
+    best = math.inf
+    for u in rays:
+        lo, hi = 0.0, 4.0 * abs(z) + 1.0
+        for _ in range(8):
+            t = np.linspace(lo, hi, 1001)
+            dist = np.abs(z - t * u)
+            k = int(np.argmin(dist))
+            width = hi - lo
+            lo, hi = max(t[k] - width / 500, 0.0), t[k] + width / 500
+        best = min(best, float(dist.min()))
+    return best
+
+
+def _sector_probe_points(opening, rng):
+    rays = _sector_rays(opening)
+    pts = list(3.0 * (rng.normal(size=40) + 1j * rng.normal(size=40)))
+    # on the real axis with both signs of zero
+    pts += [complex(x, y) for x in (-2.0, -0.5, 0.5, 2.0) for y in (0.0, -0.0)]
+    # within 1e-9 of either ray, on both sides of it
+    for u in rays:
+        for t in (0.3, 1.0, 7.0):
+            for off in (1e-9, -1e-9, 1e-10, -3e-12):
+                pts.append(t * u + off * 1j * u)
+    return np.array(pts, dtype=complex), rays
+
+
+@pytest.mark.parametrize("opening", SECTOR_OPENINGS)
+def test_sector_distances_and_projections_match_brute_force(opening):
+    d = Sector(opening)
+    pts, rays = _sector_probe_points(opening, np.random.default_rng(21))
+    behind = [all((z * u.conjugate()).real < 0 for u in rays) for z in pts]
+    assert any(behind)  # points past the vertex of both rays are covered
+    dist = d.distances(pts)
+    proj = d.projections(pts)
+    scale = np.maximum(1.0, np.abs(pts))
+    ref = np.array([_brute_ray_distance(z, rays) for z in pts])
+    assert np.all(np.abs(dist - ref) <= 1e-12 * scale)
+    # the projection is at the stated distance and lies on a ray
+    assert np.all(np.abs(np.abs(pts - proj) - dist) <= 1e-12 * scale)
+    on_ray = np.min([np.abs(proj - np.abs(proj) * u) for u in rays], axis=0)
+    assert np.all(on_ray <= 1e-12 * scale)
+
+
 def test_halfplane_distance_is_real_part():
     d = HalfPlane(1.0)
     zs = np.array([1.0 + 5j, 0.25 - 3j, 7.0 + 0j])

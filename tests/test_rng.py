@@ -58,3 +58,56 @@ def test_steps_look_independent():
     b = uniforms(keys, step=1) - 0.5
     corr = float(np.mean(a * b) / (a.std() * b.std()))
     assert abs(corr) < 0.02
+
+
+# ---- pin: the stream bits against a pure-Python splitmix64 ---------------
+
+MASK = (1 << 64) - 1
+PHI = 0x9E3779B97F4A7C15
+
+
+def _ref_mix(x):
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK
+    return x ^ (x >> 31)
+
+
+def _ref_key(seed, index):
+    return _ref_mix((seed + (index + 1) * PHI) & MASK)
+
+
+def _ref_uniform(key, step):
+    return (_ref_mix((key + PHI * (step + 1)) & MASK) >> 11) * 2.0**-53
+
+
+PIN_INDICES = [0, 1, 2, 12_345, 2**32, 2**63, 2**64 - 2, 2**64 - 1]
+
+
+def test_stream_bits_match_python_reference():
+    # every sum and product below wraps modulo 2**64; RuntimeWarning is an
+    # error in this suite, so this also shows that the wrap warns nothing
+    idx = np.array(PIN_INDICES, dtype=np.uint64)
+    wrapping_keys = [2**64 - 1, 2**64 - 2, 2**64 - PHI, 2**64 - PHI - 1, 0, 1, PHI, 2**63]
+    for seed in (0, 7, 2**64 - 1):
+        keys = stream_keys(seed, idx)
+        assert [int(k) for k in keys] == [_ref_key(seed, i) for i in PIN_INDICES]
+        for key_list in ([int(k) for k in keys], wrapping_keys):
+            key_arr = np.array(key_list, dtype=np.uint64)
+            for step in (0, 1, 10**6):
+                got = uniforms(key_arr, step)
+                assert got.tolist() == [_ref_uniform(k, step) for k in key_list]
+
+
+def test_stream_bits_are_pinned():
+    # literal values, so the reference above cannot drift with the code
+    idx = np.array([0, 2**64 - 1], dtype=np.uint64)
+    keys = stream_keys(2**64 - 1, idx)
+    assert [int(k) for k in keys] == [0xE4D971771B652C20, 0xB4D055FCF2CBBD7B]
+    assert uniforms(keys, 0).tolist() == [
+        float.fromhex("0x1.77082a9eca89cp-2"),
+        float.fromhex("0x1.4aeef0578a553p-1"),
+    ]
+    assert uniforms(keys, 10**6).tolist() == [
+        float.fromhex("0x1.d832d8ffdeb30p-2"),
+        float.fromhex("0x1.baabfff5af434p-3"),
+    ]

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardynum import (
     DegenerateDomain,
@@ -18,6 +21,7 @@ from hardynum import (
     estimate_profile,
     exact_hm,
 )
+from hardynum.wos import _exit_moduli, _jump
 
 
 def test_config_validation():
@@ -143,3 +147,58 @@ def test_grid_validation(fast_cfg):
         estimate_profile(HalfPlane(1.0), [], fast_cfg)
     with pytest.raises(ValueError):
         estimate_profile(HalfPlane(1.0), [4.0, 2.0], fast_cfg)
+
+
+def test_jump_direction_matches_mpmath():
+    # the half-angle step against 40-digit cos/sin of 2*pi*u, on random
+    # dyadic u and on the edges of [0, 1) and of its octants
+    rng = np.random.default_rng(11)
+    u = np.concatenate([
+        rng.integers(0, 2**53, size=500) * 2.0**-53,
+        [0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5 + 2.0**-53, 1.0 - 2.0**-53],
+        np.arange(1, 8) / 8,
+    ])
+    z = np.zeros(u.size, dtype=complex)
+    _jump(z, np.ones(u.size), u)
+    with mpmath.workdps(40):
+        for ui, zi in zip(u, z):
+            theta = 2 * mpmath.pi * mpmath.mpf(float(ui))
+            c, s = mpmath.mpf(zi.real), mpmath.mpf(zi.imag)
+            assert abs(c - mpmath.cos(theta)) <= 1e-15, ui
+            assert abs(s - mpmath.sin(theta)) <= 1e-15, ui
+            assert abs(mpmath.sqrt(c * c + s * s) - 1) <= 4 * 2.0**-52, ui
+
+
+def test_jump_moves_in_place_by_dist():
+    z = np.array([1.0 + 2.0j, -3.0 + 0.5j, 0.25 - 4.0j])
+    start = z.copy()
+    dist = np.array([0.5, 2.0, 1e-3])
+    u = np.array([0.125, 0.5, 0.875])
+    _jump(z, dist, u)
+    assert np.allclose(z, start + dist * np.exp(2j * np.pi * u), rtol=0, atol=1e-15)
+
+
+CHUNK_DOMAINS = {
+    "half_plane": HalfPlane(1.0),
+    "slit": Sector(2 * math.pi, 1.0),
+    "right_sector": Sector(math.pi / 2, 1.0),
+    "disk_exterior": DiskExterior(1.0),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CHUNK_DOMAINS)),
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 64),
+    data=st.data(),
+)
+def test_exit_moduli_are_chunk_invariant(name, seed, n, data):
+    # the walks are elementwise in keyed streams, so batching changes no bit,
+    # not even which walks are left unterminated (nan) by the step budget
+    chunk = data.draw(st.integers(1, n), label="chunk")
+    d = CHUNK_DOMAINS[name]
+    whole = _exit_moduli(d, WosConfig(n_samples=n, seed=seed, max_steps=500, chunk_size=n))
+    parts = _exit_moduli(d, WosConfig(n_samples=n, seed=seed, max_steps=500, chunk_size=chunk))
+    assert np.array_equal(np.isnan(whole), np.isnan(parts))
+    assert whole.view(np.uint64).tolist() == parts.view(np.uint64).tolist()
