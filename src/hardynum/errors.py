@@ -5,10 +5,6 @@ class HardynumError(ValueError):
     """Base class for all package-specific errors."""
 
 
-class QueryOutsideDomain(HardynumError):
-    """A geometric query was made at a point not inside the domain."""
-
-
 class ZeroScale(HardynumError):
     """Affine map with zero linear coefficient."""
 
@@ -35,10 +31,6 @@ class TooFewPoints(HardynumError):
 
 class QuadratureFailure(HardynumError):
     """Numerical integration failed to converge to the requested tolerance."""
-
-
-class ZeroOnDisk(HardynumError):
-    """Integrand needs |f|**(p-2) with p < 2 but f has a zero."""
 
 
 class UnsupportedImage(HardynumError):

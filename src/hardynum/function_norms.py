@@ -39,10 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaincc
-from scipy.special import gamma as gamma_fn
 
-from .errors import QuadratureFailure, UnsupportedImage, ZeroOnDisk
+from .errors import QuadratureFailure, UnsupportedImage
 from .geometry import Disk, Domain, HalfPlane, Sector
 
 __all__ = [
@@ -51,11 +49,8 @@ __all__ = [
     "sector_power",
     "exp_cayley",
     "identity_map",
-    "hardy_mean",
     "log_hardy_mean",
-    "bergman_integral",
     "log_bergman_integral",
-    "yamashita_integral",
     "change_of_variable_check",
     "NodeTable",
     "GrowthProfile",
@@ -120,10 +115,6 @@ class CatalogFunction:
     def univalent(self) -> bool:
         return self.kind != KIND_EXP_CAYLEY
 
-    @property
-    def zero_free(self) -> bool:
-        return self.kind != KIND_IDENTITY
-
     def value(self, z: complex) -> complex:
         z = complex(z)
         if self.kind == KIND_IDENTITY:
@@ -134,32 +125,6 @@ class CatalogFunction:
         if self.kind == KIND_SECTOR_POWER:
             return w**self.beta
         return self.scale * _cexp(w)
-
-    def derivative(self, z: complex) -> complex:
-        z = complex(z)
-        if self.kind == KIND_IDENTITY:
-            return 1.0 + 0.0j
-        dcay = 2.0 / (1.0 - z) ** 2
-        if self.kind == KIND_CAYLEY:
-            return dcay
-        w = (1.0 + z) / (1.0 - z)
-        if self.kind == KIND_SECTOR_POWER:
-            return self.beta * w ** (self.beta - 1.0) * dcay
-        return self.scale * _cexp(w) * dcay
-
-    def log_abs(self, z: complex) -> float:
-        """log |f(z)|, computed without forming f(z) when it would overflow."""
-        z = complex(z)
-        if self.kind == KIND_IDENTITY:
-            return math.log(abs(z)) if z != 0 else -math.inf
-        num = abs(1.0 + z)
-        den = abs(1.0 - z)
-        if self.kind == KIND_CAYLEY:
-            return math.log(num) - math.log(den)
-        if self.kind == KIND_SECTOR_POWER:
-            return self.beta * (math.log(num) - math.log(den))
-        w = (1.0 + z) / (1.0 - z)
-        return math.log(self.scale) + w.real
 
     def image_domain(self) -> Domain:
         """The image as a plane domain, for univalent kinds only."""
@@ -385,24 +350,13 @@ def log_hardy_mean(f: CatalogFunction, p: float, r: float) -> float:
     """log of the integral mean of |f|^p over the circle of radius r."""
     if not (0.0 <= r < 1.0):
         raise ValueError("radius must lie in [0, 1)")
-    if p < 0:
+    if not (p >= 0.0):
         raise ValueError("exponent p must be nonnegative")
     if r == 0.0:
         v = abs(f.value(0.0))
         return math.log(2.0 * math.pi) + (p * math.log(v) if v > 0 else (-math.inf if p > 0 else 0.0))
     gaps = (1.0 - r,)
     return float(NodeTable(f, gaps).log_circle_means(gaps, p)[0])
-
-
-def hardy_mean(f: CatalogFunction, p: float, r: float) -> float:
-    """Integral of |f(r e^{i theta})|^p d theta; inf if it overflows a float."""
-    lv = log_hardy_mean(f, p, r)
-    if lv == -math.inf:
-        return 0.0
-    try:
-        return math.exp(lv)
-    except OverflowError:
-        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -414,66 +368,21 @@ def _area_log_weight(alpha: float):
     return lambda s: np.log(1.0 - s) + alpha * np.log(s * (2.0 - s))
 
 
-def _green_log_weight(w: float):
-    """(1-s) from the area Jacobian times (log 1/r)^w with r = 1 - s."""
-    return lambda s: np.log(1.0 - s) + w * np.log(-np.log1p(-s))
+def _green_log_weight(s: np.ndarray) -> np.ndarray:
+    """(1-s) from the area Jacobian times the Green weight log 1/r, r = 1 - s."""
+    return np.log(1.0 - s) + np.log(-np.log1p(-s))
 
 
 def log_bergman_integral(f: CatalogFunction, p: float, alpha: float, delta: float) -> float:
     """log of the area integral of |f|^p (1-|z|^2)^alpha over |z| <= 1 - delta."""
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    if p < 0:
+    if not (p >= 0.0):
         raise ValueError("exponent p must be nonnegative")
-    if alpha <= -1.0:
+    if not (alpha > -1.0):
         raise ValueError("weight alpha must be > -1")
     band = (delta, 1.0)
     return NodeTable(f, bands=[band]).log_band_integral(band, p, 0.0, _area_log_weight(alpha))
-
-
-def bergman_integral(f: CatalogFunction, p: float, alpha: float, delta: float) -> float:
-    lv = log_bergman_integral(f, p, alpha, delta)
-    if lv == -math.inf:
-        return 0.0
-    try:
-        return math.exp(lv)
-    except OverflowError:
-        return math.inf
-
-
-def yamashita_integral(f: CatalogFunction, p: float, delta: float,
-                       alpha: float | None = None) -> float:
-    """Area integral of |f|^(p-2) |f'|^2 (log 1/|z|)^w over delta <= |z| <= 1 - delta,
-    plus a closed-form estimate of the |z| < delta core; w is 1 unweighted and
-    alpha + 2 in the weighted variant.
-
-    The core estimate freezes |f|^(p-2)|f'|^2 at its center value, which is
-    accurate because catalog integrands are analytic and slowly varying near 0.
-    """
-    if not (0.0 < delta < 0.5):
-        raise ValueError("delta must lie in (0, 0.5)")
-    if p < 2.0 and not f.zero_free:
-        raise ZeroOnDisk("integrand |f|^(p-2) is non-integrable at a zero of f when p < 2")
-    w = 1.0 if alpha is None else alpha + 2.0
-    if w <= 0.0:
-        raise ValueError("weight power must be positive")
-
-    band = (delta, 1.0 - delta)
-    log_ring = NodeTable(f, bands=[band], derivative=True).log_band_integral(
-        band, p - 2.0, 2.0, _green_log_weight(w))
-    ring = math.exp(log_ring) if log_ring > -math.inf else 0.0
-
-    # core |z| < delta: integral_0^delta r (log 1/r)^w dr = Gamma(w+1, 2 log 1/delta) / 2^(w+1)
-    v0 = abs(f.value(0.0))
-    d0 = abs(f.derivative(0.0))
-    if v0 == 0.0:
-        center = d0**2 if p == 2.0 else 0.0
-    else:
-        center = v0 ** (p - 2.0) * d0**2
-    x = 2.0 * math.log(1.0 / delta)
-    radial_core = gammaincc(w + 1.0, x) * gamma_fn(w + 1.0) / 2.0 ** (w + 1.0)
-    core = center * 2.0 * math.pi * radial_core
-    return ring + core
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +433,7 @@ def change_of_variable_check(f: CatalogFunction, p: float, delta: float) -> tupl
 
     band = (delta, 1.0)
     lhs_log = NodeTable(f, bands=[band], derivative=True).log_band_integral(
-        band, p - 2.0, 2.0, _green_log_weight(1.0))
+        band, p - 2.0, 2.0, _green_log_weight)
     lhs = math.exp(lhs_log) if lhs_log > -math.inf else 0.0
 
     big_r = 1.0 - delta
@@ -588,12 +497,20 @@ def _classify_growth(gaps, log_values, slope_tol) -> GrowthProfile:
     return GrowthProfile(tuple(gaps), tuple(log_values), tuple(slopes), cls)
 
 
+def _check_growth_exponents(p: float, alpha: float = 0.0) -> None:
+    if not (0.0 < p < math.inf):
+        raise ValueError(f"exponent p must be finite and > 0, got {p!r}")
+    if not (-1.0 < alpha < math.inf):
+        raise ValueError(f"weight alpha must be finite and > -1, got {alpha!r}")
+
+
 def hardy_growth_profile(f: CatalogFunction | NodeTable, p: float,
                          gaps: tuple[float, ...] = HARDY_GAPS) -> GrowthProfile:
     """Circle means along radii 1 - gap; bounded means f is in H^p.
 
     f is a catalog function or a NodeTable of one that holds these gaps.
     """
+    _check_growth_exponents(p)
     table = f if isinstance(f, NodeTable) else NodeTable(f, gaps)
     vals = [float(v) for v in table.log_circle_means(gaps, p)]
     return _classify_growth(gaps, vals, HARDY_SLOPE_TOL)
@@ -607,6 +524,7 @@ def bergman_growth_profile(f: CatalogFunction | NodeTable, p: float, alpha: floa
     f is a catalog function or a NodeTable of one that holds the bands
     between these gaps.
     """
+    _check_growth_exponents(p, alpha)
     bands = _bands(gaps)
     table = f if isinstance(f, NodeTable) else NodeTable(f, bands=bands)
     seg_logs = [table.log_band_integral(band, p, 0.0, _area_log_weight(alpha)) for band in bands]

@@ -7,8 +7,6 @@ Domains are open connected subsets of the complex plane. Built-in shapes:
                    the positive real axis, opening in (0, 2*pi]
     Disk           {|z - center| < radius}
     DiskExterior   {|z - center| > radius}
-    GenericSdf     user-supplied membership predicate plus a positive lower
-                   bound on the distance to the boundary
 
 Every domain carries a basepoint (an interior point used as the start of
 random walks and as the pole of Green's functions) and three structural
@@ -23,14 +21,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import (
     BasepointOutsideDomain,
     DegenerateDomain,
-    QueryOutsideDomain,
+    HardynumError,
     UnsupportedShape,
     ZeroScale,
 )
@@ -42,9 +39,7 @@ __all__ = [
     "Sector",
     "Disk",
     "DiskExterior",
-    "GenericSdf",
     "MappedDomain",
-    "in_tail",
     "affine_image",
     "domain_to_dict",
     "domain_from_dict",
@@ -82,43 +77,24 @@ class Domain:
     bounded: bool
     simply_connected: bool
 
-    # ---- scalar queries -------------------------------------------------
-
     def contains(self, z: complex) -> bool:
         raise NotImplementedError
 
-    def boundary_distance(self, z: complex) -> float:
-        """Distance from an interior point to the boundary.
-
-        Exact for built-in shapes, a positive lower bound for GenericSdf.
-        Raises QueryOutsideDomain for points not inside.
-        """
-        if not self.contains(z):
-            raise QueryOutsideDomain(f"{z!r} is not in the domain")
-        return float(self.distances(np.asarray([z], dtype=complex))[0])
-
-    # ---- vector internals (no containment checks) -----------------------
+    # ---- vector queries (no containment checks) -------------------------
 
     def distances(self, zs: np.ndarray) -> np.ndarray:
+        """Exact distance from each query point to the boundary."""
         raise NotImplementedError
 
     def projections(self, zs: np.ndarray) -> np.ndarray:
-        """Nearest boundary point for each query point.
-
-        For GenericSdf there is no projection oracle; the query point itself
-        is returned, which is within the absorption shell of the true
-        projection for the points the walk produces.
-        """
+        """Nearest boundary point for each query point."""
         raise NotImplementedError
 
     # ---- structure -------------------------------------------------------
 
-    def boundary_modulus_sup(self) -> float | None:
-        """sup{|w| : w on the boundary}; None when unknown."""
+    def boundary_modulus_sup(self) -> float:
+        """sup{|w| : w on the boundary}."""
         raise NotImplementedError
-
-    def affine(self, a: complex, b: complex) -> "Domain":
-        return affine_image(self, a, b)
 
     def _check_basepoint(self) -> None:
         _require_finite(self.basepoint, "basepoint")
@@ -289,51 +265,10 @@ class DiskExterior(Domain):
         )
 
 
-class GenericSdf(Domain):
-    """Domain given by a membership predicate and a distance lower bound."""
-
-    shape = "generic"
-
-    def __init__(
-        self,
-        contains_fn: Callable[[complex], bool],
-        distance_fn: Callable[[complex], float],
-        basepoint: complex,
-        bounded: bool,
-        simply_connected: bool,
-        regular: bool = True,
-    ) -> None:
-        self._contains_fn = contains_fn
-        self._distance_fn = distance_fn
-        self.basepoint = complex(basepoint)
-        self.bounded = bool(bounded)
-        self.simply_connected = bool(simply_connected)
-        self.regular = bool(regular)
-        self._check_basepoint()
-
-    def contains(self, z: complex) -> bool:
-        return bool(self._contains_fn(complex(z)))
-
-    def distances(self, zs: np.ndarray) -> np.ndarray:
-        out = np.empty(len(zs), dtype=float)
-        for i, z in enumerate(zs):
-            out[i] = self._distance_fn(complex(z))
-        return out
-
-    def projections(self, zs: np.ndarray) -> np.ndarray:
-        # no projection oracle; the caller only sees points within the
-        # absorption shell, so the point itself is an epsilon-accurate proxy
-        return np.asarray(zs, dtype=complex)
-
-    def boundary_modulus_sup(self) -> float | None:
-        return None if self.bounded else math.inf
-
-    def __repr__(self) -> str:
-        return f"GenericSdf(basepoint={self.basepoint!r}, bounded={self.bounded!r})"
-
-
 class MappedDomain(Domain):
-    """Affine image a*D + b of a base domain; behaves like a GenericSdf."""
+    """Affine image a*D + b of a base domain, with exact pulled-back queries.
+
+    It has no JSON form and no closed-form oracle."""
 
     shape = "generic"
 
@@ -359,22 +294,14 @@ class MappedDomain(Domain):
     def projections(self, zs: np.ndarray) -> np.ndarray:
         return self._a * self._base.projections((zs - self._b) / self._a) + self._b
 
-    def boundary_modulus_sup(self) -> float | None:
+    def boundary_modulus_sup(self) -> float:
         base_sup = self._base.boundary_modulus_sup()
-        if base_sup is None:
-            return None
         if math.isinf(base_sup):
             return math.inf
         return abs(self._a) * base_sup + abs(self._b)
 
     def __repr__(self) -> str:
         return f"MappedDomain({self._base!r}, a={self._a!r}, b={self._b!r})"
-
-
-def in_tail(d: Domain, z: complex, q: TailQuery) -> bool:
-    """Whether the nearest boundary point to z has modulus above q.r."""
-    proj = d.projections(np.asarray([z], dtype=complex))
-    return bool(np.abs(proj)[0] > q.r)
 
 
 def affine_image(d: Domain, a_coef: complex, b_coef: complex) -> Domain:
@@ -422,25 +349,46 @@ def domain_to_dict(d: Domain) -> dict:
     return out
 
 
-def _point_from(value) -> complex:
-    if isinstance(value, (int, float)):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number_from(data: dict, field: str) -> float:
+    if field not in data:
+        raise HardynumError(f"shape {data['shape']!r} needs the domain field {field!r}")
+    value = data[field]
+    if not _is_number(value):
+        raise HardynumError(f"domain field {field!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _point_from(data: dict, field: str, default) -> complex:
+    """A number, or a pair [re, im] of numbers."""
+    value = data.get(field, default)
+    if _is_number(value):
         return complex(value)
-    re, im = value
-    return complex(float(re), float(im))
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
+        return complex(float(value[0]), float(value[1]))
+    raise HardynumError(
+        f"domain field {field!r} must be a number or a pair [re, im], got {value!r}"
+    )
 
 
 def domain_from_dict(data: dict) -> Domain:
+    if not isinstance(data, dict):
+        raise HardynumError(f"a domain must be a JSON object, got {type(data).__name__}")
     shape = data.get("shape")
-    basepoint = _point_from(data.get("basepoint", [1.0, 0.0]))
+    basepoint = _point_from(data, "basepoint", [1.0, 0.0])
     # "regular" is derived from the shape and ignored on input
     if shape == "half_plane":
         return HalfPlane(basepoint)
     if shape == "sector":
-        return Sector(float(data["opening"]), basepoint)
+        return Sector(_number_from(data, "opening"), basepoint)
     if shape == "disk":
-        return Disk(float(data["radius"]), basepoint, _point_from(data.get("center", 0.0)))
+        return Disk(_number_from(data, "radius"), basepoint, _point_from(data, "center", 0.0))
     if shape == "disk_exterior":
-        return DiskExterior(float(data["radius"]), basepoint, _point_from(data.get("center", 0.0)))
+        return DiskExterior(_number_from(data, "radius"), basepoint,
+                            _point_from(data, "center", 0.0))
     raise UnsupportedShape(f"unknown shape {shape!r}")
 
 

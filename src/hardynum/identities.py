@@ -51,6 +51,7 @@ INEQUALITY_SLACK = 1e-9
 
 _QUAD_REL = 1e-9
 _TAIL_FACTOR = 1e4  # truncation radius multiple for dt/t integrals
+_MOMENT_R_MAX = 1e4  # truncation radius of the moment exchange
 _REL_FLOOR = 1e-300
 
 
@@ -158,21 +159,16 @@ def baernstein_identity(d: Domain, r: float) -> IdentityReport:
     )
 
 
-def fubini_identity(
-    d: Domain,
-    p: float,
-    r_max: float = 1e4,
-    omega_fn=None,
-    green_avg_fn=None,
-) -> IdentityReport:
-    """Moment exchange between the Green circle average and the tail measure.
+def fubini_identity(d: Domain, p: float, omega_fn=None) -> IdentityReport:
+    """Moment exchange between the Green circle average and the tail measure,
+    over radii up to _MOMENT_R_MAX with the oracle's power-law tail beyond.
 
-    omega_fn and green_avg_fn exist so degenerate synthetic inputs (an
-    identically zero measure with its zero Green average) can be pushed
-    through the same quadrature path; they default to the oracle.
+    omega_fn replaces the oracle tail measure, so a test can check that a
+    broken measure fails the identity; it defaults to the oracle.
     """
     if not (p > 0.0):
         raise ValueError("exponent p must be positive")
+    r_max = _MOMENT_R_MAX
     a_mod = abs(d.basepoint)
     if not (r_max > a_mod):
         raise ValueError("truncation radius must exceed |basepoint|")
@@ -182,16 +178,11 @@ def fubini_identity(
             f"moment p={p} meets the decay exponent {q}; both sides are infinite"
         )
     omega = omega_fn if omega_fn is not None else (lambda t: _omega(d, t))
-    green_avg = (
-        green_avg_fn
-        if green_avg_fn is not None
-        else (lambda r: _green_circle_integral(d, r))
-    )
 
     lo = a_mod if a_mod > 0.0 else min(1.0, r_max / 2.0)
 
     def lhs_integrand(r: float) -> float:
-        return r ** (p - 1.0) * green_avg(r)
+        return r ** (p - 1.0) * _green_circle_integral(d, r)
 
     lhs = quad(lhs_integrand, lo, r_max, epsrel=1e-8, epsabs=1e-12, limit=200)[0]
     if a_mod == 0.0:

@@ -15,21 +15,15 @@ divergence direction uses the integral test directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.integrate import trapezoid
-
-from .hardy_estimator import DecayFit, DecayProfile, fit_decay
+from .hardy_estimator import DecayFit
 
 __all__ = [
     "MembershipQuery",
     "MembershipVerdict",
-    "IntegralEstimate",
     "classify_hardy",
     "classify_bergman",
-    "criterion_integral",
     "DEFAULT_MARGIN",
 ]
 
@@ -95,48 +89,3 @@ def classify_bergman(
         raise ValueError("Bergman query needs a weight alpha")
     ratio = query.p / (query.alpha + 2.0)
     return _three_way(ratio, fit.q, margin, RATIONALE_EMBEDDING)
-
-
-@dataclass(frozen=True)
-class IntegralEstimate:
-    value: float  # truncated + extrapolated tail; inf when divergent
-    truncated: float
-    tail: float
-    divergent: bool
-    skipped_zero_entries: int
-
-
-def criterion_integral(
-    profile: DecayProfile,
-    query: MembershipQuery,
-    fit: DecayFit | None = None,
-    tail_window: int = 4,
-) -> IntegralEstimate:
-    """Integral test sum: trapezoid of t**(p-1) * omega(t)**beta plus a fitted tail.
-
-    beta is 1 for a Hardy query and alpha + 2 for a Bergman query. The tail
-    beyond the profile is extrapolated with the fitted power law and flagged
-    divergent when p - q*beta >= 0.
-    """
-    beta = 1.0 if query.alpha is None else query.alpha + 2.0
-    if fit is None:
-        fit = fit_decay(profile, tail_window)
-
-    entries = [e for e in profile.entries if e.omega > 0.0]
-    skipped = len(profile.entries) - len(entries)
-    t = np.array([e.r for e in entries])
-    omega = np.array([e.omega for e in entries])
-    if t.size >= 2:
-        truncated = float(trapezoid(t ** (query.p - 1.0) * omega**beta, t))
-    else:
-        truncated = 0.0
-
-    power = query.p - fit.q * beta
-    if power >= 0.0:
-        return IntegralEstimate(math.inf, truncated, math.inf, True, skipped)
-
-    r_max = float(t[-1]) if t.size else profile.entries[-1].r
-    # fitted law: omega(t)**beta = exp(-beta*log_intercept) * t**(-q*beta)
-    amplitude = math.exp(-beta * fit.log_intercept)
-    tail = amplitude * r_max**power / (-power)
-    return IntegralEstimate(truncated + tail, truncated, tail, False, skipped)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BasepointOutsideDomain, DegenerateDomain
 from .geometry import Domain, TailQuery
-from .hardy_estimator import UNRELIABLE_RATIO, DecayProfile, ProfileEntry
+from .hardy_estimator import DecayProfile, ProfileEntry
 from .rng import stream_keys, uniforms
 
 __all__ = ["WosConfig", "HmEstimate", "estimate_hm", "estimate_profile"]
@@ -63,10 +63,6 @@ class HmEstimate:
     n_samples: int
     n_unterminated: int
     r: float
-
-    @property
-    def unreliable(self) -> bool:
-        return self.n_unterminated / self.n_samples > UNRELIABLE_RATIO
 
 
 def _exit_moduli(d: Domain, cfg: WosConfig) -> np.ndarray:

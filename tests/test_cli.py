@@ -189,6 +189,22 @@ def test_norms_writes_catalog_profiles(tmp_path):
     assert len(csv) > 2
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--alpha", "-2"], "weight alpha"),
+    (["--alpha", "-1"], "weight alpha"),
+    (["--alpha", "nan"], "weight alpha"),
+    (["--p", "nan"], "exponent p"),
+    (["--p", "-1"], "exponent p"),
+    (["--p", "0"], "exponent p"),
+    (["--p", "inf"], "exponent p"),
+], ids=["alpha_-2", "alpha_-1", "alpha_nan", "p_nan", "p_-1", "p_0", "p_inf"])
+def test_norms_rejects_invalid_exponents(tmp_path, capsys, flags, named):
+    out = tmp_path / "out"
+    assert main(["norms", *flags, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "norms.json").exists()
+
+
 # ---- verify -----------------------------------------------------------------
 
 
@@ -280,6 +296,23 @@ def test_missing_domain_file_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.strip() != ""
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"shape": "sector", "basepoint": [1.0, 0.0]}', "'opening'"),
+    ('{"shape": "disk_exterior", "basepoint": [2.0, 0.0]}', "'radius'"),
+    ('[{"shape": "half_plane"}]', "JSON object"),
+    ('{"shape": "half_plane", "basepoint": "x"}', "'basepoint'"),
+    ('{"shape": "half_plane", "basepoint": [1.0, 0.0, 0.0]}', "'basepoint'"),
+    ('{"shape": "disk", "radius": 1.0, "basepoint": 0.0, "center": [0.0, "y"]}', "'center'"),
+], ids=["no_opening", "no_radius", "not_an_object", "basepoint_string", "basepoint_triple",
+        "center_not_numbers"])
+def test_malformed_domain_file_exits_2(tmp_path, capsys, text, named):
+    dom = tmp_path / "dom.json"
+    dom.write_text(text)
+    rc = main(["hardy", "--domain", str(dom), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
 
 
 def test_malformed_grid_exits_2(tmp_path, halfplane_json):

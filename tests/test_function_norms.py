@@ -12,9 +12,7 @@ from hardynum import (
     HalfPlane,
     Sector,
     UnsupportedImage,
-    ZeroOnDisk,
     bergman_growth_profile,
-    bergman_integral,
     cayley,
     change_of_variable_check,
     default_grid,
@@ -22,13 +20,11 @@ from hardynum import (
     estimate_hardy_number,
     exp_cayley,
     hardy_growth_profile,
-    hardy_mean,
     identity_map,
     log_bergman_integral,
     log_hardy_mean,
     oracle_profile,
     sector_power,
-    yamashita_integral,
 )
 from hardynum.function_norms import (
     AREA_REL_TOL,
@@ -42,7 +38,7 @@ TWO_PI = 2 * math.pi
 CATALOG = (cayley(), sector_power(0.5), exp_cayley(), identity_map())
 
 
-def log_abs_f(f, s, theta):
+def log_modulus_f(f, s, theta):
     """log |f((1-s) e^{i theta})| from the cancellation-free moduli."""
     if f.kind == "identity":
         return math.log(1.0 - s)
@@ -57,7 +53,7 @@ def quad_log_mean(f, p, s):
     """log circle integral of |f|^p by adaptive quadrature of exp(g - max g),
     with breaks at the peak scales s * 10^k."""
     breaks = sorted({min(s * 10.0**k, 0.5 * math.pi) for k in range(-6, 5)})
-    g = lambda t: p * log_abs_f(f, s, t)
+    g = lambda t: p * log_modulus_f(f, s, t)
     shift = max(g(t) for t in [0.0, math.pi] + breaks)
     val = quad(lambda t: math.exp(g(t) - shift), 0.0, math.pi, points=breaks,
                epsrel=1e-9, epsabs=0.0, limit=500)[0]
@@ -69,20 +65,19 @@ def quad_log_mean(f, p, s):
 
 def test_catalog_flags_and_values():
     f = cayley()
-    assert f.univalent and f.zero_free
+    assert f.univalent
     assert f.value(0.0) == pytest.approx(1.0)
-    assert f.derivative(0.0) == pytest.approx(2.0)
 
     g = identity_map()
-    assert g.univalent and not g.zero_free
-    assert g.value(0.25j) == 0.25j and g.derivative(0.7) == 1.0
+    assert g.univalent
+    assert g.value(0.25j) == 0.25j
 
     e = exp_cayley()
-    assert e.zero_free and not e.univalent
+    assert not e.univalent
     assert abs(e.value(0.0)) == pytest.approx(math.e)
 
     h = sector_power(0.5)
-    assert h.univalent and h.zero_free
+    assert h.univalent
     assert h.value(0.0) == pytest.approx(1.0)
 
 
@@ -172,7 +167,7 @@ def test_cayley_second_mean_closed_form():
     # 2*pi*(1 + 4 r^2 / (1 - r^2))
     for r in (0.1, 0.5, 0.9, 0.999, 0.9999):
         expected = TWO_PI * (1.0 + 4.0 * r * r / (1.0 - r * r))
-        assert hardy_mean(cayley(), 2.0, r) == pytest.approx(expected, rel=1e-10)
+        assert log_hardy_mean(cayley(), 2.0, r) == pytest.approx(math.log(expected), abs=1e-10)
 
 
 def test_means_match_high_precision_references():
@@ -202,21 +197,15 @@ def test_circle_means_match_adaptive_quadrature():
 def test_identity_means_exact():
     for p in (0.5, 1.0, 3.0):
         for r in (0.2, 0.8):
-            assert hardy_mean(identity_map(), p, r) == pytest.approx(
-                TWO_PI * r**p, rel=1e-10
+            assert log_hardy_mean(identity_map(), p, r) == pytest.approx(
+                math.log(TWO_PI) + p * math.log(r), abs=1e-10
             )
 
 
 def test_mean_at_center_is_point_value():
-    assert hardy_mean(cayley(), 2.0, 0.0) == pytest.approx(TWO_PI)
-    assert hardy_mean(exp_cayley(), 1.0, 0.0) == pytest.approx(TWO_PI * math.e)
-
-
-def test_log_and_linear_means_agree():
-    for p in (0.5, 2.0):
-        for r in (0.3, 0.95):
-            log_val = log_hardy_mean(cayley(), p, r)
-            assert log_val == pytest.approx(math.log(hardy_mean(cayley(), p, r)), abs=1e-10)
+    assert log_hardy_mean(cayley(), 2.0, 0.0) == pytest.approx(math.log(TWO_PI), abs=1e-12)
+    assert log_hardy_mean(exp_cayley(), 1.0, 0.0) == pytest.approx(math.log(TWO_PI) + 1.0,
+                                                                   abs=1e-12)
 
 
 def test_sector_power_mean_is_cayley_power_mean():
@@ -224,9 +213,9 @@ def test_sector_power_mean_is_cayley_power_mean():
     for beta in (0.5, 1.0, 2.0):
         for p in (1.0, 2.0):
             for r in (0.4, 0.9, 1.0 - 1e-7):
-                lhs = hardy_mean(sector_power(beta), p, r)
-                rhs = hardy_mean(cayley(), beta * p, r)
-                assert lhs == pytest.approx(rhs, rel=1e-8)
+                lhs = log_hardy_mean(sector_power(beta), p, r)
+                rhs = log_hardy_mean(cayley(), beta * p, r)
+                assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
 def test_means_monotone_in_radius():
@@ -239,11 +228,13 @@ def test_means_monotone_in_radius():
 
 def test_mean_parameter_validation():
     with pytest.raises(ValueError):
-        hardy_mean(cayley(), -1.0, 0.5)
+        log_hardy_mean(cayley(), -1.0, 0.5)
     with pytest.raises(ValueError):
-        hardy_mean(cayley(), 1.0, 1.0)
+        log_hardy_mean(cayley(), math.nan, 0.5)
     with pytest.raises(ValueError):
-        hardy_mean(cayley(), 1.0, -0.1)
+        log_hardy_mean(cayley(), 1.0, 1.0)
+    with pytest.raises(ValueError):
+        log_hardy_mean(cayley(), 1.0, -0.1)
 
 
 # ---- area integrals ------------------------------------------------------------
@@ -255,8 +246,8 @@ def test_cayley_bergman_closed_form():
     for delta in (0.5, 0.2, 0.05, 1e-4):
         radius = 1.0 - delta
         expected = TWO_PI * (-1.5 * radius**2 - 2.0 * math.log(1.0 - radius**2))
-        got = bergman_integral(cayley(), 2.0, 0.0, delta)
-        assert got == pytest.approx(expected, rel=1e-8)
+        got = log_bergman_integral(cayley(), 2.0, 0.0, delta)
+        assert got == pytest.approx(math.log(expected), abs=1e-8)
 
 
 def test_area_band_matches_adaptive_quadrature():
@@ -273,16 +264,8 @@ def test_area_band_matches_adaptive_quadrature():
 
 def test_identity_weighted_area_integral():
     # integral of |z| (1 - |z|^2) over the unit disk is 4 pi / 15
-    got = bergman_integral(identity_map(), 1.0, 1.0, 1e-8)
-    assert got == pytest.approx(4.0 * math.pi / 15.0, rel=1e-5)
-
-
-def test_log_and_linear_area_integrals_agree():
-    for p, alpha in ((1.0, 0.0), (2.0, 1.0)):
-        log_val = log_bergman_integral(cayley(), p, alpha, 0.1)
-        assert log_val == pytest.approx(
-            math.log(bergman_integral(cayley(), p, alpha, 0.1)), abs=1e-8
-        )
+    got = log_bergman_integral(identity_map(), 1.0, 1.0, 1e-8)
+    assert got == pytest.approx(math.log(4.0 * math.pi / 15.0), abs=1e-5)
 
 
 def test_exp_cayley_truncations_blow_up():
@@ -295,34 +278,15 @@ def test_exp_cayley_truncations_blow_up():
 
 def test_area_parameter_validation():
     with pytest.raises(ValueError):
-        bergman_integral(cayley(), 1.0, -1.0, 0.1)
+        log_bergman_integral(cayley(), 1.0, -1.0, 0.1)
     with pytest.raises(ValueError):
-        bergman_integral(cayley(), 1.0, 0.0, 0.0)
+        log_bergman_integral(cayley(), 1.0, math.nan, 0.1)
     with pytest.raises(ValueError):
-        bergman_integral(cayley(), 1.0, 0.0, 1.0)
-
-
-# ---- derivative-weighted area integrals ------------------------------------------
-
-
-def test_yamashita_identity_map_closed_form():
-    # |f|^0 |f'|^2 log(1/|z|) integrates to 2*pi/4 over the unit disk
-    got = yamashita_integral(identity_map(), 2.0, 1e-4)
-    assert got == pytest.approx(math.pi / 2.0, rel=1e-3)
-
-
-def test_yamashita_rejects_vanishing_f_below_p2():
-    with pytest.raises(ZeroOnDisk):
-        yamashita_integral(identity_map(), 1.0, 1e-3)
-    # zero-free functions are fine below p = 2
-    assert yamashita_integral(cayley(), 1.0, 1e-3) > 0.0
-
-
-def test_yamashita_weighted_variant_runs():
-    unweighted = yamashita_integral(cayley(), 2.0, 1e-3)
-    weighted = yamashita_integral(cayley(), 2.0, 1e-3, alpha=0.0)
-    assert unweighted > 0.0 and weighted > 0.0
-    assert weighted != unweighted
+        log_bergman_integral(cayley(), math.nan, 0.0, 0.1)
+    with pytest.raises(ValueError):
+        log_bergman_integral(cayley(), 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        log_bergman_integral(cayley(), 1.0, 0.0, 1.0)
 
 
 def test_change_of_variable_two_routes_agree():

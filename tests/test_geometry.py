@@ -1,20 +1,21 @@
 """Geometry: shapes, distances, projections, affine maps, JSON round trips."""
 
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardynum import (
     BasepointOutsideDomain,
     DegenerateDomain,
     Disk,
     DiskExterior,
-    GenericSdf,
     HalfPlane,
     MappedDomain,
-    QueryOutsideDomain,
     Sector,
     TailQuery,
     UnsupportedShape,
@@ -23,7 +24,6 @@ from hardynum import (
     domain_from_dict,
     domain_to_dict,
     dump_domain,
-    in_tail,
     load_domain,
 )
 
@@ -88,23 +88,16 @@ def test_basepoint_must_be_inside():
         DiskExterior(1.0, basepoint=0.5)
 
 
-def test_boundary_distance_rejects_outside_points():
-    with pytest.raises(QueryOutsideDomain):
-        HalfPlane(1.0).boundary_distance(-1.0 + 0j)
-    with pytest.raises(QueryOutsideDomain):
-        Disk(1.0).boundary_distance(3.0 + 0j)
-
-
 # ---- distance / projection correctness -----------------------------------
 
 
 def test_inscribed_circle_stays_inside():
-    # the ball of radius boundary_distance about an interior point is inside
+    # the ball of radius distances(z) about an interior point is inside
     rng = np.random.default_rng(11)
     angles = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
     for d in SHAPES:
         for z in _interior_points(d, rng, n=25):
-            rad = d.boundary_distance(z) * (1.0 - 1e-9)
+            rad = d.distances(np.array([z]))[0] * (1.0 - 1e-9)
             if rad <= 0:
                 continue
             probes = z + rad * np.exp(1j * angles)
@@ -191,27 +184,6 @@ def test_disk_exterior_projection_points_at_circle():
     assert np.allclose(np.abs(proj), 2.0, rtol=1e-14)
 
 
-# ---- tail membership -------------------------------------------------------
-
-
-def test_in_tail_uses_boundary_projection():
-    d = HalfPlane(1.0)
-    # interior point far from origin whose projection is close to it
-    z = 50.0 + 3.0j  # projects to 3j
-    assert in_tail(d, z, TailQuery(2.0))
-    assert not in_tail(d, z, TailQuery(4.0))
-
-
-def test_in_tail_monotone_in_radius():
-    rng = np.random.default_rng(13)
-    for d in SHAPES:
-        for z in _interior_points(d, rng, n=12):
-            r2 = rng.uniform(0.0, 20.0)
-            r1 = rng.uniform(0.0, r2)
-            if in_tail(d, z, TailQuery(r2)):
-                assert in_tail(d, z, TailQuery(r1))
-
-
 # ---- affine maps -----------------------------------------------------------
 
 
@@ -255,6 +227,47 @@ def test_affine_zero_scale_rejected():
         affine_image(HalfPlane(1.0), 0.0, 1.0)
 
 
+_COORDS = st.floats(-4.0, 4.0)
+_POINTS = st.builds(complex, _COORDS, _COORDS)
+_RADII = st.floats(0.1, 4.0)
+_SHAPES = st.one_of(
+    st.builds(HalfPlane, st.builds(complex, _RADII, _COORDS)),
+    st.builds(Sector, st.floats(0.1, 2 * math.pi), _RADII),
+    st.builds(lambda r, c: Disk(r, c + 0.5 * r, c), _RADII, _POINTS),
+    st.builds(lambda r, c: DiskExterior(r, c + 2.0 * r, c), _RADII, _POINTS),
+)
+# positive reals keep half-planes and sectors in their closed families
+_SCALES = st.one_of(_RADII, st.builds(cmath.rect, _RADII, st.floats(-math.pi, math.pi)))
+
+
+def _unique_projection(d, zs):
+    """Points off the set where two boundary points are nearest (the bisector
+    of a sector, the center of a disk), where the projection is well defined."""
+    scale = np.maximum(1.0, np.abs(zs))
+    if isinstance(d, Sector):
+        return np.abs(zs.imag) > 1e-9 * scale
+    if isinstance(d, (Disk, DiskExterior)):
+        return np.abs(zs - d.center) > 1e-9 * scale
+    return np.ones(zs.shape, dtype=bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=_SHAPES, a=_SCALES, b=st.one_of(st.just(0j), _POINTS),
+       offsets=st.lists(st.builds(complex, st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
+                        max_size=16))
+def test_affine_image_maps_distances_and_projections(d, a, b, offsets):
+    # built-in images and MappedDomain alike: distances scale by |a| and
+    # nearest boundary points map along with the domain
+    img = affine_image(d, a, b)
+    zs = np.array([z for z in (d.basepoint + w for w in [0j, *offsets]) if d.contains(z)])
+    ws = a * zs + b
+    tol = 1e-12 * np.maximum(1.0, np.abs(zs))
+    assert np.all(np.abs(img.distances(ws) - abs(a) * d.distances(zs)) <= tol)
+    unique = _unique_projection(d, zs)
+    gap = np.abs(img.projections(ws[unique]) - (a * d.projections(zs[unique]) + b))
+    assert np.all(gap <= tol[unique])
+
+
 def test_mapped_domain_scales_distances_exactly():
     base = HalfPlane(1.0)
     img = affine_image(base, 2.0j, 0.0)  # rotated, stays exact
@@ -282,38 +295,6 @@ def test_boundary_modulus_sup():
     assert Disk(2.0).boundary_modulus_sup() == 2.0
     assert Disk(1.0, 3.0, 3.0).boundary_modulus_sup() == 4.0
     assert DiskExterior(1.0).boundary_modulus_sup() == 1.0
-
-
-# ---- GenericSdf -------------------------------------------------------------
-
-
-def test_generic_sdf_wraps_predicates():
-    d = GenericSdf(
-        contains_fn=lambda z: z.real > 0,
-        distance_fn=lambda z: z.real,
-        basepoint=1.0,
-        bounded=False,
-        simply_connected=True,
-    )
-    assert d.contains(2.0 + 1j)
-    assert not d.contains(-1.0 + 0j)
-    assert d.boundary_distance(3.0 + 4j) == 3.0
-    assert d.boundary_modulus_sup() == math.inf
-    # no projection oracle: the point itself stands in
-    zs = np.array([0.001 + 2j])
-    assert np.array_equal(d.projections(zs), zs)
-
-    bounded = GenericSdf(
-        contains_fn=lambda z: abs(z) < 1,
-        distance_fn=lambda z: 1 - abs(z),
-        basepoint=0.0,
-        bounded=True,
-        simply_connected=True,
-    )
-    assert bounded.boundary_modulus_sup() is None
-
-    with pytest.raises(BasepointOutsideDomain):
-        GenericSdf(lambda z: z.real > 0, lambda z: z.real, -1.0, False, True)
 
 
 # ---- JSON -------------------------------------------------------------------
@@ -345,9 +326,9 @@ def test_json_file_round_trip(tmp_path):
 def test_json_rejects_unknown_shape_and_generic():
     with pytest.raises(UnsupportedShape):
         domain_from_dict({"shape": "pacman", "basepoint": [1.0, 0.0]})
-    generic = GenericSdf(lambda z: z.real > 0, lambda z: z.real, 1.0, False, True)
+    rotated = affine_image(HalfPlane(1.0), 1.0j, 0.0)  # a MappedDomain
     with pytest.raises(UnsupportedShape):
-        domain_to_dict(generic)
+        domain_to_dict(rotated)
 
 
 def test_json_scalar_basepoint_accepted():

@@ -15,7 +15,6 @@ from hardynum import (
     ZeroMeasure,
     classify_bergman,
     classify_hardy,
-    criterion_integral,
     default_grid,
     fit_decay,
     oracle_profile,
@@ -190,54 +189,3 @@ def test_embedding_direction_never_contradicted():
         verdict = classify_bergman(fit, MembershipQuery(p, alpha=alpha)).verdict
         assert verdict != "not_member", (p0, p, alpha)
         checked += 1
-
-
-# ---- integral test --------------------------------------------------------------
-
-
-def dense_power_profile(q, amp, r_lo=4.0, r_hi=2048.0, n=400):
-    radii = np.geomspace(r_lo, r_hi, n)
-    entries = tuple(ProfileEntry(float(r), amp * float(r) ** -q) for r in radii)
-    return DecayProfile(entries=entries, source="oracle", domain_regular=True,
-                        domain_bounded=False, boundary_sup=math.inf)
-
-
-def test_criterion_integral_matches_closed_form():
-    # omega = 3 r^-1.5, p = 1: integral of 3 t^-1.5 from 4 to inf = 3
-    profile = dense_power_profile(q=1.5, amp=3.0)
-    est = criterion_integral(profile, MembershipQuery(1.0))
-    expected = 3.0
-    assert not est.divergent
-    assert est.value == pytest.approx(expected, rel=1e-3)
-    # the extrapolated tail itself is exact under the fitted law
-    assert est.tail == pytest.approx(3.0 * 2048.0**-0.5 / 0.5, rel=1e-9)
-
-
-def test_criterion_integral_divergent_cases():
-    profile = dense_power_profile(q=1.5, amp=3.0)
-    # the boundary case is decided against the fitted exponent itself
-    fit = fit_decay(profile)
-    at_critical = criterion_integral(profile, MembershipQuery(fit.q), fit=fit)
-    assert at_critical.divergent and at_critical.value == math.inf
-    beyond = criterion_integral(profile, MembershipQuery(2.0))
-    assert beyond.divergent and beyond.tail == math.inf
-
-
-def test_criterion_integral_weighted():
-    # beta = alpha + 2 = 2: omega^2 = 9 t^-3, p = 1: integral from 4 = 9/32
-    profile = dense_power_profile(q=1.5, amp=3.0)
-    est = criterion_integral(profile, MembershipQuery(1.0, alpha=0.0))
-    assert est.value == pytest.approx(9.0 / 32.0, rel=1e-3)
-
-
-def test_criterion_integral_counts_skipped_zeros():
-    entries = tuple(
-        ProfileEntry(r, 0.0 if r == 8.0 else r**-1.5)
-        for r in (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-    )
-    profile = DecayProfile(entries=entries, source="monte_carlo",
-                           domain_regular=True, domain_bounded=False,
-                           boundary_sup=math.inf)
-    est = criterion_integral(profile, MembershipQuery(1.0))
-    assert est.skipped_zero_entries == 1
-    assert est.value > 0.0

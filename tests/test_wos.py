@@ -139,7 +139,6 @@ def test_unterminated_walks_reported_not_hidden():
     est = estimate_hm(DiskExterior(1.0), TailQuery(2.0), cfg)
     assert est.n_unterminated > 0
     assert est.n_samples == 500
-    assert est.unreliable == (est.n_unterminated > 0.01 * est.n_samples)
 
 
 def test_grid_validation(fast_cfg):
