@@ -96,6 +96,12 @@ def _parse_grid(text: str):
         raise ValueError("grid ratio must exceed 1")
     if count < 2:
         raise ValueError("grid count must be at least 2")
+    try:
+        last = r0 * ratio ** (count - 1)
+    except OverflowError:
+        last = math.inf
+    if not math.isfinite(last):
+        raise ValueError(f"grid radius r0*ratio**{count - 1} overflows; use a smaller ratio or count")
     return [r0 * ratio**k for k in range(count)]
 
 
@@ -193,8 +199,7 @@ def _cmd_norms(args) -> int:
     return 0
 
 
-def _mc_agreement_checks(args) -> list[dict]:
-    cfg = WosConfig(n_samples=args.samples, seed=args.seed, chunk_size=args.chunk)
+def _mc_agreement_checks(cfg: WosConfig) -> list[dict]:
     checks = []
     for name, domain, r in (
         ("mc_vs_oracle_half_plane", HalfPlane(basepoint=1.0 + 0.0j), 10.0),
@@ -215,6 +220,8 @@ def _mc_agreement_checks(args) -> list[dict]:
 
 
 def _cmd_verify(args) -> int:
+    # built first, so that a bad seed or sample count fails before the identity suite runs
+    cfg = WosConfig(n_samples=args.samples, seed=args.seed, chunk_size=args.chunk)
     reports = identities.run_identity_suite()
     entries = [
         {
@@ -227,7 +234,7 @@ def _cmd_verify(args) -> int:
         }
         for rep in reports
     ]
-    entries.extend(_mc_agreement_checks(args))
+    entries.extend(_mc_agreement_checks(cfg))
     write_text(Path(args.out) / "verify.json", json_dumps(entries))
     failed = [e["name"] for e in entries if not e["passed"]]
     if failed:

@@ -29,10 +29,6 @@ class TooFewPoints(HardynumError):
     """Not enough profile entries for the requested computation."""
 
 
-class QuadratureFailure(HardynumError):
-    """Numerical integration failed to converge to the requested tolerance."""
-
-
 class UnsupportedImage(HardynumError):
     """The image domain of the map is outside what the check supports."""
 

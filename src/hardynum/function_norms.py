@@ -14,6 +14,9 @@ CIRCLE_REL_TOL relative error on circle means and AREA_REL_TOL on area
 integrals, which the tests check against closed forms and against adaptive
 quadrature.
 
+quad is the same rule for a real integral over an interval: the package's
+other integrals (the identity suite) go through it.
+
 Every integrand is exp(p_f log|f| + p_fp log|f'|), and the nodes depend only
 on the circles and bands, never on the exponents. So all integrals read a
 NodeTable, which evaluates log|f| (and log|f'| where p_fp is nonzero) once on
@@ -38,9 +41,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import QuadratureFailure, UnsupportedImage
+from .errors import UnsupportedImage
 from .geometry import Disk, Domain, HalfPlane, Sector
 
 __all__ = [
@@ -51,13 +53,13 @@ __all__ = [
     "identity_map",
     "log_hardy_mean",
     "log_bergman_integral",
-    "change_of_variable_check",
     "NodeTable",
     "GrowthProfile",
     "hardy_growth_profile",
     "bergman_growth_profile",
     "EmpiricalExponents",
     "empirical_hb",
+    "quad",
     "CIRCLE_REL_TOL",
     "AREA_REL_TOL",
 ]
@@ -193,6 +195,60 @@ def _graded_rule(h: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
 def _gl_weights(width: np.ndarray) -> np.ndarray:
     """The weights of the nodes of _graded_rule, from its panel widths."""
     return (width[:, :, None] * _GL_W).reshape(len(width), -1)
+
+
+QUAD_PANEL_CAP = 0.25 * math.pi  # widest panel of quad
+# (2n - 1) * P_{n-1} at the nodes, times the weights: a dot product with the
+# integrand gives its highest Legendre coefficient on the panel
+_GL_TAIL = ((2 * GL_NODES - 1) * _GL_W
+            * np.polynomial.legendre.legval(2.0 * _GL_T - 1.0, [0.0] * (GL_NODES - 1) + [1.0]))
+
+
+def _capped_widths(length: float) -> np.ndarray:
+    """Panel widths of _graded_rule on [0, length] at scale length, with each
+    panel wider than QUAD_PANEL_CAP split into equal panels no wider."""
+    width = _graded_rule(np.array([[length]]), length)[1][0]
+    k = np.ceil(width / QUAD_PANEL_CAP)
+    return np.repeat(width / k, k.astype(int))
+
+
+def quad(fn, a: float, b: float, points=(), full_output: int = 0):
+    """Integral of fn over [a, b] by the module's rule.
+
+    [a, b] is split at the points inside it, and each piece is graded from
+    its midpoint toward both of its ends, where an integrand may have a kink,
+    a cusp or an integrable singularity; no panel is wider than
+    QUAD_PANEL_CAP. fn is called once, on the array of all nodes, and
+    returns a value per node, a scalar (a constant integrand), or an array
+    whose last axis runs over the nodes, integrated along that axis.
+
+    Returns (value, abserr), or (value, abserr, {"neval": n}) under
+    full_output, n the number of integrand values. abserr sums, over the
+    panels, the panel width times the integrand's highest Legendre
+    coefficient on the panel: a pessimistic estimate, zero for polynomials
+    of degree below GL_NODES - 1.
+    """
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"quad needs finite a < b, got [{a!r}, {b!r}]")
+    edges = [a, *sorted({float(x) for x in points if a < x < b}), b]
+    starts, widths = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        width = _capped_widths(0.5 * (hi - lo))
+        offset = np.cumsum(width) - width
+        starts += [lo + offset, hi - offset - width]
+        widths += [width, width]
+    start, width = np.concatenate(starts), np.concatenate(widths)
+    t = (start[:, None] + width[:, None] * _GL_T).ravel()
+    values = np.asarray(fn(t), dtype=float)
+    values = np.broadcast_to(values, np.broadcast_shapes(values.shape, t.shape))
+    value = values @ _gl_weights(width[None])[0]
+    coef = values.reshape(*values.shape[:-1], width.size, GL_NODES) @ _GL_TAIL
+    abserr = np.abs(coef) @ width
+    if values.ndim == 1:
+        value, abserr = float(value), float(abserr)
+    if full_output:
+        return value, abserr, {"neval": values.size}
+    return value, abserr
 
 
 def _log_sum_exp(g: np.ndarray, w: np.ndarray, axis=-1) -> np.ndarray:
@@ -368,11 +424,6 @@ def _area_log_weight(alpha: float):
     return lambda s: np.log(1.0 - s) + alpha * np.log(s * (2.0 - s))
 
 
-def _green_log_weight(s: np.ndarray) -> np.ndarray:
-    """(1-s) from the area Jacobian times the Green weight log 1/r, r = 1 - s."""
-    return np.log(1.0 - s) + np.log(-np.log1p(-s))
-
-
 def log_bergman_integral(f: CatalogFunction, p: float, alpha: float, delta: float) -> float:
     """log of the area integral of |f|^p (1-|z|^2)^alpha over |z| <= 1 - delta."""
     if not (0.0 < delta < 1.0):
@@ -383,86 +434,6 @@ def log_bergman_integral(f: CatalogFunction, p: float, alpha: float, delta: floa
         raise ValueError("weight alpha must be > -1")
     band = (delta, 1.0)
     return NodeTable(f, bands=[band]).log_band_integral(band, p, 0.0, _area_log_weight(alpha))
-
-
-# ---------------------------------------------------------------------------
-# change of variable: disk-side area integral vs image-plane Green integral
-
-
-def _quad(fn, a, b, rel, points=None, limit=800) -> float:
-    val, err, info, *rest = quad(fn, a, b, epsrel=rel, epsabs=0.0, limit=limit,
-                                 points=points, full_output=1)
-    if rest:
-        scale = max(abs(val), 1e-300)
-        if err > 100.0 * rel * scale:
-            raise QuadratureFailure(f"quadrature did not converge: {rest[0]}")
-    return val
-
-
-def change_of_variable_check(f: CatalogFunction, p: float, delta: float) -> tuple[float, float]:
-    """Both sides of the Green-function change of variable for the truncated
-    region |z| <= 1 - delta, for univalent catalog maps with unbounded image.
-
-    Left side: area integral over the disk region of |f|^(p-2) |f'|^2 log(1/|z|),
-    by the module's quadrature rule.
-    Right side: area integral over the image of the region of |w|^(p-2) times
-    the Green's function of the image with pole at f(0), written in the
-    Cayley coordinate u = (1+z)/(1-z) (where w = u^beta) so one formula
-    covers every opening. The image of |z| <= R = 1 - delta under the Cayley
-    map is the disk |u - c| <= rho with c = (1+R^2)/(1-R^2) and
-    rho = 2R/(1-R^2); there the Green factor is the half-plane one,
-    log|(u+1)/(u-1)|, and dA(w) = beta^2 |u|^(2 beta - 2) dA(u). In polar
-    coordinates u = 1 + s e^{i phi} around the pole,
-
-        rhs = 2 beta^2 * integral over phi in [0, pi] of
-              integral over s in [0, s_max(phi)] of
-              |u|^(beta p - 2) * log|(u+1)/(u-1)| * s ds dphi,
-
-    where s_max(phi) reaches the boundary circle and the factor 2 (with
-    phi in [0, pi] only) comes from the symmetry phi <-> -phi of the
-    integrand and of the disk. The right side is integrated by adaptive scipy
-    quadrature to AREA_REL_TOL, an independent route to the same number.
-    """
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    if not f.univalent:
-        raise UnsupportedImage("change of variable needs a univalent map")
-    if f.kind == KIND_IDENTITY:
-        raise UnsupportedImage("image is bounded; no Green integral to compare against")
-    beta = f.beta if f.kind == KIND_SECTOR_POWER else 1.0
-
-    band = (delta, 1.0)
-    lhs_log = NodeTable(f, bands=[band], derivative=True).log_band_integral(
-        band, p - 2.0, 2.0, _green_log_weight)
-    lhs = math.exp(lhs_log) if lhs_log > -math.inf else 0.0
-
-    big_r = 1.0 - delta
-    c = (1.0 + big_r**2) / (1.0 - big_r**2)
-    rho = 2.0 * big_r / (1.0 - big_r**2)
-    d = c - 1.0
-    power = beta * p - 2.0
-
-    def s_max(phi: float) -> float:
-        disc = rho * rho - (d * math.sin(phi)) ** 2
-        return d * math.cos(phi) + math.sqrt(max(disc, 0.0))
-
-    def inner(phi: float) -> float:
-        cos_phi = math.cos(phi)
-        top = s_max(phi)
-
-        def integrand(s: float) -> float:
-            if s <= 0.0:
-                return 0.0
-            mod_u_sq = 1.0 + 2.0 * s * cos_phi + s * s
-            mod_u_plus1_sq = 4.0 + 4.0 * s * cos_phi + s * s
-            green = 0.5 * math.log(mod_u_plus1_sq) - math.log(s)
-            return math.exp(0.5 * power * math.log(mod_u_sq)) * green * s
-
-        pts = sorted({min(10.0**k, top * 0.5) for k in range(-6, 3)})
-        return _quad(integrand, 0.0, top, 0.1 * AREA_REL_TOL, points=pts, limit=400)
-
-    rhs = 2.0 * beta**2 * _quad(inner, 0.0, math.pi, AREA_REL_TOL, limit=200)
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,28 @@ boundary outside radius t:
                         <= (1/2pi) int g^(alpha+2) d theta
   doubling bound     int g(a, r e^{i theta}) d theta
                         >= 2pi log(2) omega(a, E_{2r})
+
+Every integral goes through function_norms.quad, the package's one rule:
+composite Gauss-Legendre on panels graded toward both ends of each piece
+between breakpoints. Circle integrals break where the circle crosses the
+boundary; dt/t integrals run in u = log t and break at the radii where the
+oracle measure is non-smooth. The oracles are evaluated once per integral, on
+the whole node array, and the moment exchange evaluates the Green's function
+on a grid of radii and angles, with its circles also broken at arg(a), so
+that the panels grade toward the pole as r -> |a|. Its radial integrals run
+in u = log r, and below r = 1 around a pole at the origin in s = r^p.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
+import numpy as np
 
 from .errors import DivergentCase
+from .function_norms import RADIAL_BLOCK, quad
 from .geometry import Disk, DiskExterior, Domain, HalfPlane, Sector
 from .oracles import decay_exponent, exact_green, exact_hm
 
@@ -49,7 +61,6 @@ BAERNSTEIN_TOL = 1e-3
 FUBINI_TOL = 1e-2
 INEQUALITY_SLACK = 1e-9
 
-_QUAD_REL = 1e-9
 _TAIL_FACTOR = 1e4  # truncation radius multiple for dt/t integrals
 _MOMENT_R_MAX = 1e4  # truncation radius of the moment exchange
 _REL_FLOOR = 1e-300
@@ -72,7 +83,7 @@ def _rel_error(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / scale
 
 
-def _omega(d: Domain, t: float) -> float:
+def _omega(d: Domain, t):
     return exact_hm(d, t)
 
 
@@ -109,39 +120,50 @@ def _circle_breaks(d: Domain, r: float) -> list[float]:
     return []
 
 
-def _green_circle_integral(d: Domain, r: float, power: float = 1.0) -> float:
-    """int_0^{2pi} g(a, r e^{i theta})^power d theta (unnormalized)."""
-    a = d.basepoint
-    if not (r > abs(a)):
+def _green_circle_integral(d: Domain, r, power: float = 1.0, points=None):
+    """int_{-pi}^{pi} g(a, r e^{i theta})^power d theta (unnormalized).
+
+    r is a radius, or a column of radii for one integral per row; points
+    defaults to _circle_breaks(d, r) and must suit every row.
+    """
+    if not np.all(r > abs(d.basepoint)):
         raise ValueError("circle radius must exceed |basepoint|")
-
-    def integrand(theta: float) -> float:
-        g = exact_green(d, r * math.cos(theta) + 1j * r * math.sin(theta))
-        if g <= 0.0:
-            return 0.0
-        return g**power
-
-    breaks = _circle_breaks(d, r)
-    return quad(integrand, -math.pi, math.pi, epsrel=_QUAD_REL, epsabs=1e-14,
-                points=breaks or None, limit=400)[0]
+    if points is None:
+        points = _circle_breaks(d, r)
+    return quad(lambda theta: exact_green(d, r * np.exp(1j * theta)) ** power,
+                -math.pi, math.pi, points=points)[0]
 
 
 def _tail_log_integral(d: Domain, r: float) -> float:
     """int_r^inf omega(a, E_t) dt/t with a power-law tail beyond r * 1e4."""
     q = decay_exponent(d)
     top = r * _TAIL_FACTOR
-    u_max = math.log(top / r)
-
-    def integrand(u: float) -> float:
-        return _omega(d, r * math.exp(u))
-
-    pts = sorted(
-        {math.log(b / r) for b in _omega_breaks(d) if r < b < top}
-    )
-    val = quad(integrand, 0.0, u_max, epsrel=_QUAD_REL, epsabs=1e-14,
-               points=pts or None, limit=400)[0]
+    pts = [math.log(b / r) for b in _omega_breaks(d) if r < b < top]
+    val = quad(lambda u: _omega(d, r * np.exp(u)), 0.0, math.log(top / r), points=pts)[0]
     tail = 0.0 if math.isinf(q) else _omega(d, top) / q
     return val + tail
+
+
+def _radial_integral(fn, a_mod: float, p: float, points=()) -> float:
+    """int t^(p-1) fn(t) dt over (a_mod, _MOMENT_R_MAX), fn taking an array of
+    radii and points the radii where fn is non-smooth.
+
+    Above a_mod, or above 1 for a_mod = 0, the integral runs in u = log t.
+    For a_mod = 0 the part over (0, 1) runs in s = t^p, which absorbs the
+    weight t^(p-1), a singularity at t = 0 for p < 1, into ds/p.
+    """
+    lo = a_mod if a_mod > 0.0 else 1.0
+    log_pts = [math.log(b) for b in points if lo < b < _MOMENT_R_MAX]
+    val = quad(lambda u: fn(np.exp(u)) * np.exp(p * u), math.log(lo), math.log(_MOMENT_R_MAX),
+               points=log_pts)[0]
+    if a_mod == 0.0:
+        # for small p, s^(1/p) underflows near s = 0; the least normal
+        # radius stands in there
+        def head(s):
+            return fn(np.maximum(s ** (1.0 / p), np.finfo(float).tiny))
+
+        val += quad(head, 0.0, 1.0, points=[b**p for b in points if b < 1.0])[0] / p
+    return val
 
 
 def baernstein_identity(d: Domain, r: float) -> IdentityReport:
@@ -178,31 +200,28 @@ def fubini_identity(d: Domain, p: float, omega_fn=None) -> IdentityReport:
             f"moment p={p} meets the decay exponent {q}; both sides are infinite"
         )
     omega = omega_fn if omega_fn is not None else (lambda t: _omega(d, t))
-
-    lo = a_mod if a_mod > 0.0 else min(1.0, r_max / 2.0)
-
-    def lhs_integrand(r: float) -> float:
-        return r ** (p - 1.0) * _green_circle_integral(d, r)
-
-    lhs = quad(lhs_integrand, lo, r_max, epsrel=1e-8, epsabs=1e-12, limit=200)[0]
-    if a_mod == 0.0:
-        lhs += quad(lhs_integrand, 0.0, lo, epsrel=1e-8, epsabs=1e-12, limit=200)[0]
     omega_top = omega(r_max)
+
+    # The rhs comes first: exact_hm rejects the off-center disks, the one
+    # shape whose circle breaks move with r.
+    def rhs_integrand(t):
+        return omega(t) * (1.0 - (a_mod / t) ** p)
+
+    rhs = _radial_integral(rhs_integrand, a_mod, p, _omega_breaks(d))
+    if math.isfinite(q):
+        rhs += omega_top * (r_max**p / (q - p) - a_mod**p / q)
+    rhs *= 2.0 * math.pi / p
+
+    angles = [*_circle_breaks(d, r_max), cmath.phase(d.basepoint)]
+
+    def lhs_integrand(r):
+        return np.concatenate([_green_circle_integral(d, r[k:k + RADIAL_BLOCK, None], points=angles)
+                               for k in range(0, r.size, RADIAL_BLOCK)])
+
+    # the circle means are non-smooth where the oracle measure is
+    lhs = _radial_integral(lhs_integrand, a_mod, p, _omega_breaks(d))
     if math.isfinite(q):
         lhs += 2.0 * math.pi * omega_top * r_max**p / (q * (q - p))
-
-    def rhs_integrand(t: float) -> float:
-        w = omega(t)
-        if w == 0.0:
-            return 0.0
-        return w * t ** (p - 1.0) * (1.0 - (a_mod / t) ** p if a_mod > 0.0 else 1.0)
-
-    pts = sorted(b for b in _omega_breaks(d) if a_mod < b < r_max)
-    rhs = quad(rhs_integrand, a_mod, r_max, epsrel=1e-8, epsabs=1e-12,
-               points=pts or None, limit=200)[0]
-    if math.isfinite(q):
-        rhs += omega_top * (r_max**p / (q - p) - (a_mod**p if a_mod > 0.0 else 0.0) / q)
-    rhs *= 2.0 * math.pi / p
 
     rel = _rel_error(lhs, rhs)
     return IdentityReport(
@@ -229,9 +248,8 @@ def jensen_check(d: Domain, r: float, alpha: float, green_fn=None) -> IdentityRe
         mean = _green_circle_integral(d, r) / (2.0 * math.pi)
         power_mean = _green_circle_integral(d, r, power) / (2.0 * math.pi)
     else:
-        mean = quad(green_fn, -math.pi, math.pi, epsrel=_QUAD_REL, limit=400)[0] / (2.0 * math.pi)
-        power_mean = quad(lambda t: green_fn(t) ** power, -math.pi, math.pi,
-                          epsrel=_QUAD_REL, limit=400)[0] / (2.0 * math.pi)
+        mean = quad(green_fn, -math.pi, math.pi)[0] / (2.0 * math.pi)
+        power_mean = quad(lambda t: green_fn(t) ** power, -math.pi, math.pi)[0] / (2.0 * math.pi)
     lhs = mean**power
     rhs = power_mean
     gap = 0.0 if rhs < _REL_FLOOR else (rhs - lhs) / rhs

@@ -26,15 +26,20 @@ from .geometry import Disk, DiskExterior, Domain, HalfPlane, Sector
 __all__ = ["exact_hm", "exact_green", "decay_exponent"]
 
 
-def _halfplane_tail(a: complex, r: float) -> float:
+def _halfplane_tail(a: complex, r):
     # integral of the Poisson kernel of {Re z > 0} over {it : |t| > r}
     x, y = a.real, a.imag
-    return 1.0 - (math.atan((r - y) / x) + math.atan((r + y) / x)) / math.pi
+    atan = math.atan if np.ndim(r) == 0 else np.arctan
+    return 1.0 - (atan((r - y) / x) + atan((r + y) / x)) / math.pi
 
 
-def exact_hm(d: Domain, r: float) -> float:
-    """Harmonic measure of the boundary tail beyond modulus r, from the basepoint."""
-    if r < 0 or not math.isfinite(r):
+def exact_hm(d: Domain, r):
+    """Harmonic measure of the boundary tail beyond modulus r, from the basepoint.
+
+    r is a radius or an array of radii; an array gives an array, and a radius
+    a float from math-module arithmetic.
+    """
+    if not np.all(np.isfinite(r) & (np.asarray(r) >= 0)):
         raise ValueError(f"tail radius must be finite and >= 0, got {r!r}")
 
     if isinstance(d, HalfPlane):
@@ -48,54 +53,45 @@ def exact_hm(d: Domain, r: float) -> float:
     if isinstance(d, (Disk, DiskExterior)):
         lo = abs(abs(d.center) - d.radius)
         hi = abs(d.center) + d.radius
-        if r >= hi:
-            return 0.0  # the tail set is empty
-        if r <= lo:
-            return 1.0  # the tail is the entire boundary
-        raise UnsupportedShape(
-            "off-center disk with tail radius inside the boundary modulus band"
-        )
+        if np.any((lo < r) & (r < hi)):
+            raise UnsupportedShape(
+                "off-center disk with tail radius inside the boundary modulus band"
+            )
+        # beyond hi the tail set is empty; below lo it is the entire boundary
+        tail = np.where(r >= hi, 0.0, 1.0)
+        return tail if np.ndim(r) else float(tail)
 
     raise UnsupportedShape(f"no closed-form harmonic measure for {d!r}")
 
 
-def exact_green(d: Domain, w: complex) -> float:
-    """Green's function of the domain with pole at the basepoint.
+def exact_green(d: Domain, w):
+    """Green's function of the domain with pole at the basepoint; +inf at the pole.
 
     Extended by zero outside the domain, which also gives the correct value
-    0 in the limit |w| -> infinity.
+    0 in the limit |w| -> infinity. w is a point or an array of points; an
+    array gives an array and a point a float.
     """
-    w = complex(w)
-
-    if isinstance(d, HalfPlane):
-        return _halfplane_green(d.basepoint, w)
-
-    if isinstance(d, Sector):
-        if not d.contains(w):
-            return 0.0
-        power = math.pi / d.opening
-        return _halfplane_green(complex(d.basepoint) ** power, w**power)
-
-    if isinstance(d, Disk):
-        if not d.contains(w):
-            return 0.0
-        a = d.basepoint - d.center
-        u = w - d.center
-        if u == a:
-            return math.inf
-        val = math.log(abs(d.radius**2 - np.conj(a) * u) / (d.radius * abs(u - a)))
-        return max(val, 0.0)
-
-    raise UnsupportedShape(f"no closed-form Green's function for {d!r}")
+    z = np.asarray(w, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if isinstance(d, HalfPlane):
+            green = _halfplane_green(d.basepoint, z)
+        elif isinstance(d, Sector):
+            power = math.pi / d.opening
+            inside = (z != 0) & (np.abs(np.angle(z)) < 0.5 * d.opening)
+            green = np.where(inside, _halfplane_green(complex(d.basepoint) ** power, z**power), 0.0)
+        elif isinstance(d, Disk):
+            a = d.basepoint - d.center
+            u = z - d.center
+            val = np.log(np.abs(d.radius**2 - np.conj(a) * u) / (d.radius * np.abs(u - a)))
+            green = np.where(np.abs(u) < d.radius, np.maximum(val, 0.0), 0.0)
+        else:
+            raise UnsupportedShape(f"no closed-form Green's function for {d!r}")
+    return green if np.ndim(w) else float(green)
 
 
-def _halfplane_green(a: complex, w: complex) -> float:
-    if w.real <= 0:
-        return 0.0
-    if w == a:
-        return math.inf
-    val = math.log(abs((w + np.conj(a)) / (w - a)))
-    return max(val, 0.0)
+def _halfplane_green(a: complex, w: np.ndarray) -> np.ndarray:
+    val = np.log(np.abs((w + np.conj(a)) / (w - a)))
+    return np.where(w.real > 0.0, np.maximum(val, 0.0), 0.0)
 
 
 def decay_exponent(d: Domain) -> float:

@@ -45,6 +45,10 @@ class WosConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        # stream_keys keeps the low 64 bits of the seed, so a seed outside
+        # this range would silently share its streams with one inside it
+        if not (0 <= self.seed < 2**64):
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if self.epsilon is not None and not (self.epsilon > 0):
             raise ValueError("epsilon must be positive")
         if self.max_steps < 1 or self.chunk_size < 1:

@@ -321,6 +321,26 @@ def test_malformed_grid_exits_2(tmp_path, halfplane_json):
     assert rc == 2
 
 
+def test_overflowing_grid_exits_2(tmp_path, halfplane_json, capsys):
+    # 2 * 2**1999 overflows a float: one line on stderr, not a traceback
+    rc = main(["hardy", "--domain", halfplane_json, "--samples", "2000",
+               "--grid", "2,2,2000", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid radius") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_exits_2(tmp_path, halfplane_json, capsys, seed):
+    # stream_keys keeps the low 64 bits: 2**64 would rerun seed 0, -1 seed 2**64 - 1
+    for command in (["hm", "--domain", halfplane_json], ["verify"]):
+        rc = main([*command, "--samples", "200", "--seed", seed, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_non_positive_window_exits_2(tmp_path, halfplane_json, capsys):
     for command in (["hardy"], ["member", "--p", "0.5"], ["report"]):
         rc = main([*command, "--domain", halfplane_json, "--samples", "2000",

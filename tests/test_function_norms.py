@@ -14,7 +14,6 @@ from hardynum import (
     UnsupportedImage,
     bergman_growth_profile,
     cayley,
-    change_of_variable_check,
     default_grid,
     empirical_hb,
     estimate_hardy_number,
@@ -26,6 +25,7 @@ from hardynum import (
     oracle_profile,
     sector_power,
 )
+from hardynum import function_norms, identities
 from hardynum.function_norms import (
     AREA_REL_TOL,
     BERGMAN_GAPS,
@@ -58,6 +58,126 @@ def quad_log_mean(f, p, s):
     val = quad(lambda t: math.exp(g(t) - shift), 0.0, math.pi, points=breaks,
                epsrel=1e-9, epsabs=0.0, limit=500)[0]
     return shift + math.log(2.0 * val)
+
+
+# ---- change of variable: disk-side area integral vs image-plane Green integral
+
+
+def _green_log_weight(s):
+    """(1-s) from the area Jacobian times the Green weight log 1/r, r = 1 - s."""
+    return np.log(1.0 - s) + np.log(-np.log1p(-s))
+
+
+def _quad(fn, a, b, rel, points=None, limit=800) -> float:
+    val, err, info, *rest = quad(fn, a, b, epsrel=rel, epsabs=0.0, limit=limit,
+                                 points=points, full_output=1)
+    if rest and err > 100.0 * rel * max(abs(val), 1e-300):
+        pytest.fail(f"quadrature did not converge: {rest[0]}")
+    return val
+
+
+def change_of_variable_check(f, p, delta):
+    """Both sides of the Green-function change of variable for the truncated
+    region |z| <= 1 - delta, for univalent catalog maps with unbounded image.
+
+    Left side: area integral over the disk region of |f|^(p-2) |f'|^2 log(1/|z|),
+    by the package's rule (a NodeTable band integral).
+    Right side: area integral over the image of the region of |w|^(p-2) times
+    the Green's function of the image with pole at f(0), written in the
+    Cayley coordinate u = (1+z)/(1-z) (where w = u^beta) so one formula
+    covers every opening. The image of |z| <= R = 1 - delta under the Cayley
+    map is the disk |u - c| <= rho with c = (1+R^2)/(1-R^2) and
+    rho = 2R/(1-R^2); there the Green factor is the half-plane one,
+    log|(u+1)/(u-1)|, and dA(w) = beta^2 |u|^(2 beta - 2) dA(u). In polar
+    coordinates u = 1 + s e^{i phi} around the pole,
+
+        rhs = 2 beta^2 * integral over phi in [0, pi] of
+              integral over s in [0, s_max(phi)] of
+              |u|^(beta p - 2) * log|(u+1)/(u-1)| * s ds dphi,
+
+    where s_max(phi) reaches the boundary circle and the factor 2 (with
+    phi in [0, pi] only) comes from the symmetry phi <-> -phi of the
+    integrand and of the disk. The right side is integrated by adaptive scipy
+    quadrature to AREA_REL_TOL, an independent route to the same number.
+    """
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
+    if not f.univalent:
+        raise UnsupportedImage("change of variable needs a univalent map")
+    if f.kind == "identity":
+        raise UnsupportedImage("image is bounded; no Green integral to compare against")
+    beta = f.beta if f.kind == "sector_power" else 1.0
+
+    band = (delta, 1.0)
+    lhs_log = NodeTable(f, bands=[band], derivative=True).log_band_integral(
+        band, p - 2.0, 2.0, _green_log_weight)
+    lhs = math.exp(lhs_log) if lhs_log > -math.inf else 0.0
+
+    big_r = 1.0 - delta
+    c = (1.0 + big_r**2) / (1.0 - big_r**2)
+    rho = 2.0 * big_r / (1.0 - big_r**2)
+    d = c - 1.0
+    power = beta * p - 2.0
+
+    def s_max(phi):
+        disc = rho * rho - (d * math.sin(phi)) ** 2
+        return d * math.cos(phi) + math.sqrt(max(disc, 0.0))
+
+    def inner(phi):
+        cos_phi = math.cos(phi)
+        top = s_max(phi)
+
+        def integrand(s):
+            if s <= 0.0:
+                return 0.0
+            mod_u_sq = 1.0 + 2.0 * s * cos_phi + s * s
+            mod_u_plus1_sq = 4.0 + 4.0 * s * cos_phi + s * s
+            green = 0.5 * math.log(mod_u_plus1_sq) - math.log(s)
+            return math.exp(0.5 * power * math.log(mod_u_sq)) * green * s
+
+        pts = sorted({min(10.0**k, top * 0.5) for k in range(-6, 3)})
+        return _quad(integrand, 0.0, top, 0.1 * AREA_REL_TOL, points=pts, limit=400)
+
+    rhs = 2.0 * beta**2 * _quad(inner, 0.0, math.pi, AREA_REL_TOL, limit=200)
+    return lhs, rhs
+
+
+# ---- the 1-D rule -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rule", [function_norms.quad, identities.quad],
+                         ids=["function_norms.quad", "identities.quad"])
+def test_quad_full_output_contract(rule):
+    sizes = []
+
+    def poly(t):
+        sizes.append(t.size)
+        return t**7 - 3.0 * t**2 + 1.0
+
+    result = rule(poly, -1.0, 2.0, points=(0.5, 7.0), full_output=1)
+    assert len(result) == 3 and set(result[2]) == {"neval"}
+    value, abserr, info = result
+    assert len(sizes) == 1 and info["neval"] == sizes[0]
+    exact = (2.0**8 - 1.0) / 8.0 - (8.0 + 1.0) + 3.0
+    assert value == pytest.approx(exact, rel=1e-14)
+    assert abserr <= 1e-12
+    assert rule(poly, -1.0, 2.0, points=(0.5,)) == (value, abserr)
+    # a scalar return is a constant integrand, counted at every node
+    const = rule(lambda t: 2.0, -math.pi, math.pi, full_output=1)
+    assert const[0] == pytest.approx(4.0 * math.pi, rel=1e-14)
+    assert const[2]["neval"] == rule(np.cos, -math.pi, math.pi, full_output=1)[2]["neval"]
+    # an array integrand is integrated along its last axis, one value per row
+    rows, _ = rule(lambda t: np.outer([1.0, 2.0], t**2), 0.0, 3.0)
+    np.testing.assert_allclose(rows, [9.0, 18.0], rtol=1e-14)
+    with pytest.raises(ValueError):
+        rule(np.cos, 1.0, 1.0)
+
+
+def test_quad_abserr_bounds_the_error_at_endpoint_singularities():
+    value, abserr = function_norms.quad(np.log, 0.0, 1.0)
+    assert value == pytest.approx(-1.0, rel=1e-11) and abs(value + 1.0) <= abserr
+    value, abserr = function_norms.quad(lambda t: t**-0.5, 0.0, 1.0)
+    assert abs(value - 2.0) <= abserr
 
 
 # ---- catalog ---------------------------------------------------------------

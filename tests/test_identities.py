@@ -1,8 +1,10 @@
 """Exact integral identities linking harmonic measure and the Green's function."""
 
+import cmath
 import math
 
 import pytest
+from scipy.integrate import quad
 
 from hardynum import (
     Disk,
@@ -10,13 +12,92 @@ from hardynum import (
     HalfPlane,
     Sector,
     baernstein_identity,
+    decay_exponent,
+    exact_green,
     exact_hm,
     fubini_identity,
     jensen_check,
     run_identity_suite,
     tail_lower_bound,
 )
-from hardynum.identities import SWEEP_ALPHAS, SWEEP_RADII
+from hardynum.identities import (
+    SWEEP_ALPHAS,
+    SWEEP_RADII,
+    _green_circle_integral,
+    _tail_log_integral,
+)
+
+SCIPY_DOMAINS = (HalfPlane(1.0), Sector(math.pi / 2, 1.0), Sector(2 * math.pi, 1.0))
+R_MAX = 1e4  # the truncation radius of the tail and moment integrals
+
+
+def scipy_quad(fn, a, b, points=()):
+    # At large radii the oracles lose digits to cancellation (a log near 0,
+    # 1 minus arctans near pi/2), and quad reports that it cannot reach 1e-12;
+    # its own error estimate must still stay below a quarter of the 1e-8
+    # compared (the worst, the right sector's tail at r = 1024, is 2.1e-9).
+    val, err, _info, *message = quad(fn, a, b, points=sorted(points) or None, epsrel=1e-12,
+                                     epsabs=0.0, limit=1000, full_output=1)
+    assert err <= 2.5e-9 * abs(val), message
+    return val
+
+
+def scipy_circle_integral(d, r, power=1.0, points=()):
+    half = 0.5 * getattr(d, "opening", math.pi)
+    breaks = {t for t in (-half, half) if -math.pi < t < math.pi} | set(points)
+    return scipy_quad(lambda th: exact_green(d, cmath.rect(r, th)) ** power,
+                      -math.pi, math.pi, breaks)
+
+
+# ---- the package's rule against adaptive quadrature ----------------------------
+
+
+@pytest.mark.parametrize("d", SCIPY_DOMAINS, ids=repr)
+def test_circle_and_tail_integrals_match_adaptive_quadrature(d):
+    q = decay_exponent(d)
+    for r in SWEEP_RADII:
+        for power in (1.0, *(alpha + 2.0 for alpha in SWEEP_ALPHAS)):
+            ref = scipy_circle_integral(d, r, power)
+            assert _green_circle_integral(d, r, power) == pytest.approx(ref, rel=1e-8), (r, power)
+        ref = scipy_quad(lambda u: exact_hm(d, r * math.exp(u)), 0.0, math.log(R_MAX))
+        ref += exact_hm(d, r * R_MAX) / q
+        assert _tail_log_integral(d, r) == pytest.approx(ref, rel=1e-8), r
+
+
+def scipy_radial(fn, a_mod, p, breaks=()):
+    # int r^(p-1) fn(r) dr over (a_mod, R_MAX): in u = log r above
+    # max(a_mod, 1), and in r below, where quad's extrapolation copes with the
+    # weight's singularity at r = 0
+    lo = max(a_mod, 1.0)
+    val = scipy_quad(lambda u: math.exp(p * u) * fn(math.exp(u)), math.log(lo), math.log(R_MAX),
+                     {math.log(b) for b in breaks if lo < b < R_MAX})
+    if a_mod < lo:
+        val += scipy_quad(lambda r: r ** (p - 1.0) * fn(r), a_mod, lo, {b for b in breaks if b < lo})
+    return val
+
+
+# the three shapes with basepoint 1 at half their decay exponent, and the
+# disk with its pole at the center, whose circle means have a kink at r = 2
+MOMENT_CASES = [(d, 0.5 * decay_exponent(d), ()) for d in SCIPY_DOMAINS]
+MOMENT_CASES.append((Disk(2.0, basepoint=0.0), 0.5, (2.0,)))
+
+
+@pytest.mark.parametrize("d, p, breaks", MOMENT_CASES, ids=[repr(d) for d, _, _ in MOMENT_CASES])
+def test_moment_integrals_match_adaptive_quadrature(d, p, breaks):
+    a_mod = abs(d.basepoint)
+    q = decay_exponent(d)
+    rhs = scipy_radial(lambda t: exact_hm(d, t) * (1.0 - (a_mod / t) ** p), a_mod, p, breaks)
+    lhs = scipy_radial(lambda r: scipy_circle_integral(d, r, points=[0.0]), a_mod, p, breaks)
+    if math.isfinite(q):
+        omega_top = exact_hm(d, R_MAX)
+        rhs += omega_top * (R_MAX**p / (q - p) - a_mod**p / q)
+        lhs += 2.0 * math.pi * omega_top * R_MAX**p / (q * (q - p))
+    report = fubini_identity(d, p)
+    assert report.lhs == pytest.approx(lhs, rel=1e-8)
+    assert report.rhs == pytest.approx(2.0 * math.pi / p * rhs, rel=1e-8)
+
+
+# ---- the identities -------------------------------------------------------------
 
 
 def test_circle_average_matches_tail_integral_on_halfplane():

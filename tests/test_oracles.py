@@ -149,3 +149,64 @@ def test_decay_exponents():
     assert decay_exponent(Sector(2 * math.pi)) == 0.5
     assert decay_exponent(Disk(1.0)) == math.inf
     assert decay_exponent(DiskExterior(1.0)) == math.inf
+
+
+# ---- array path ---------------------------------------------------------------
+
+ARRAY_DOMAINS = (HalfPlane(1.0 + 0.5j), Sector(math.pi / 2, 1.0), Sector(2 * math.pi, 2.0 + 1.0j),
+                 Disk(2.0, basepoint=0.5 + 0.2j, center=0.3j), Disk(2.0, basepoint=0.0))
+
+
+def test_scalar_tail_values_are_pinned():
+    # recorded before the array path existed: a radius still takes
+    # math-module arithmetic and gives these exact floats
+    hm = ((HalfPlane(1.0 + 0.5j), 3.7, 0.17081401327784684),
+          (Sector(2 * math.pi, 1.0), 123.5, 0.05713188481985687),
+          (Sector(2 * math.pi, 2.0 + 1.0j), 0.25, 0.7987047951439694))
+    for d, r, value in hm:
+        assert type(exact_hm(d, r)) is float and exact_hm(d, r) == value
+
+
+def _green_reference(d, w):
+    # the closed forms one point at a time, in math-module arithmetic
+    w = complex(w)
+    if not d.contains(w):
+        return 0.0
+    if isinstance(d, Disk):
+        a, u = d.basepoint - d.center, w - d.center
+        if u == a:
+            return math.inf
+        return max(math.log(abs(d.radius**2 - a.conjugate() * u) / (d.radius * abs(u - a))), 0.0)
+    a = complex(d.basepoint)
+    if isinstance(d, Sector):
+        power = math.pi / d.opening
+        a, w = a**power, w**power
+    if w == a:
+        return math.inf
+    return max(math.log(abs((w + a.conjugate()) / (w - a))), 0.0)
+
+
+def _probe_points(d):
+    rng = np.random.default_rng(11)
+    w = 3.0 * (rng.normal(size=500) + 1j * rng.normal(size=500))
+    # the pole, the origin, boundary points and points just off the boundary
+    return np.concatenate([w, [d.basepoint, 0j, -2.0 + 0j, 2j, 1e-300 + 1j, 1.0 + 1.0000001j]])
+
+
+@pytest.mark.parametrize("d", ARRAY_DOMAINS, ids=repr)
+def test_green_matches_pointwise_formula(d):
+    w = _probe_points(d)
+    got = exact_green(d, w)
+    assert got.shape == w.shape
+    np.testing.assert_allclose(got, [_green_reference(d, x) for x in w], rtol=1e-12, atol=1e-12)
+    assert all(type(exact_green(d, x)) is float and exact_green(d, x) == g for x, g in zip(w, got))
+
+
+@pytest.mark.parametrize("d", [d for d in ARRAY_DOMAINS if not (isinstance(d, Disk) and d.center)],
+                         ids=repr)
+def test_tail_array_matches_scalar_path(d):
+    # off-center disks have no tail measure inside their modulus band
+    r = np.concatenate([np.linspace(0.0, 50.0, 501), [1e6, 2.0]])
+    got = exact_hm(d, r)
+    want = np.array([exact_hm(d, float(x)) for x in r])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)

@@ -1,9 +1,12 @@
-"""Package surface: every exported name resolves, and the README's Python
-examples run."""
+"""Package surface: every exported name resolves, the README's Python
+examples run, and the CLI imports numpy only."""
 
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import hardynum
@@ -26,3 +29,13 @@ def test_readme_python_examples_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: this one has scipy loaded by the tests' references
+    probe = "import sys, hardynum.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    paths = [str(Path(hardynum.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

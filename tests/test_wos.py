@@ -33,6 +33,10 @@ def test_config_validation():
         WosConfig(n_samples=100, epsilon=-1e-6)
     with pytest.raises(ValueError):
         WosConfig(n_samples=100, max_steps=0)
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            WosConfig(n_samples=100, seed=seed)
+    assert WosConfig(n_samples=100, seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_epsilon_defaults_scale_with_basepoint():
