@@ -64,12 +64,12 @@ def profile_csv(profile) -> str:
 
 
 def growth_csv(gp) -> str:
-    """Growth profile rows (gap, log of the truncated norm, log-log slope)."""
+    """Growth profile rows (gap, log of the truncated norm, log-log slope); each
+    slope is taken from the previous gap, so the first row's slope is empty."""
     lines = ["gap,log_value,slope"]
-    for k, gap in enumerate(gp.gaps):
-        val = fmt_float(gp.log_values[k]) if k < len(gp.log_values) else ""
-        slope = fmt_float(gp.slopes[k - 1]) if 0 < k <= len(gp.slopes) else ""
-        lines.append(f"{fmt_float(gap)},{val},{slope}")
+    for k, (gap, val) in enumerate(zip(gp.gaps, gp.log_values)):
+        slope = fmt_float(gp.slopes[k - 1]) if k > 0 else ""
+        lines.append(f"{fmt_float(gap)},{fmt_float(val)},{slope}")
     return "\n".join(lines) + "\n"
 
 

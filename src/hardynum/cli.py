@@ -27,20 +27,25 @@ from . import function_norms, identities
 from ._serialize import fmt_float, growth_csv, json_dumps, profile_csv, write_text
 from .errors import HardynumError, ZeroMeasure
 from .geometry import HalfPlane, Sector, TailQuery, domain_to_dict, load_domain
-from .hardy_estimator import default_grid, estimate_hardy_number, fit_decay, sampling_warnings
+from .hardy_estimator import (
+    DEFAULT_WINDOW,
+    default_grid,
+    estimate_hardy_number,
+    fit_decay,
+    sampling_warnings,
+)
 from .membership import MembershipQuery, classify_bergman, classify_hardy
 from .oracles import exact_hm
-from .wos import WosConfig, estimate_hm, estimate_profile
+from .wos import DEFAULT_CHUNK, WosConfig, estimate_hm, estimate_profile
 
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 100_000
-DEFAULT_WINDOW = 4
 MC_AGREEMENT_SIGMAS = 4.0
 
 _CATALOG = (
     ("cayley", function_norms.cayley()),
     ("sector_power_half", function_norms.sector_power(0.5)),
-    ("exp_cayley", function_norms.exp_cayley(1.0)),
+    ("exp_cayley", function_norms.exp_cayley()),
     ("identity", function_norms.identity_map()),
 )
 
@@ -52,35 +57,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_domain: bool) -> None:
-        p.add_argument("--domain", required=needs_domain,
-                       help="path to a domain JSON file")
+    # each subcommand declares exactly the flags it reads
+    def add_walks(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-        p.add_argument("--grid", default=None, metavar="R0,RATIO,COUNT",
-                       help="geometric radius grid (default 2*max(1,|a|), ratio 2, 13 points)")
-        p.add_argument("--window", type=int, default=DEFAULT_WINDOW,
-                       help="tail fit over the last WINDOW+1 informative radii (>= 1)")
-        p.add_argument("--chunk", type=int, default=65536,
+        p.add_argument("--chunk", type=int, default=DEFAULT_CHUNK,
                        help="walk batch size (no effect on results)")
         p.add_argument("--out", default=".", help="output directory")
 
-    for name in ("hm", "hardy", "report"):
-        add_common(sub.add_parser(name), needs_domain=True)
+    def add_profile(p: argparse.ArgumentParser, fits: bool) -> None:
+        p.add_argument("--domain", required=True, help="path to a domain JSON file")
+        p.add_argument("--grid", default=None, metavar="R0,RATIO,COUNT",
+                       help="geometric radius grid (default 2*max(1,|a|), ratio 2, 13 points)")
+        add_walks(p)
+        if fits:
+            p.add_argument("--window", type=int, default=DEFAULT_WINDOW,
+                           help="tail fit over the last WINDOW+1 informative radii (>= 1)")
+
+    add_profile(sub.add_parser("hm"), fits=False)
+    for name in ("hardy", "report"):
+        add_profile(sub.add_parser(name), fits=True)
 
     member = sub.add_parser("member")
-    add_common(member, needs_domain=True)
+    add_profile(member, fits=True)
     member.add_argument("--p", type=float, required=True)
     member.add_argument("--alpha", type=float, default=None)
 
     norms = sub.add_parser("norms")
-    add_common(norms, needs_domain=False)
     norms.add_argument("--p", type=float, default=1.0,
                        help="exponent for the growth profile CSVs")
     norms.add_argument("--alpha", type=float, default=0.0)
+    norms.add_argument("--out", default=".", help="output directory")
 
-    verify = sub.add_parser("verify")
-    add_common(verify, needs_domain=False)
+    add_walks(sub.add_parser("verify"))
     return parser
 
 
@@ -142,10 +151,10 @@ def _cmd_hardy(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    query = MembershipQuery(p=args.p, alpha=args.alpha)  # bad exponents fail before any walk
     domain, grid, cfg = _load_inputs(args)
     profile = estimate_profile(domain, grid, cfg)
     fit = fit_decay(profile, tail_window=args.window)
-    query = MembershipQuery(p=args.p, alpha=args.alpha)
     if args.alpha is None:
         verdict = classify_hardy(fit, query)
     else:

@@ -97,21 +97,18 @@ class CatalogFunction:
 
     kind "cayley" is (1+z)/(1-z) onto the right half-plane; "sector_power"
     raises it to the power beta in (0, 2], mapping onto a sector of opening
-    beta*pi; "exp_cayley" is scale * exp((1+z)/(1-z)), an infinite-valence
-    map onto the exterior of the disk of radius scale; "identity" is z.
+    beta*pi; "exp_cayley" is exp((1+z)/(1-z)), an infinite-valence map onto
+    the exterior of the closed unit disk; "identity" is z.
     """
 
     kind: str
     beta: float = 1.0
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_CAYLEY, KIND_SECTOR_POWER, KIND_EXP_CAYLEY, KIND_IDENTITY):
             raise ValueError(f"unknown catalog kind: {self.kind!r}")
         if self.kind == KIND_SECTOR_POWER and not (0.0 < self.beta <= 2.0):
             raise ValueError("sector power beta must lie in (0, 2]")
-        if self.kind == KIND_EXP_CAYLEY and not (self.scale > 0.0):
-            raise ValueError("exp-cayley scale must be positive")
 
     @property
     def univalent(self) -> bool:
@@ -126,7 +123,7 @@ class CatalogFunction:
             return w
         if self.kind == KIND_SECTOR_POWER:
             return w**self.beta
-        return self.scale * _cexp(w)
+        return _cexp(w)
 
     def image_domain(self) -> Domain:
         """The image as a plane domain, for univalent kinds only."""
@@ -154,8 +151,8 @@ def sector_power(beta: float) -> CatalogFunction:
     return CatalogFunction(KIND_SECTOR_POWER, beta=beta)
 
 
-def exp_cayley(scale: float = 1.0) -> CatalogFunction:
-    return CatalogFunction(KIND_EXP_CAYLEY, scale=scale)
+def exp_cayley() -> CatalogFunction:
+    return CatalogFunction(KIND_EXP_CAYLEY)
 
 
 def identity_map() -> CatalogFunction:
@@ -285,7 +282,7 @@ def _log_moduli(f: CatalogFunction, s: np.ndarray, sin2: np.ndarray, cos2: np.nd
     m_minus = s * s + base * sin2  # |1-z|^2
     log_minus = 0.5 * np.log(m_minus)
     if f.kind == KIND_EXP_CAYLEY:
-        log_f = math.log(f.scale) + s * (2.0 - s) / m_minus
+        log_f = s * (2.0 - s) / m_minus
         log_fp = log_f + math.log(2.0) - 2.0 * log_minus if derivative else None
         return log_f, log_fp
     b = f.beta  # cayley is sector_power at beta = 1

@@ -186,7 +186,37 @@ class Sector(Domain):
         return f"Sector(opening={self.opening!r}, basepoint={self.basepoint!r})"
 
 
-class Disk(Domain):
+class _Round(Domain):
+    """The parts Disk and DiskExterior share: the circle |z - center| = radius."""
+
+    def __init__(self, radius: float, basepoint: complex, center: complex) -> None:
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise DegenerateDomain(f"{self.shape} radius must be positive, got {radius!r}")
+        self.radius = float(radius)
+        self.center = complex(center)
+        self.basepoint = complex(basepoint)
+        self._check_basepoint()
+
+    def projections(self, zs: np.ndarray) -> np.ndarray:
+        rel = zs - self.center
+        mod = np.abs(rel)
+        # the center is equidistant from the whole circle; it projects to center + radius
+        at_center = mod == 0.0
+        rel = np.where(at_center, 1.0, rel)
+        mod = np.where(at_center, 1.0, mod)
+        return self.center + self.radius * rel / mod
+
+    def boundary_modulus_sup(self) -> float:
+        return abs(self.center) + self.radius
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(radius={self.radius!r}, basepoint={self.basepoint!r}, "
+            f"center={self.center!r})"
+        )
+
+
+class Disk(_Round):
     """Open disk {|z - center| < radius}."""
 
     shape = "disk"
@@ -195,12 +225,7 @@ class Disk(Domain):
     simply_connected = True
 
     def __init__(self, radius: float, basepoint: complex = 0.0, center: complex = 0.0) -> None:
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise DegenerateDomain(f"disk radius must be positive, got {radius!r}")
-        self.radius = float(radius)
-        self.center = complex(center)
-        self.basepoint = complex(basepoint)
-        self._check_basepoint()
+        super().__init__(radius, basepoint, center)
 
     def contains(self, z: complex) -> bool:
         return abs(complex(z) - self.center) < self.radius
@@ -208,21 +233,8 @@ class Disk(Domain):
     def distances(self, zs: np.ndarray) -> np.ndarray:
         return self.radius - np.abs(zs - self.center)
 
-    def projections(self, zs: np.ndarray) -> np.ndarray:
-        rel = zs - self.center
-        mod = np.abs(rel)
-        # basepoint exactly at the center projects to an arbitrary boundary point
-        safe = np.where(mod == 0.0, 1.0, mod)
-        return self.center + self.radius * rel / safe
 
-    def boundary_modulus_sup(self) -> float:
-        return abs(self.center) + self.radius
-
-    def __repr__(self) -> str:
-        return f"Disk(radius={self.radius!r}, basepoint={self.basepoint!r}, center={self.center!r})"
-
-
-class DiskExterior(Domain):
+class DiskExterior(_Round):
     """Exterior {|z - center| > radius}.
 
     Not regular: the point at infinity belongs to the boundary in the
@@ -236,33 +248,13 @@ class DiskExterior(Domain):
     simply_connected = False
 
     def __init__(self, radius: float, basepoint: complex = 2.0, center: complex = 0.0) -> None:
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise DegenerateDomain(f"radius must be positive, got {radius!r}")
-        self.radius = float(radius)
-        self.center = complex(center)
-        self.basepoint = complex(basepoint)
-        self._check_basepoint()
+        super().__init__(radius, basepoint, center)
 
     def contains(self, z: complex) -> bool:
         return abs(complex(z) - self.center) > self.radius
 
     def distances(self, zs: np.ndarray) -> np.ndarray:
         return np.abs(zs - self.center) - self.radius
-
-    def projections(self, zs: np.ndarray) -> np.ndarray:
-        rel = zs - self.center
-        mod = np.abs(rel)
-        safe = np.where(mod == 0.0, 1.0, mod)
-        return self.center + self.radius * rel / safe
-
-    def boundary_modulus_sup(self) -> float:
-        return abs(self.center) + self.radius
-
-    def __repr__(self) -> str:
-        return (
-            f"DiskExterior(radius={self.radius!r}, basepoint={self.basepoint!r}, "
-            f"center={self.center!r})"
-        )
 
 
 class MappedDomain(Domain):
@@ -320,10 +312,8 @@ def affine_image(d: Domain, a_coef: complex, b_coef: complex) -> Domain:
     _require_finite(b, "b_coef")
 
     new_base = a * d.basepoint + b
-    if isinstance(d, Disk):
-        return Disk(abs(a) * d.radius, new_base, a * d.center + b)
-    if isinstance(d, DiskExterior):
-        return DiskExterior(abs(a) * d.radius, new_base, a * d.center + b)
+    if isinstance(d, _Round):
+        return type(d)(abs(a) * d.radius, new_base, a * d.center + b)
     if isinstance(d, HalfPlane) and a.imag == 0 and a.real > 0 and b.real == 0:
         return HalfPlane(new_base)
     if isinstance(d, Sector) and a.imag == 0 and a.real > 0 and b == 0:
@@ -340,7 +330,7 @@ def domain_to_dict(d: Domain) -> dict:
     out: dict = {"shape": d.shape}
     if isinstance(d, Sector):
         out["opening"] = d.opening
-    if isinstance(d, (Disk, DiskExterior)):
+    if isinstance(d, _Round):
         out["radius"] = d.radius
         if d.center != 0:
             out["center"] = [d.center.real, d.center.imag]
@@ -384,11 +374,9 @@ def domain_from_dict(data: dict) -> Domain:
         return HalfPlane(basepoint)
     if shape == "sector":
         return Sector(_number_from(data, "opening"), basepoint)
-    if shape == "disk":
-        return Disk(_number_from(data, "radius"), basepoint, _point_from(data, "center", 0.0))
-    if shape == "disk_exterior":
-        return DiskExterior(_number_from(data, "radius"), basepoint,
-                            _point_from(data, "center", 0.0))
+    round_cls = {"disk": Disk, "disk_exterior": DiskExterior}.get(shape)
+    if round_cls is not None:
+        return round_cls(_number_from(data, "radius"), basepoint, _point_from(data, "center", 0.0))
     raise UnsupportedShape(f"unknown shape {shape!r}")
 
 

@@ -48,6 +48,9 @@ __all__ = [
 # noise comparable to the slope itself).
 MAX_REL_STDERR = 0.05
 
+# the fit runs through the last DEFAULT_WINDOW + 1 informative radii
+DEFAULT_WINDOW = 4
+
 # confidence multiplier for the reported halfwidth
 _CI_FACTOR = 1.96
 
@@ -149,7 +152,7 @@ def _informative_entries(profile: DecayProfile, tail_window: int) -> list[Profil
     return used
 
 
-def fit_decay(profile: DecayProfile, tail_window: int = 4) -> DecayFit:
+def fit_decay(profile: DecayProfile, tail_window: int = DEFAULT_WINDOW) -> DecayFit:
     """Least-squares line through (log r, log 1/omega) over the last
     tail_window + 1 informative entries.
 
@@ -202,7 +205,8 @@ def sampling_warnings(profile: DecayProfile) -> list[str]:
     return []
 
 
-def estimate_hardy_number(profile: DecayProfile, tail_window: int = 4) -> HardyNumberEstimate:
+def estimate_hardy_number(profile: DecayProfile,
+                          tail_window: int = DEFAULT_WINDOW) -> HardyNumberEstimate:
     """The decay exponent of fit_decay, with a 95% half-width and warnings.
 
     Where the tail is empty -- fit_decay returns q = inf or raises
@@ -231,12 +235,10 @@ def estimate_hardy_number(profile: DecayProfile, tail_window: int = 4) -> HardyN
     return HardyNumberEstimate(math.inf, tail_window, 0.0, tuple(warnings))
 
 
-def default_grid(d: Domain, count: int = 13, ratio: float = 2.0) -> list[float]:
-    """Geometric radius grid 2*max(1, |basepoint|) * ratio**k."""
-    if count < 2 or ratio <= 1.0:
-        raise ValueError("need count >= 2 and ratio > 1")
+def default_grid(d: Domain) -> list[float]:
+    """Geometric radius grid 2*max(1, |basepoint|) * 2**k, k = 0..12."""
     r0 = 2.0 * max(1.0, abs(d.basepoint))
-    return [r0 * ratio**k for k in range(count)]
+    return [r0 * 2.0**k for k in range(13)]
 
 
 def oracle_profile(d: Domain, grid: list[float]) -> DecayProfile:

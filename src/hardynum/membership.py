@@ -15,6 +15,7 @@ divergence direction uses the integral test directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .hardy_estimator import DecayFit
@@ -45,10 +46,10 @@ class MembershipQuery:
     alpha: float | None = None  # None queries H^p, a number queries A^p_alpha
 
     def __post_init__(self) -> None:
-        if not (self.p > 0):
-            raise ValueError("exponent p must be positive")
-        if self.alpha is not None and not (self.alpha > -1):
-            raise ValueError("weight alpha must be > -1")
+        if not (0.0 < self.p < math.inf):
+            raise ValueError(f"exponent p must be finite and > 0, got {self.p!r}")
+        if self.alpha is not None and not (-1.0 < self.alpha < math.inf):
+            raise ValueError(f"weight alpha must be finite and > -1, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,8 @@ class MembershipVerdict:
     query_ratio: float  # p for Hardy, p/(alpha+2) for Bergman
 
 
-def _three_way(ratio: float, q: float, margin: float, member_rationale: str) -> MembershipVerdict:
+def _three_way(ratio: float, q: float, member_rationale: str) -> MembershipVerdict:
+    margin = DEFAULT_MARGIN
     if ratio < q - margin:
         return MembershipVerdict(VERDICT_MEMBER, margin, member_rationale, q, ratio)
     if ratio > q + margin:
@@ -68,16 +70,12 @@ def _three_way(ratio: float, q: float, margin: float, member_rationale: str) -> 
     return MembershipVerdict(VERDICT_INCONCLUSIVE, margin, RATIONALE_NEAR_CRITICAL, q, ratio)
 
 
-def classify_hardy(
-    fit: DecayFit, query: MembershipQuery, margin: float = DEFAULT_MARGIN
-) -> MembershipVerdict:
+def classify_hardy(fit: DecayFit, query: MembershipQuery) -> MembershipVerdict:
     """H^p membership: member when p clears the decay exponent by the margin."""
-    return _three_way(query.p, fit.q, margin, RATIONALE_DECAY)
+    return _three_way(query.p, fit.q, RATIONALE_DECAY)
 
 
-def classify_bergman(
-    fit: DecayFit, query: MembershipQuery, margin: float = DEFAULT_MARGIN
-) -> MembershipVerdict:
+def classify_bergman(fit: DecayFit, query: MembershipQuery) -> MembershipVerdict:
     """A^p_alpha membership via the critical ratio p/(alpha+2).
 
     The member direction is justified by the embedding of H^q (with
@@ -88,4 +86,4 @@ def classify_bergman(
     if query.alpha is None:
         raise ValueError("Bergman query needs a weight alpha")
     ratio = query.p / (query.alpha + 2.0)
-    return _three_way(ratio, fit.q, margin, RATIONALE_EMBEDDING)
+    return _three_way(ratio, fit.q, RATIONALE_EMBEDDING)

@@ -33,14 +33,20 @@ from .rng import stream_keys, uniforms
 
 __all__ = ["WosConfig", "HmEstimate", "estimate_hm", "estimate_profile"]
 
+DEFAULT_CHUNK = 65536  # walks per batch; batching never changes a result
+
+
+def absorption_epsilon(d: Domain) -> float:
+    """The absorption shell: 1e-6 * max(1, |basepoint|)."""
+    return 1e-6 * max(1.0, abs(d.basepoint))
+
 
 @dataclass(frozen=True)
 class WosConfig:
     n_samples: int
     seed: int = 0
-    epsilon: float | None = None  # default 1e-6 * max(1, |basepoint|)
     max_steps: int = 1_000_000
-    chunk_size: int = 65536  # batching only; results do not depend on it
+    chunk_size: int = DEFAULT_CHUNK
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
@@ -49,15 +55,8 @@ class WosConfig:
         # this range would silently share its streams with one inside it
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
-        if self.epsilon is not None and not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
         if self.max_steps < 1 or self.chunk_size < 1:
             raise ValueError("max_steps and chunk_size must be >= 1")
-
-    def resolve_epsilon(self, d: Domain) -> float:
-        if self.epsilon is not None:
-            return self.epsilon
-        return 1e-6 * max(1.0, abs(d.basepoint))
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ def _exit_moduli(d: Domain, cfg: WosConfig) -> np.ndarray:
         raise DegenerateDomain(
             f"boundary distance at the basepoint must be positive, got {start_dist!r}"
         )
-    eps = cfg.resolve_epsilon(d)
+    eps = absorption_epsilon(d)
 
     out = np.full(cfg.n_samples, np.nan)
     for lo in range(0, cfg.n_samples, cfg.chunk_size):

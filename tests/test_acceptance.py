@@ -133,7 +133,7 @@ def test_criterion_07_function_side_exponents_match_domain_side():
 
 
 def test_criterion_08_divergence_witness_blows_up():
-    f = exp_cayley(1.0)
+    f = exp_cayley()
     growth_floor = math.log(10.0)
     worst = math.inf
     for p in (0.5, 1.0, 2.0):

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, serialization format."""
 
+import argparse
 import functools
 import json
 import math
@@ -205,6 +206,22 @@ def test_norms_rejects_invalid_exponents(tmp_path, capsys, flags, named):
     assert not (out / "norms.json").exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--p", "1", "--alpha", "inf"], "weight alpha"),
+    (["--p", "1", "--alpha", "nan"], "weight alpha"),
+    (["--p", "inf"], "exponent p"),
+    (["--p", "1e400"], "exponent p"),
+    (["--p", "nan"], "exponent p"),
+    (["--p", "inf", "--alpha", "0"], "exponent p"),
+], ids=["alpha_inf", "alpha_nan", "p_inf", "p_1e400", "p_nan", "p_inf_bergman"])
+def test_member_rejects_non_finite_exponents(tmp_path, halfplane_json, capsys, flags, named):
+    out = tmp_path / "out"
+    assert main(["member", "--domain", halfplane_json, "--samples", "200", *flags,
+                 "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "member.json").exists()
+
+
 # ---- verify -----------------------------------------------------------------
 
 
@@ -347,6 +364,51 @@ def test_non_positive_window_exits_2(tmp_path, halfplane_json, capsys):
                    "--window", "0", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "tail_window must be >= 1" in capsys.readouterr().err
+
+
+_PROFILE_FLAGS = {"--domain", "--grid", "--seed", "--samples", "--chunk", "--out"}
+CLI_SURFACE = {
+    "hm": _PROFILE_FLAGS,
+    "hardy": _PROFILE_FLAGS | {"--window"},
+    "report": _PROFILE_FLAGS | {"--window"},
+    "member": _PROFILE_FLAGS | {"--window", "--p", "--alpha"},
+    "norms": {"--p", "--alpha", "--out"},
+    "verify": {"--seed", "--samples", "--chunk", "--out"},
+}
+
+
+def _subparsers():
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SURFACE))
+def test_cli_surface(command):
+    # each subcommand takes exactly the flags it reads
+    options = {opt for action in _subparsers()[command]._actions
+               for opt in action.option_strings if opt not in ("-h", "--help")}
+    assert options == CLI_SURFACE[command]
+
+
+def test_cli_surface_lists_every_command():
+    assert set(_subparsers()) == set(CLI_SURFACE)
+    assert sum(len(flags) for flags in CLI_SURFACE.values()) == 36
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "--seed", "1"],
+    ["norms", "--samples", "0"],
+    ["verify", "--grid", "2,2,3"],
+    ["verify", "--domain", "x.json"],
+    ["hm", "--domain", "x.json", "--window", "3"],
+], ids=["norms_seed", "norms_samples", "verify_grid", "verify_domain", "hm_window"])
+def test_unread_flags_are_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_command_exits_2():

@@ -44,7 +44,7 @@ def log_modulus_f(f, s, theta):
         return math.log(1.0 - s)
     m_minus = s * s + 4.0 * (1.0 - s) * math.sin(0.5 * theta) ** 2
     if f.kind == "exp_cayley":
-        return math.log(f.scale) + s * (2.0 - s) / m_minus
+        return s * (2.0 - s) / m_minus
     m_plus = s * s + 4.0 * (1.0 - s) * math.cos(0.5 * theta) ** 2
     return 0.5 * f.beta * (math.log(m_plus) - math.log(m_minus))
 
@@ -213,8 +213,6 @@ def test_catalog_parameter_validation():
         sector_power(0.0)
     with pytest.raises(ValueError):
         sector_power(3.0)
-    with pytest.raises(ValueError):
-        exp_cayley(0.0)
 
 
 # ---- log-space sums and the node table --------------------------------------

@@ -184,6 +184,15 @@ def test_disk_exterior_projection_points_at_circle():
     assert np.allclose(np.abs(proj), 2.0, rtol=1e-14)
 
 
+@pytest.mark.parametrize("d", [s for s in SHAPES if isinstance(s, (Disk, DiskExterior))], ids=repr)
+def test_center_projects_onto_the_circle(d):
+    # the whole circle is nearest to the center; its projection is center + radius
+    zs = np.array([d.center, d.center + 0.5j])
+    proj = d.projections(zs)
+    assert proj[0] == d.center + d.radius
+    assert abs(abs(proj[1] - d.center) - d.radius) <= 1e-15 * d.radius
+
+
 # ---- affine maps -----------------------------------------------------------
 
 

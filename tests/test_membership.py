@@ -19,6 +19,7 @@ from hardynum import (
     fit_decay,
     oracle_profile,
 )
+from hardynum.membership import DEFAULT_MARGIN
 
 
 def power_profile(q, amp=1.0, radii=None, source="oracle", stderr_rel=0.0):
@@ -109,6 +110,9 @@ def test_query_validation():
         MembershipQuery(-1.0)
     with pytest.raises(ValueError):
         MembershipQuery(1.0, alpha=-1.0)
+    for p, alpha in ((math.inf, None), (math.nan, None), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            MembershipQuery(p, alpha=alpha)
 
 
 def test_bergman_query_needs_alpha():
@@ -160,9 +164,7 @@ def test_margin_boundaries():
     assert classify_hardy(fit, MembershipQuery(0.96)).verdict == "inconclusive"
     assert classify_hardy(fit, MembershipQuery(1.04)).verdict == "inconclusive"
     assert classify_hardy(fit, MembershipQuery(1.06)).verdict == "not_member"
-    wide = classify_hardy(fit, MembershipQuery(1.04), margin=0.01)
-    assert wide.verdict == "not_member"
-    assert wide.margin == 0.01
+    assert classify_hardy(fit, MembershipQuery(1.06)).margin == DEFAULT_MARGIN == 0.05
 
 
 def test_hardy_bergman_coherence():

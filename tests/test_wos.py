@@ -21,7 +21,7 @@ from hardynum import (
     estimate_profile,
     exact_hm,
 )
-from hardynum.wos import _exit_moduli, _jump
+from hardynum.wos import _exit_moduli, _jump, absorption_epsilon
 
 
 def test_config_validation():
@@ -29,8 +29,6 @@ def test_config_validation():
         WosConfig(n_samples=0)
     with pytest.raises(ValueError):
         WosConfig(n_samples=100, chunk_size=0)
-    with pytest.raises(ValueError):
-        WosConfig(n_samples=100, epsilon=-1e-6)
     with pytest.raises(ValueError):
         WosConfig(n_samples=100, max_steps=0)
     for seed in (-1, 2**64, 2**64 + 5):
@@ -40,9 +38,8 @@ def test_config_validation():
 
 
 def test_epsilon_defaults_scale_with_basepoint():
-    cfg = WosConfig(n_samples=10)
-    assert cfg.resolve_epsilon(HalfPlane(1.0)) == pytest.approx(1e-6)
-    assert cfg.resolve_epsilon(HalfPlane(100.0)) == pytest.approx(1e-4)
+    assert absorption_epsilon(HalfPlane(1.0)) == pytest.approx(1e-6)
+    assert absorption_epsilon(HalfPlane(100.0)) == pytest.approx(1e-4)
 
 
 def test_halfplane_matches_oracle_within_four_sigma():
@@ -132,7 +129,7 @@ def test_bounded_disk_step_values(tiny_cfg):
 
 
 def test_no_termination_raises():
-    cfg = WosConfig(n_samples=100, seed=0, max_steps=1, epsilon=1e-12)
+    cfg = WosConfig(n_samples=100, seed=0, max_steps=1)
     with pytest.raises(DegenerateDomain):
         estimate_hm(HalfPlane(1.0), TailQuery(2.0), cfg)
 
