@@ -26,7 +26,7 @@ from pathlib import Path
 from . import function_norms, identities
 from ._serialize import fmt_float, growth_csv, json_dumps, profile_csv, write_text
 from .errors import HardynumError, ZeroMeasure
-from .geometry import HalfPlane, Sector, TailQuery, domain_to_dict, load_domain
+from .geometry import HalfPlane, Sector, domain_to_dict, load_domain
 from .hardy_estimator import (
     DEFAULT_WINDOW,
     default_grid,
@@ -215,7 +215,7 @@ def _mc_agreement_checks(cfg: WosConfig) -> list[dict]:
         ("mc_vs_oracle_right_angle_sector", Sector(opening=0.5 * math.pi,
                                                    basepoint=1.0 + 0.0j), 10.0),
     ):
-        est = estimate_hm(domain, TailQuery(r), cfg)
+        est = estimate_hm(domain, r, cfg)
         exact = exact_hm(domain, r)
         gap = abs(est.value - exact)
         checks.append({

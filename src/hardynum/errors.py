@@ -5,10 +5,6 @@ class HardynumError(ValueError):
     """Base class for all package-specific errors."""
 
 
-class ZeroScale(HardynumError):
-    """Affine map with zero linear coefficient."""
-
-
 class UnsupportedShape(HardynumError):
     """No closed form is available for this domain."""
 

@@ -8,19 +8,22 @@ Domains are open connected subsets of the complex plane. Built-in shapes:
     Disk           {|z - center| < radius}
     DiskExterior   {|z - center| > radius}
 
+These four are the only shapes: every query, oracle and JSON form handles
+each of them and nothing else.
+
 Every domain carries a basepoint (an interior point used as the start of
-random walks and as the pole of Green's functions) and three structural
-flags: ``regular`` (all boundary points regular for the Dirichlet problem),
-``bounded`` and ``simply_connected``. ``DiskExterior`` is not regular: its
-boundary in the extended plane includes the point at infinity, which planar
-Brownian motion never reaches.
+random walks and as the pole of Green's functions; the constructor default
+is 1 for HalfPlane and Sector, 0 for Disk and 2 for DiskExterior) and three
+structural flags: ``regular`` (all boundary points regular for the Dirichlet
+problem), ``bounded`` and ``simply_connected``. ``DiskExterior`` is not
+regular: its boundary in the extended plane includes the point at infinity,
+which planar Brownian motion never reaches.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,18 +32,14 @@ from .errors import (
     DegenerateDomain,
     HardynumError,
     UnsupportedShape,
-    ZeroScale,
 )
 
 __all__ = [
-    "TailQuery",
     "Domain",
     "HalfPlane",
     "Sector",
     "Disk",
     "DiskExterior",
-    "MappedDomain",
-    "affine_image",
     "domain_to_dict",
     "domain_from_dict",
     "load_domain",
@@ -50,28 +49,10 @@ __all__ = [
 _TWO_PI = 2 * math.pi
 
 
-def _require_finite(z: complex, what: str) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DegenerateDomain(f"{what} must have finite components, got {z!r}")
-    return z
-
-
-@dataclass(frozen=True)
-class TailQuery:
-    """Tail-set query: the part of the boundary with modulus above r."""
-
-    r: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise DegenerateDomain(f"tail radius must be finite and >= 0, got {self.r!r}")
-
-
 class Domain:
     """Base class; concrete shapes implement the geometric queries."""
 
-    shape: str = "generic"
+    shape: str
     basepoint: complex
     regular: bool
     bounded: bool
@@ -97,7 +78,9 @@ class Domain:
         raise NotImplementedError
 
     def _check_basepoint(self) -> None:
-        _require_finite(self.basepoint, "basepoint")
+        b = self.basepoint
+        if not (math.isfinite(b.real) and math.isfinite(b.imag)):
+            raise DegenerateDomain(f"basepoint must have finite components, got {b!r}")
         if not self.contains(self.basepoint):
             raise BasepointOutsideDomain(
                 f"basepoint {self.basepoint!r} is not inside the domain"
@@ -257,76 +240,10 @@ class DiskExterior(_Round):
         return np.abs(zs - self.center) - self.radius
 
 
-class MappedDomain(Domain):
-    """Affine image a*D + b of a base domain, with exact pulled-back queries.
-
-    It has no JSON form and no closed-form oracle."""
-
-    shape = "generic"
-
-    def __init__(self, base: Domain, a: complex, b: complex) -> None:
-        self._base = base
-        self._a = complex(a)
-        self._b = complex(b)
-        self.basepoint = self._a * base.basepoint + self._b
-        self.regular = base.regular
-        self.bounded = base.bounded
-        self.simply_connected = base.simply_connected
-
-    def _pull(self, z: complex) -> complex:
-        return (complex(z) - self._b) / self._a
-
-    def contains(self, z: complex) -> bool:
-        return self._base.contains(self._pull(z))
-
-    def distances(self, zs: np.ndarray) -> np.ndarray:
-        # affine maps scale all distances by |a|, so exactness is preserved
-        return abs(self._a) * self._base.distances((zs - self._b) / self._a)
-
-    def projections(self, zs: np.ndarray) -> np.ndarray:
-        return self._a * self._base.projections((zs - self._b) / self._a) + self._b
-
-    def boundary_modulus_sup(self) -> float:
-        base_sup = self._base.boundary_modulus_sup()
-        if math.isinf(base_sup):
-            return math.inf
-        return abs(self._a) * base_sup + abs(self._b)
-
-    def __repr__(self) -> str:
-        return f"MappedDomain({self._base!r}, a={self._a!r}, b={self._b!r})"
-
-
-def affine_image(d: Domain, a_coef: complex, b_coef: complex) -> Domain:
-    """Image of the domain under z -> a_coef*z + b_coef.
-
-    Disks stay disks under every affine map. Half-planes and sectors stay
-    built-in only when the map fixes their defining rays (positive real
-    scaling, plus an imaginary translation for the half-plane); otherwise the
-    result is a wrapped domain with exact pulled-back queries.
-    """
-    a = complex(a_coef)
-    b = complex(b_coef)
-    if a == 0:
-        raise ZeroScale("affine map needs a nonzero linear coefficient")
-    _require_finite(a, "a_coef")
-    _require_finite(b, "b_coef")
-
-    new_base = a * d.basepoint + b
-    if isinstance(d, _Round):
-        return type(d)(abs(a) * d.radius, new_base, a * d.center + b)
-    if isinstance(d, HalfPlane) and a.imag == 0 and a.real > 0 and b.real == 0:
-        return HalfPlane(new_base)
-    if isinstance(d, Sector) and a.imag == 0 and a.real > 0 and b == 0:
-        return Sector(d.opening, new_base)
-    return MappedDomain(d, a, b)
-
-
 # ---- JSON interface ------------------------------------------------------
 
 
 def domain_to_dict(d: Domain) -> dict:
-    if d.shape == "generic":
-        raise UnsupportedShape(f"domain {d!r} has no JSON form; only built-in shapes do")
     out: dict = {"shape": d.shape}
     if isinstance(d, Sector):
         out["opening"] = d.opening
@@ -352,31 +269,36 @@ def _number_from(data: dict, field: str) -> float:
     return float(value)
 
 
-def _point_from(data: dict, field: str, default) -> complex:
-    """A number, or a pair [re, im] of numbers."""
-    value = data.get(field, default)
+def _point_from(data: dict, field: str) -> dict:
+    """{field: point} when the field is given, a number or a pair [re, im] of
+    numbers; {} when it is not, so that the constructor default applies."""
+    if field not in data:
+        return {}
+    value = data[field]
     if _is_number(value):
-        return complex(value)
+        return {field: complex(value)}
     if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
-        return complex(float(value[0]), float(value[1]))
+        return {field: complex(float(value[0]), float(value[1]))}
     raise HardynumError(
         f"domain field {field!r} must be a number or a pair [re, im], got {value!r}"
     )
 
 
 def domain_from_dict(data: dict) -> Domain:
+    """The domain a JSON object describes; an omitted basepoint or center
+    takes the constructor's default."""
     if not isinstance(data, dict):
         raise HardynumError(f"a domain must be a JSON object, got {type(data).__name__}")
     shape = data.get("shape")
-    basepoint = _point_from(data, "basepoint", [1.0, 0.0])
+    basepoint = _point_from(data, "basepoint")
     # "regular" is derived from the shape and ignored on input
     if shape == "half_plane":
-        return HalfPlane(basepoint)
+        return HalfPlane(**basepoint)
     if shape == "sector":
-        return Sector(_number_from(data, "opening"), basepoint)
+        return Sector(_number_from(data, "opening"), **basepoint)
     round_cls = {"disk": Disk, "disk_exterior": DiskExterior}.get(shape)
     if round_cls is not None:
-        return round_cls(_number_from(data, "radius"), basepoint, _point_from(data, "center", 0.0))
+        return round_cls(_number_from(data, "radius"), **basepoint, **_point_from(data, "center"))
     raise UnsupportedShape(f"unknown shape {shape!r}")
 
 

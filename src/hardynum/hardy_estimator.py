@@ -14,10 +14,12 @@ walk-on-spheres sampler; Monte Carlo profiles are first trimmed to the radii
 whose estimates are statistically informative, since an empirical zero at a
 rarely-hit radius says nothing about the true decay.
 
-An exact zero is a different matter: when the tail set itself is empty
-(bounded domains, disk exteriors past their boundary radius) the formula
-produces +inf, and the estimate carries a warning saying whether that +inf
-is meaningful (bounded domain) or an artifact (non-regular domain).
+An exact zero is a different matter under one empty-tail rule: omega = 0 at
+or beyond the largest boundary modulus (DecayProfile.boundary_sup), where
+the tail set is empty. There the formula produces +inf, and the estimate
+carries a warning saying whether that +inf is meaningful (bounded domain)
+or an artifact (non-regular domain). An unbounded boundary has
+boundary_sup = inf, so every zero on it is a sampling or rounding zero.
 """
 
 from __future__ import annotations
@@ -78,12 +80,15 @@ class DecayProfile:
     source: str  # "oracle" or "monte_carlo"
     domain_regular: bool | None = None
     domain_bounded: bool | None = None
-    boundary_sup: float | None = None  # sup of boundary moduli; None if unknown
+    boundary_sup: float = math.inf  # sup of boundary moduli
     n_samples: int = 0  # walks behind a Monte Carlo profile
     n_unterminated: int = 0  # walks that exhausted the step budget
 
     def __post_init__(self) -> None:
         radii = [e.r for e in self.entries]
+        # an infinite radius would sit at or beyond any boundary_sup, inf included
+        if not all(map(math.isfinite, radii)):
+            raise ValueError("profile radii must be finite")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("profile radii must be strictly increasing")
         for e in self.entries:
@@ -124,18 +129,6 @@ class HardyNumberEstimate:
     used_radii: tuple[float, float] | None = None
 
 
-def _structural_zero(profile: DecayProfile, entry: ProfileEntry) -> bool:
-    # a zero is structural when the boundary simply has no points beyond r
-    if profile.source == "oracle":
-        return True
-    sup = profile.boundary_sup
-    if sup is not None and not math.isinf(sup):
-        return entry.r >= sup
-    if profile.domain_bounded:
-        return True
-    return False
-
-
 def _informative_entries(profile: DecayProfile, tail_window: int) -> list[ProfileEntry]:
     """The positive-omega entries up to the first whose relative standard
     error exceeds MAX_REL_STDERR, keeping at least tail_window + 1 of them when
@@ -156,8 +149,8 @@ def fit_decay(profile: DecayProfile, tail_window: int = DEFAULT_WINDOW) -> Decay
     """Least-squares line through (log r, log 1/omega) over the last
     tail_window + 1 informative entries.
 
-    A tail set that is empty beyond some radius (a structural zero) means
-    omega vanishes faster than any power: the fit is q = inf, with
+    A zero at or beyond profile.boundary_sup, where the tail set is empty,
+    means omega vanishes faster than any power: the fit is q = inf, with
     log_intercept = inf (zero amplitude). On a non-regular domain that zero is
     an artifact of the boundary, not a decay rate, and ZeroMeasure is raised,
     as it is for a profile that is zero everywhere for no structural reason.
@@ -165,7 +158,7 @@ def fit_decay(profile: DecayProfile, tail_window: int = DEFAULT_WINDOW) -> Decay
     if tail_window < 1:
         raise ValueError("tail_window must be >= 1")
     zeros = [e for e in profile.entries if e.omega == 0.0]
-    structural = any(_structural_zero(profile, e) for e in zeros)
+    structural = any(e.r >= profile.boundary_sup for e in zeros)
     if structural and profile.domain_regular is not False:
         span = (profile.entries[0].r, profile.entries[-1].r)
         return DecayFit(math.inf, math.inf, 0.0, span, len(profile.entries), 0.0)

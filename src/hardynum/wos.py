@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasepointOutsideDomain, DegenerateDomain
-from .geometry import Domain, TailQuery
+from .geometry import Domain
 from .hardy_estimator import DecayProfile, ProfileEntry
 from .rng import stream_keys, uniforms
 
@@ -138,10 +138,17 @@ def _estimate_from_moduli(moduli: np.ndarray, r: float, n: int) -> HmEstimate:
     )
 
 
-def estimate_hm(d: Domain, q: TailQuery, cfg: WosConfig) -> HmEstimate:
-    """Monte Carlo estimate of the harmonic measure of the tail beyond q.r."""
+def _check_radii(radii: list[float]) -> None:
+    # NaN fails both comparisons
+    if not all(0.0 <= r < math.inf for r in radii):
+        raise ValueError(f"tail radii must be finite and >= 0, got {radii!r}")
+
+
+def estimate_hm(d: Domain, r: float, cfg: WosConfig) -> HmEstimate:
+    """Monte Carlo estimate of the harmonic measure of the tail beyond modulus r."""
+    _check_radii([r])
     moduli = _exit_moduli(d, cfg)
-    return _estimate_from_moduli(moduli, q.r, cfg.n_samples)
+    return _estimate_from_moduli(moduli, r, cfg.n_samples)
 
 
 def estimate_profile(d: Domain, grid: list[float], cfg: WosConfig) -> DecayProfile:
@@ -153,8 +160,7 @@ def estimate_profile(d: Domain, grid: list[float], cfg: WosConfig) -> DecayProfi
     radii = [float(r) for r in grid]
     if any(b <= a for a, b in zip(radii, radii[1:])) or not radii:
         raise ValueError("grid must be a non-empty strictly increasing radius list")
-    if radii[0] < 0:
-        raise ValueError("grid radii must be >= 0")
+    _check_radii(radii)
 
     moduli = _exit_moduli(d, cfg)
     ests = [_estimate_from_moduli(moduli, r, cfg.n_samples) for r in radii]

@@ -19,7 +19,6 @@ from hardynum import (
     HalfPlane,
     MembershipQuery,
     Sector,
-    TailQuery,
     WosConfig,
     bergman_growth_profile,
     cayley,
@@ -94,11 +93,10 @@ def test_criterion_04_bounded_domain_infinite():
 
 def test_criterion_05_monte_carlo_vs_oracle_coverage():
     d = HalfPlane(1.0)
-    q = TailQuery(10.0)
     target = 0.063451
     hits = 0
     for seed in range(20):
-        est = estimate_hm(d, q, WosConfig(n_samples=N_SAMPLES, seed=seed))
+        est = estimate_hm(d, 10.0, WosConfig(n_samples=N_SAMPLES, seed=seed))
         if abs(est.value - target) <= 3.0 * est.stderr:
             hits += 1
     assert hits >= 19, f"only {hits}/20 seeds within 3 stderr"

@@ -48,6 +48,18 @@ def test_hm_writes_profile_csv(tmp_path, halfplane_json):
     assert float(lines[2].split(",")[3]) > 0.0
 
 
+def test_hm_omitted_basepoint_is_the_constructor_default(tmp_path):
+    # off-center, so that where the walks start shows in omega(2)
+    runs = []
+    for name, extra in (("omitted", ""), ("given", ', "basepoint": [0, 0]')):
+        path = tmp_path / f"{name}.json"
+        path.write_text('{"shape": "disk", "radius": 2.0, "center": [0.5, 0.0]%s}' % extra)
+        out = tmp_path / name
+        assert main(["hm", "--domain", str(path), "--samples", "2000", "--out", str(out)]) == 0
+        runs.append((out / "profile.csv").read_bytes())
+    assert runs[0] == runs[1]
+
+
 # ---- hardy ------------------------------------------------------------------
 
 

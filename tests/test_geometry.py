@@ -1,6 +1,5 @@
-"""Geometry: shapes, distances, projections, affine maps, JSON round trips."""
+"""Geometry: shapes, distances, projections, JSON round trips."""
 
-import cmath
 import json
 import math
 
@@ -15,12 +14,8 @@ from hardynum import (
     Disk,
     DiskExterior,
     HalfPlane,
-    MappedDomain,
     Sector,
-    TailQuery,
     UnsupportedShape,
-    ZeroScale,
-    affine_image,
     domain_from_dict,
     domain_to_dict,
     dump_domain,
@@ -51,17 +46,6 @@ def _interior_points(d, rng, n=40):
 
 
 # ---- validation ----------------------------------------------------------
-
-
-def test_tail_query_validation():
-    TailQuery(0.0)
-    TailQuery(10.0)
-    with pytest.raises(ValueError):
-        TailQuery(-1.0)
-    with pytest.raises(ValueError):
-        TailQuery(math.inf)
-    with pytest.raises(ValueError):
-        TailQuery(math.nan)
 
 
 def test_degenerate_shapes_rejected():
@@ -124,18 +108,25 @@ def _sector_rays(opening):
     return [complex(math.cos(half), math.sin(half)), complex(math.cos(half), -math.sin(half))]
 
 
-def _brute_ray_distance(z, rays):
-    # minimum over sampled points t*u, t >= 0, of both rays; the distance is
-    # convex in t, so zooming in around the best sample converges to it
+def _brute_distance(z, d):
+    """Distance from z to a sampled boundary of d: the two rays of a sector,
+    the imaginary axis as the rays from 0 through +-i, or the circle. The
+    distance to each piece is unimodal in its parameter, so zooming in around
+    the best sample converges to it."""
+    if isinstance(d, (Disk, DiskExterior)):
+        pieces = [(lambda t: d.center + d.radius * np.exp(1j * t), -math.inf, 2 * math.pi)]
+    else:
+        rays = [1j, -1j] if isinstance(d, HalfPlane) else _sector_rays(d.opening)
+        pieces = [(lambda t, u=u: t * u, 0.0, 4.0 * abs(z) + 1.0) for u in rays]
     best = math.inf
-    for u in rays:
-        lo, hi = 0.0, 4.0 * abs(z) + 1.0
+    for curve, floor, hi in pieces:
+        lo = 0.0
         for _ in range(8):
             t = np.linspace(lo, hi, 1001)
-            dist = np.abs(z - t * u)
+            dist = np.abs(z - curve(t))
             k = int(np.argmin(dist))
             width = hi - lo
-            lo, hi = max(t[k] - width / 500, 0.0), t[k] + width / 500
+            lo, hi = max(t[k] - width / 500, floor), t[k] + width / 500
         best = min(best, float(dist.min()))
     return best
 
@@ -162,7 +153,7 @@ def test_sector_distances_and_projections_match_brute_force(opening):
     dist = d.distances(pts)
     proj = d.projections(pts)
     scale = np.maximum(1.0, np.abs(pts))
-    ref = np.array([_brute_ray_distance(z, rays) for z in pts])
+    ref = np.array([_brute_distance(z, d) for z in pts])
     assert np.all(np.abs(dist - ref) <= 1e-12 * scale)
     # the projection is at the stated distance and lies on a ray
     assert np.all(np.abs(np.abs(pts - proj) - dist) <= 1e-12 * scale)
@@ -193,49 +184,6 @@ def test_center_projects_onto_the_circle(d):
     assert abs(abs(proj[1] - d.center) - d.radius) <= 1e-15 * d.radius
 
 
-# ---- affine maps -----------------------------------------------------------
-
-
-def test_affine_image_preserves_contains():
-    rng = np.random.default_rng(14)
-    for d in SHAPES:
-        for _ in range(6):
-            a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            if abs(a) < 0.1:
-                a = 1.5j
-            b = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            img = affine_image(d, a, b)
-            assert img.basepoint == a * d.basepoint + b
-            for z in _interior_points(d, rng, n=8):
-                assert img.contains(a * z + b)
-            # points outside map to points outside
-            for _ in range(8):
-                w = complex(rng.uniform(-40, 40), rng.uniform(-40, 40))
-                assert d.contains(w) == img.contains(a * w + b)
-
-
-def test_affine_closed_families():
-    img = affine_image(Disk(1.0, 0.5), 2.0j, 1.0)
-    assert isinstance(img, Disk)
-    assert img.radius == 2.0
-    assert img.center == 1.0
-    assert img.basepoint == 1.0 + 1.0j
-
-    img = affine_image(DiskExterior(1.0), 3.0, 0.0)
-    assert isinstance(img, DiskExterior) and img.radius == 3.0
-
-    assert isinstance(affine_image(HalfPlane(1.0), 2.0, 5.0j), HalfPlane)
-    assert isinstance(affine_image(Sector(math.pi), 0.5, 0.0), Sector)
-    # maps that move the defining rays fall back to the wrapped form
-    assert isinstance(affine_image(HalfPlane(1.0), 1.0j, 0.0), MappedDomain)
-    assert isinstance(affine_image(Sector(math.pi), 1.0, 1.0), MappedDomain)
-
-
-def test_affine_zero_scale_rejected():
-    with pytest.raises(ZeroScale):
-        affine_image(HalfPlane(1.0), 0.0, 1.0)
-
-
 _COORDS = st.floats(-4.0, 4.0)
 _POINTS = st.builds(complex, _COORDS, _COORDS)
 _RADII = st.floats(0.1, 4.0)
@@ -245,46 +193,22 @@ _SHAPES = st.one_of(
     st.builds(lambda r, c: Disk(r, c + 0.5 * r, c), _RADII, _POINTS),
     st.builds(lambda r, c: DiskExterior(r, c + 2.0 * r, c), _RADII, _POINTS),
 )
-# positive reals keep half-planes and sectors in their closed families
-_SCALES = st.one_of(_RADII, st.builds(cmath.rect, _RADII, st.floats(-math.pi, math.pi)))
-
-
-def _unique_projection(d, zs):
-    """Points off the set where two boundary points are nearest (the bisector
-    of a sector, the center of a disk), where the projection is well defined."""
-    scale = np.maximum(1.0, np.abs(zs))
-    if isinstance(d, Sector):
-        return np.abs(zs.imag) > 1e-9 * scale
-    if isinstance(d, (Disk, DiskExterior)):
-        return np.abs(zs - d.center) > 1e-9 * scale
-    return np.ones(zs.shape, dtype=bool)
 
 
 @settings(max_examples=100, deadline=None)
-@given(d=_SHAPES, a=_SCALES, b=st.one_of(st.just(0j), _POINTS),
+@given(d=_SHAPES,
        offsets=st.lists(st.builds(complex, st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
                         max_size=16))
-def test_affine_image_maps_distances_and_projections(d, a, b, offsets):
-    # built-in images and MappedDomain alike: distances scale by |a| and
-    # nearest boundary points map along with the domain
-    img = affine_image(d, a, b)
+def test_distances_and_projections_match_brute_force(d, offsets):
+    # every built-in shape against a sampled boundary: the distance, the
+    # projection at that distance, and the projection on the boundary
     zs = np.array([z for z in (d.basepoint + w for w in [0j, *offsets]) if d.contains(z)])
-    ws = a * zs + b
+    dist = d.distances(zs)
+    proj = d.projections(zs)
     tol = 1e-12 * np.maximum(1.0, np.abs(zs))
-    assert np.all(np.abs(img.distances(ws) - abs(a) * d.distances(zs)) <= tol)
-    unique = _unique_projection(d, zs)
-    gap = np.abs(img.projections(ws[unique]) - (a * d.projections(zs[unique]) + b))
-    assert np.all(gap <= tol[unique])
-
-
-def test_mapped_domain_scales_distances_exactly():
-    base = HalfPlane(1.0)
-    img = affine_image(base, 2.0j, 0.0)  # rotated, stays exact
-    zs = np.array([1.0 + 2j, 3.0 - 1j, 0.5 + 0j])
-    assert np.allclose(img.distances(2.0j * zs), 2.0 * base.distances(zs), rtol=1e-14)
-    assert img.bounded == base.bounded
-    assert img.regular == base.regular
-    assert img.simply_connected == base.simply_connected
+    assert np.all(np.abs(dist - [_brute_distance(z, d) for z in zs]) <= tol)
+    assert np.all(np.abs(np.abs(zs - proj) - dist) <= tol)
+    assert np.all(np.array([_brute_distance(w, d) for w in proj]) <= tol)
 
 
 # ---- structure flags --------------------------------------------------------
@@ -332,12 +256,21 @@ def test_json_file_round_trip(tmp_path):
     assert back.opening == d.opening and back.basepoint == d.basepoint
 
 
-def test_json_rejects_unknown_shape_and_generic():
+def test_json_rejects_unknown_shape():
     with pytest.raises(UnsupportedShape):
         domain_from_dict({"shape": "pacman", "basepoint": [1.0, 0.0]})
-    rotated = affine_image(HalfPlane(1.0), 1.0j, 0.0)  # a MappedDomain
-    with pytest.raises(UnsupportedShape):
-        domain_to_dict(rotated)
+
+
+@pytest.mark.parametrize("data, default", [
+    ({"shape": "half_plane"}, HalfPlane()),
+    ({"shape": "sector", "opening": math.pi / 2}, Sector(math.pi / 2)),
+    ({"shape": "disk", "radius": 2.0}, Disk(2.0)),
+    ({"shape": "disk_exterior", "radius": 1.0}, DiskExterior(1.0)),
+], ids=["half_plane", "sector", "disk", "disk_exterior"])
+def test_json_without_basepoint_takes_the_constructor_default(data, default):
+    d = domain_from_dict(data)
+    assert d.basepoint == {"half_plane": 1, "sector": 1, "disk": 0, "disk_exterior": 2}[d.shape]
+    assert domain_to_dict(d) == domain_to_dict(default)
 
 
 def test_json_scalar_basepoint_accepted():

@@ -14,7 +14,6 @@ from hardynum import (
     Sector,
     TooFewPoints,
     WosConfig,
-    affine_image,
     default_grid,
     estimate_hardy_number,
     estimate_profile,
@@ -48,6 +47,14 @@ def power_law_profile(q, amp=1.0, n_walks=None):
 
 
 # ---- profile construction ---------------------------------------------------
+
+
+def test_profile_rejects_non_finite_radii():
+    # an infinite radius would read as past any boundary_sup, inf included
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            DecayProfile(entries=(ProfileEntry(2.0, 0.5), ProfileEntry(r, 0.0)),
+                         source="monte_carlo", domain_regular=True)
 
 
 def test_profile_requires_increasing_radii():
@@ -114,9 +121,11 @@ def test_narrower_sector_has_larger_exponent():
 
 
 def test_affine_invariance_on_oracle_profiles():
+    # HalfPlane(3 + 1.5j) is the image of HalfPlane(1) under z -> 3z + 1.5i,
+    # Sector(pi/2, 0.5) that of Sector(pi/2, 1) under z -> z/2
     pairs = [
-        (HalfPlane(1.0), affine_image(HalfPlane(1.0), 3.0, 1.5j)),
-        (Sector(math.pi / 2, 1.0), affine_image(Sector(math.pi / 2, 1.0), 0.5, 0.0)),
+        (HalfPlane(1.0), HalfPlane(3.0 + 1.5j)),
+        (Sector(math.pi / 2, 1.0), Sector(math.pi / 2, 0.5)),
     ]
     for d, img in pairs:
         a = estimate_hardy_number(oracle_profile(d, default_grid(d))).value
@@ -185,6 +194,18 @@ def test_structural_zero_past_boundary_sup_is_infinite():
     est = estimate_hardy_number(profile, tail_window=1)
     assert est.value == math.inf
     assert est.warnings[0] == WARN_NON_REGULAR
+
+
+def test_underflowing_oracle_tail_is_not_empty():
+    # exact_hm of the right-angle sector rounds to 0 from r of about 1e8 on,
+    # but its boundary is unbounded: those zeros are dropped, not read as an
+    # empty tail
+    d = Sector(math.pi / 2, 1.0)
+    profile = oracle_profile(d, [2.0 * 4**k for k in range(16)])
+    assert profile.entries[-1].omega == 0.0
+    est = estimate_hardy_number(profile)
+    assert est.value == pytest.approx(2.0, abs=0.01)
+    assert est.warnings == ()
 
 
 # ---- noisy-tail trimming -----------------------------------------------------

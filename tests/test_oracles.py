@@ -8,10 +8,10 @@ import pytest
 from hardynum import (
     Disk,
     DiskExterior,
+    Domain,
     HalfPlane,
     Sector,
     UnsupportedShape,
-    affine_image,
     decay_exponent,
     exact_green,
     exact_hm,
@@ -95,7 +95,10 @@ def test_offcenter_disk_inside_band_unsupported():
 
 
 def test_generic_domain_has_no_oracle():
-    g = affine_image(HalfPlane(1.0), 1.0j, 0.0)  # rotated: a MappedDomain
+    class UpperHalfPlane(Domain):
+        basepoint = 1j
+
+    g = UpperHalfPlane()
     with pytest.raises(UnsupportedShape):
         exact_hm(g, 2.0)
     with pytest.raises(UnsupportedShape):

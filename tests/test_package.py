@@ -1,5 +1,6 @@
 """Package surface: every exported name resolves, the README's Python
-examples run, and the CLI imports numpy only."""
+examples run, the CLI imports numpy only, and the benchmark tracer finds
+every name it patches."""
 
 import importlib
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import hardynum
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -39,3 +41,17 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    # the tracer patches package names by module.__dict__, so deleting or
+    # renaming one (cli.estimate_hm, identities.quad, ...) fails here
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    tracing = importlib.import_module("tracing")
+    from hardynum import HalfPlane, WosConfig, cli, wos
+
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        cli.estimate_hm(HalfPlane(), 2.0, WosConfig(n_samples=100))
+    assert [(s.name, s.work) for s in tracer.spans if s.layer == "wos"] == [("estimate_hm", 100)]
+    assert cli.estimate_hm is wos.estimate_hm  # the original is back

@@ -14,13 +14,12 @@ from hardynum import (
     DiskExterior,
     HalfPlane,
     Sector,
-    TailQuery,
     WosConfig,
-    affine_image,
     estimate_hm,
     estimate_profile,
     exact_hm,
 )
+from hardynum import wos
 from hardynum.wos import _exit_moduli, _jump, absorption_epsilon
 
 
@@ -45,7 +44,7 @@ def test_epsilon_defaults_scale_with_basepoint():
 def test_halfplane_matches_oracle_within_four_sigma():
     d = HalfPlane(1.0)
     cfg = WosConfig(n_samples=100_000, seed=0)
-    est = estimate_hm(d, TailQuery(10.0), cfg)
+    est = estimate_hm(d, 10.0, cfg)
     truth = exact_hm(d, 10.0)
     assert est.n_unterminated == 0
     assert abs(est.value - truth) <= 4.0 * est.stderr
@@ -53,7 +52,7 @@ def test_halfplane_matches_oracle_within_four_sigma():
 
 def test_sector_matches_oracle_within_four_sigma(fast_cfg):
     d = Sector(math.pi / 2, 1.0)
-    est = estimate_hm(d, TailQuery(5.0), fast_cfg)
+    est = estimate_hm(d, 5.0, fast_cfg)
     truth = exact_hm(d, 5.0)
     assert abs(est.value - truth) <= 4.0 * est.stderr
 
@@ -71,16 +70,15 @@ def test_profile_entry_equals_single_radius_run(fast_cfg):
     # shared-walk profiles and one-off estimates reuse the same streams
     d = HalfPlane(1.0)
     profile = estimate_profile(d, [2.0, 8.0], fast_cfg)
-    single = estimate_hm(d, TailQuery(8.0), fast_cfg)
+    single = estimate_hm(d, 8.0, fast_cfg)
     assert profile.entries[1].omega == single.value
     assert profile.entries[1].stderr == single.stderr
 
 
 def test_bit_identical_across_chunk_sizes():
     d = HalfPlane(1.0)
-    q = TailQuery(10.0)
     runs = [
-        estimate_hm(d, q, WosConfig(n_samples=20_000, seed=5, chunk_size=c))
+        estimate_hm(d, 10.0, WosConfig(n_samples=20_000, seed=5, chunk_size=c))
         for c in (20_000, 977, 3_000)
     ]
     assert len({(e.value, e.stderr, e.n_unterminated) for e in runs}) == 1
@@ -88,27 +86,27 @@ def test_bit_identical_across_chunk_sizes():
 
 def test_different_seeds_differ():
     d = HalfPlane(1.0)
-    q = TailQuery(4.0)
-    a = estimate_hm(d, q, WosConfig(n_samples=5_000, seed=1))
-    b = estimate_hm(d, q, WosConfig(n_samples=5_000, seed=2))
+    a = estimate_hm(d, 4.0, WosConfig(n_samples=5_000, seed=1))
+    b = estimate_hm(d, 4.0, WosConfig(n_samples=5_000, seed=2))
     assert a.value != b.value
 
 
 def test_scale_invariance_real_factor(fast_cfg):
-    # z -> 2z sends the tail past r to the tail past 2r
-    d = HalfPlane(1.0)
-    img = affine_image(d, 2.0, 0.0)
-    a = estimate_hm(d, TailQuery(6.0), fast_cfg)
-    b = estimate_hm(img, TailQuery(12.0), fast_cfg)
+    # z -> 2z maps HalfPlane(1) onto HalfPlane(2) and the tail past r to the tail past 2r
+    a = estimate_hm(HalfPlane(1.0), 6.0, fast_cfg)
+    b = estimate_hm(HalfPlane(2.0), 12.0, fast_cfg)
     assert abs(a.value - b.value) <= 4.0 * (a.stderr + b.stderr)
 
 
-def test_scale_invariance_rotation(fast_cfg):
-    # rotations keep moduli: wrapped-domain walks agree with the base domain
-    d = HalfPlane(1.0)
-    img = affine_image(d, 2.0j, 0.0)
-    a = estimate_hm(d, TailQuery(6.0), fast_cfg)
-    b = estimate_hm(img, TailQuery(12.0), fast_cfg)
+def test_scale_invariance_rotation(tiny_cfg):
+    # a rotation about the origin keeps moduli: an off-center disk and its
+    # rotated copy give the same tail measure at a radius inside their band
+    d = Disk(1.0, basepoint=1.5, center=1.5)
+    turn = complex(math.cos(2.0), math.sin(2.0))
+    img = Disk(1.0, basepoint=1.5 * turn, center=1.5 * turn)
+    a = estimate_hm(d, 1.2, tiny_cfg)
+    b = estimate_hm(img, 1.2, tiny_cfg)
+    assert 0.0 < a.value < 1.0
     assert abs(a.value - b.value) <= 4.0 * (a.stderr + b.stderr)
 
 
@@ -116,37 +114,52 @@ def test_disk_exterior_tail_measure_is_zero(tiny_cfg):
     # every absorbed walk lands on the unit circle, inside any r > 1
     d = DiskExterior(1.0)
     for r in (1.5, 2.0, 10.0):
-        est = estimate_hm(d, TailQuery(r), tiny_cfg)
+        est = estimate_hm(d, r, tiny_cfg)
         assert est.value == 0.0
         assert est.stderr == 0.0
 
 
 def test_bounded_disk_step_values(tiny_cfg):
     d = Disk(1.0, basepoint=0.0)
-    assert estimate_hm(d, TailQuery(0.5), tiny_cfg).value == 1.0
-    assert estimate_hm(d, TailQuery(2.0), tiny_cfg).value == 0.0
-    assert estimate_hm(d, TailQuery(2.0), tiny_cfg).n_unterminated == 0
+    assert estimate_hm(d, 0.5, tiny_cfg).value == 1.0
+    assert estimate_hm(d, 2.0, tiny_cfg).value == 0.0
+    assert estimate_hm(d, 2.0, tiny_cfg).n_unterminated == 0
 
 
 def test_no_termination_raises():
     cfg = WosConfig(n_samples=100, seed=0, max_steps=1)
     with pytest.raises(DegenerateDomain):
-        estimate_hm(HalfPlane(1.0), TailQuery(2.0), cfg)
+        estimate_hm(HalfPlane(1.0), 2.0, cfg)
 
 
 def test_unterminated_walks_reported_not_hidden():
     # a tight step budget on the exterior domain leaves some walks running
     cfg = WosConfig(n_samples=500, seed=3, max_steps=50)
-    est = estimate_hm(DiskExterior(1.0), TailQuery(2.0), cfg)
+    est = estimate_hm(DiskExterior(1.0), 2.0, cfg)
     assert est.n_unterminated > 0
     assert est.n_samples == 500
 
 
-def test_grid_validation(fast_cfg):
+def _no_walks(*args):
+    raise AssertionError("walks ran before the radius check")
+
+
+def test_grid_validation(fast_cfg, monkeypatch):
+    monkeypatch.setattr(wos, "_exit_moduli", _no_walks)
     with pytest.raises(ValueError):
         estimate_profile(HalfPlane(1.0), [], fast_cfg)
     with pytest.raises(ValueError):
         estimate_profile(HalfPlane(1.0), [4.0, 2.0], fast_cfg)
+    for grid in ([2.0, math.inf], [-1.0, 2.0], [2.0, math.nan, 4.0]):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            estimate_profile(HalfPlane(1.0), grid, fast_cfg)
+
+
+def test_estimate_hm_rejects_bad_radius(fast_cfg, monkeypatch):
+    monkeypatch.setattr(wos, "_exit_moduli", _no_walks)
+    for r in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            estimate_hm(HalfPlane(1.0), r, fast_cfg)
 
 
 def test_jump_direction_matches_mpmath():
