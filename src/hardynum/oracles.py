@@ -7,7 +7,9 @@ quadrature.
 Harmonic measure of the boundary tail E_r = {w on the boundary : |w| > r}
 seen from the basepoint:
 
-    half-plane   1 - (1/pi) * (atan((r-y)/x) + atan((r+y)/x)),  a = x + iy
+    half-plane   1 - (1/pi) * (atan((r-y)/x) + atan((r+y)/x)),  a = x + iy,
+                 evaluated as (1/pi) * (atan(x/(r-y)) + atan(x/(r+y)))
+                 for r > |y|, where the first form cancels
     sector       pulled back through w -> w**(pi/opening), which maps the
                  sector conformally onto the right half-plane and sends the
                  tail beyond r to the tail beyond r**(pi/opening)
@@ -27,10 +29,23 @@ __all__ = ["exact_hm", "exact_green", "decay_exponent"]
 
 
 def _halfplane_tail(a: complex, r):
-    # integral of the Poisson kernel of {Re z > 0} over {it : |t| > r}
+    # integral of the Poisson kernel of {Re z > 0} over {it : |t| > r}.
+    # For r > |y| both arctangents of the first form near pi/2 and its
+    # 1 - ... cancels; atan(s) = pi/2 - atan(1/s) for s > 0 gives the
+    # complementary form, which does not.
     x, y = a.real, a.imag
-    atan = math.atan if np.ndim(r) == 0 else np.arctan
-    return 1.0 - (atan((r - y) / x) + atan((r + y) / x)) / math.pi
+    if np.ndim(r) == 0:
+        if r > abs(y):
+            return (math.atan(x / (r - y)) + math.atan(x / (r + y))) / math.pi
+        return 1.0 - (math.atan((r - y) / x) + math.atan((r + y) / x)) / math.pi
+    r = np.asarray(r, dtype=float)
+    far = r > abs(y)
+    # each form only where it is used, so no division by r -+ y = 0
+    rf, rn = r[far], r[~far]
+    out = np.empty_like(r)
+    out[far] = (np.arctan(x / (rf - y)) + np.arctan(x / (rf + y))) / math.pi
+    out[~far] = 1.0 - (np.arctan((rn - y) / x) + np.arctan((rn + y) / x)) / math.pi
+    return out
 
 
 def exact_hm(d: Domain, r):

@@ -4,7 +4,8 @@ Each sample owns a keyed stream; draw k of stream i depends only on
 (seed, i, k). Results are therefore bit-identical no matter how samples are
 batched, vectorized or scheduled. The generator is the splitmix64 finalizer
 over a Weyl sequence, applied twice: once to derive the per-sample key from
-(seed, sample index), once per draw.
+(seed, sample index), once per draw. Since a draw depends on nothing but
+its (key, step) pair, one call can draw many steps of many streams at once.
 
 All arithmetic is on uint64 arrays, which wrap modulo 2**64 without a
 warning, so no call needs an ``np.errstate``.
@@ -38,8 +39,17 @@ def stream_keys(seed: int, indices: np.ndarray) -> np.ndarray:
     return _mix(base + offsets)
 
 
-def uniforms(keys: np.ndarray, step: int) -> np.ndarray:
-    """The step-th uniform in [0, 1) of each keyed stream."""
-    bits = _mix(keys + np.uint64((_PHI * (step + 1)) & _MASK))
+def uniforms(keys: np.ndarray, step) -> np.ndarray:
+    """The step-th uniform in [0, 1) of each keyed stream.
+
+    ``step`` is an int, or an integer array shaped like ``keys`` that gives
+    each key its own step: element j is then draw ``step[j]`` of stream
+    ``keys[j]``, the same bits as ``uniforms(keys[j:j+1], int(step[j]))``.
+    """
+    if np.ndim(step) == 0:
+        counter = np.uint64((_PHI * (int(step) + 1)) & _MASK)
+    else:
+        counter = (step.astype(np.uint64) + _ONE) * np.uint64(_PHI)
+    bits = _mix(keys + counter)
     # top 53 bits give a dyadic uniform in [0, 1)
     return (bits >> _S11) * 2.0**-53

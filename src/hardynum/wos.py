@@ -17,6 +17,19 @@ transcendental, the tan, where cos and sin cost two.
 Randomness comes from counter-based per-sample streams keyed by
 (seed, sample index), so estimates are bit-identical for a fixed seed and
 sample count no matter how the samples are batched or parallelized.
+
+Step blocks. When few walkers are left, as in the long tail of a
+disk-exterior run, numpy's per-call overhead and not arithmetic sets the
+cost of a step. So the kernel draws the uniforms, and takes their tan, for
+up to MAX_BLOCK_STEPS steps in one call, keeping a block to about
+BLOCK_DRAWS draws; a wide walker set gets one step per block, as it
+would without blocks. A block is drawn after the step's absorptions and
+never runs past max_steps; when walkers are absorbed mid-block, its
+columns are compacted with the same mask as the walkers. No bit changes:
+draw k of a stream depends only on (key, k), whatever call makes it, and
+tan and the step formula act elementwise. A block only costs the draws of
+its steps that an absorbed walker no longer needs, at most
+MAX_BLOCK_STEPS - 1 per walk.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasepointOutsideDomain, DegenerateDomain
+from .errors import DegenerateDomain
 from .geometry import Domain
 from .hardy_estimator import DecayProfile, ProfileEntry
 from .rng import stream_keys, uniforms
@@ -34,6 +47,10 @@ from .rng import stream_keys, uniforms
 __all__ = ["WosConfig", "HmEstimate", "estimate_hm", "estimate_profile"]
 
 DEFAULT_CHUNK = 65536  # walks per batch; batching never changes a result
+# step blocks (see the module docstring): up to BLOCK_DRAWS draws and
+# MAX_BLOCK_STEPS steps per block; blocking never changes a result either
+BLOCK_DRAWS = 4096
+MAX_BLOCK_STEPS = 64
 
 
 def absorption_epsilon(d: Domain) -> float:
@@ -69,16 +86,12 @@ class HmEstimate:
 
 
 def _exit_moduli(d: Domain, cfg: WosConfig) -> np.ndarray:
-    """Modulus of the boundary projection of each absorbed walk (nan if not absorbed)."""
-    if not d.contains(d.basepoint):
-        raise BasepointOutsideDomain(f"basepoint {d.basepoint!r} not inside domain")
-    start_dist = float(d.distances(np.asarray([d.basepoint], dtype=complex))[0])
-    if not (math.isfinite(start_dist) and start_dist > 0.0):
-        raise DegenerateDomain(
-            f"boundary distance at the basepoint must be positive, got {start_dist!r}"
-        )
-    eps = absorption_epsilon(d)
+    """Modulus of the boundary projection of each absorbed walk (nan if not absorbed).
 
+    Every built-in constructor checks that the basepoint is inside the
+    domain, so its boundary distance is positive and finite.
+    """
+    eps = absorption_epsilon(d)
     out = np.full(cfg.n_samples, np.nan)
     for lo in range(0, cfg.n_samples, cfg.chunk_size):
         hi = min(lo + cfg.chunk_size, cfg.n_samples)
@@ -87,11 +100,17 @@ def _exit_moduli(d: Domain, cfg: WosConfig) -> np.ndarray:
     return out
 
 
+def _block_steps(walkers: int, steps_left: int) -> int:
+    """Steps drawn in one block for this many live walkers (1 for wide sets)."""
+    return min(MAX_BLOCK_STEPS, steps_left, max(1, BLOCK_DRAWS // walkers))
+
+
 def _walk_chunk(d: Domain, eps: float, max_steps: int, keys: np.ndarray) -> np.ndarray:
     m = len(keys)
     z = np.full(m, complex(d.basepoint), dtype=complex)
     out = np.full(m, np.nan)
     pos = np.arange(m)
+    block = None  # rows of tan(pi*u) for steps not yet taken, one column per walker
 
     # Walks in unbounded domains can wander past float range; the position
     # saturates to inf/nan, its distance is never below eps again, and the
@@ -109,13 +128,31 @@ def _walk_chunk(d: Domain, eps: float, max_steps: int, keys: np.ndarray) -> np.n
                 dist = dist[keep]
                 if z.size == 0:
                     break
-            _jump(z, dist, uniforms(keys, step))
+                if block is not None:
+                    block = block[row:, keep]
+                    row = 0
+            if block is None:
+                block = _directions(keys, step, _block_steps(z.size, max_steps - step))
+                row = 0
+            _jump(z, dist, block[row])
+            row += 1
+            if row == len(block):
+                block = None  # a spent block kept to the next draw raises peak memory
     return out
 
 
-def _jump(z: np.ndarray, dist: np.ndarray, u: np.ndarray) -> None:
-    """Move each z, in place, by dist in the direction 2*pi*u (half-angle form)."""
-    t = np.tan(np.pi * u)
+def _directions(keys: np.ndarray, step: int, k: int) -> np.ndarray:
+    """tan(pi*u) for the draws of steps step..step+k-1, one row per step."""
+    m = len(keys)
+    if k == 1:  # the scalar step, with no per-draw step array on a wide set
+        return np.tan(np.pi * uniforms(keys, step))[None]
+    # one key per draw, so a caller counting keys counts draws
+    steps = np.repeat(np.arange(step, step + k, dtype=np.uint64), m)
+    return np.tan(np.pi * uniforms(np.tile(keys, k), steps)).reshape(k, m)
+
+
+def _jump(z: np.ndarray, dist: np.ndarray, t: np.ndarray) -> None:
+    """Move each z, in place, by dist in the direction 2*pi*u, where t = tan(pi*u)."""
     g = 2.0 * dist / (1.0 + t * t)
     z.real += g - dist
     z.imag += g * t

@@ -204,6 +204,10 @@ def test_distances_and_projections_match_brute_force(d, offsets):
     # projection at that distance, and the projection on the boundary
     zs = np.array([z for z in (d.basepoint + w for w in [0j, *offsets]) if d.contains(z)])
     dist = d.distances(zs)
+    # the constructor put the basepoint inside, so the walks start at a
+    # positive finite distance; wos relies on this and does not re-check it
+    assert zs[0] == d.basepoint
+    assert math.isfinite(dist[0]) and dist[0] > 0.0
     proj = d.projections(zs)
     tol = 1e-12 * np.maximum(1.0, np.abs(zs))
     assert np.all(np.abs(dist - [_brute_distance(z, d) for z in zs]) <= tol)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -34,6 +35,27 @@ def test_sector_frozen_value():
     d = Sector(math.pi / 2, 1.0)
     assert exact_hm(d, 10.0) == pytest.approx(SECTOR_HALFPI_R10, rel=1e-13)
     assert exact_hm(d, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("d, power", [
+    (HalfPlane(1.0), 1),
+    (HalfPlane(2.0 - 3.0j), 1),
+    (Sector(math.pi / 2, 1.0), 2),
+    (Sector(math.pi / 2, 1.5 + 0.5j), 2),
+], ids=repr)
+def test_tail_against_mpmath_far_out(d, power):
+    # 50-digit mpmath of the closed form, through r = 1e12: omega falls to
+    # 1e-25 there, and a form that cancels would lose every digit
+    radii = np.geomspace(0.5, 1e12, 50)
+    arr = exact_hm(d, radii)
+    with mpmath.workdps(50):
+        a = mpmath.mpc(d.basepoint.real, d.basepoint.imag) ** power
+        x, y = a.real, a.imag
+        for r, got in zip(radii, arr):
+            rp = mpmath.mpf(float(r)) ** power
+            truth = 1 - (mpmath.atan((rp - y) / x) + mpmath.atan((rp + y) / x)) / mpmath.pi
+            for value in (got, exact_hm(d, float(r))):
+                assert abs(value - truth) <= 1e-13 * truth, r
 
 
 def test_sector_agrees_with_halfplane_pullback():
@@ -161,10 +183,10 @@ ARRAY_DOMAINS = (HalfPlane(1.0 + 0.5j), Sector(math.pi / 2, 1.0), Sector(2 * mat
 
 
 def test_scalar_tail_values_are_pinned():
-    # recorded before the array path existed: a radius still takes
-    # math-module arithmetic and gives these exact floats
-    hm = ((HalfPlane(1.0 + 0.5j), 3.7, 0.17081401327784684),
-          (Sector(2 * math.pi, 1.0), 123.5, 0.05713188481985687),
+    # a radius takes math-module arithmetic and gives these exact floats,
+    # each within an ulp of its 50-digit value
+    hm = ((HalfPlane(1.0 + 0.5j), 3.7, 0.1708140132778468),
+          (Sector(2 * math.pi, 1.0), 123.5, 0.05713188481985686),
           (Sector(2 * math.pi, 2.0 + 1.0j), 0.25, 0.7987047951439694))
     for d, r, value in hm:
         assert type(exact_hm(d, r)) is float and exact_hm(d, r) == value

@@ -55,3 +55,25 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
         cli.estimate_hm(HalfPlane(), 2.0, WosConfig(n_samples=100))
     assert [(s.name, s.work) for s in tracer.spans if s.layer == "wos"] == [("estimate_hm", 100)]
     assert cli.estimate_hm is wos.estimate_hm  # the original is back
+
+
+def test_benchmark_tracer_counts_every_draw(monkeypatch):
+    # the tracer counts draws as the keys passed to wos.uniforms; a kernel
+    # that drew a block of steps per key would hide draws from it. Every
+    # jump takes one draw, and a block wastes at most MAX_BLOCK_STEPS - 1
+    # draws of a walk absorbed before its end
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    tracing = importlib.import_module("tracing")
+    from hardynum import DiskExterior, WosConfig, wos
+
+    walks = 200
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        wos.estimate_hm(DiskExterior(1.0), 2.0, WosConfig(n_samples=walks, max_steps=20_000))
+
+    def work(layer, name):
+        return sum(s.work for s in tracer.spans if s.layer == layer and s.name == name)
+
+    jumps = work("geometry", "distances") - work("geometry", "projections")
+    draws = work("rng", "uniforms")
+    assert jumps <= draws <= jumps + (wos.MAX_BLOCK_STEPS - 1) * walks

@@ -81,21 +81,39 @@ def _ref_uniform(key, step):
 
 
 PIN_INDICES = [0, 1, 2, 12_345, 2**32, 2**63, 2**64 - 2, 2**64 - 1]
+WRAPPING_KEYS = [2**64 - 1, 2**64 - 2, 2**64 - PHI, 2**64 - PHI - 1, 0, 1, PHI, 2**63]
 
 
 def test_stream_bits_match_python_reference():
     # every sum and product below wraps modulo 2**64; RuntimeWarning is an
     # error in this suite, so this also shows that the wrap warns nothing
     idx = np.array(PIN_INDICES, dtype=np.uint64)
-    wrapping_keys = [2**64 - 1, 2**64 - 2, 2**64 - PHI, 2**64 - PHI - 1, 0, 1, PHI, 2**63]
     for seed in (0, 7, 2**64 - 1):
         keys = stream_keys(seed, idx)
         assert [int(k) for k in keys] == [_ref_key(seed, i) for i in PIN_INDICES]
-        for key_list in ([int(k) for k in keys], wrapping_keys):
+        for key_list in ([int(k) for k in keys], WRAPPING_KEYS):
             key_arr = np.array(key_list, dtype=np.uint64)
             for step in (0, 1, 10**6):
                 got = uniforms(key_arr, step)
                 assert got.tolist() == [_ref_uniform(k, step) for k in key_list]
+
+
+def test_array_steps_give_the_stacked_per_step_draws():
+    # an array of steps pairs each key with its own step: tiling the keys
+    # over k steps gives the k per-step draws stacked, bit for bit
+    keys = [_ref_key(7, i) for i in PIN_INDICES] + WRAPPING_KEYS
+    key_arr = np.array(keys, dtype=np.uint64)
+    steps = [0, 1, 2, 63, 64, 10**6, 2**40]
+    got = uniforms(np.tile(key_arr, len(steps)),
+                   np.repeat(np.array(steps, dtype=np.int64), len(keys)))
+    stacked = np.concatenate([uniforms(key_arr, s) for s in steps])
+    assert got.tolist() == stacked.tolist()
+    assert got.tolist() == [_ref_uniform(k, s) for s in steps for k in keys]
+    # any order of (key, step) pairs, with an unsigned step array
+    order = np.random.default_rng(5).permutation(got.size)
+    pairs = uniforms(np.tile(key_arr, len(steps))[order],
+                     np.repeat(np.array(steps, dtype=np.uint64), len(keys))[order])
+    assert pairs.tolist() == got[order].tolist()
 
 
 def test_stream_bits_are_pinned():

@@ -20,7 +20,8 @@ from hardynum import (
     exact_hm,
 )
 from hardynum import wos
-from hardynum.wos import _exit_moduli, _jump, absorption_epsilon
+from hardynum.rng import stream_keys, uniforms
+from hardynum.wos import BLOCK_DRAWS, MAX_BLOCK_STEPS, _exit_moduli, _jump, absorption_epsilon
 
 
 def test_config_validation():
@@ -172,7 +173,7 @@ def test_jump_direction_matches_mpmath():
         np.arange(1, 8) / 8,
     ])
     z = np.zeros(u.size, dtype=complex)
-    _jump(z, np.ones(u.size), u)
+    _jump(z, np.ones(u.size), np.tan(np.pi * u))
     with mpmath.workdps(40):
         for ui, zi in zip(u, z):
             theta = 2 * mpmath.pi * mpmath.mpf(float(ui))
@@ -187,7 +188,7 @@ def test_jump_moves_in_place_by_dist():
     start = z.copy()
     dist = np.array([0.5, 2.0, 1e-3])
     u = np.array([0.125, 0.5, 0.875])
-    _jump(z, dist, u)
+    _jump(z, dist, np.tan(np.pi * u))
     assert np.allclose(z, start + dist * np.exp(2j * np.pi * u), rtol=0, atol=1e-15)
 
 
@@ -215,3 +216,55 @@ def test_exit_moduli_are_chunk_invariant(name, seed, n, data):
     parts = _exit_moduli(d, WosConfig(n_samples=n, seed=seed, max_steps=500, chunk_size=chunk))
     assert np.array_equal(np.isnan(whole), np.isnan(parts))
     assert whole.view(np.uint64).tolist() == parts.view(np.uint64).tolist()
+
+
+# ---- step blocks against the per-step kernel ---------------------------------
+
+
+def _reference_walk(d, eps, max_steps, keys):
+    """The per-step kernel: one uniforms call and one tan per step."""
+    m = len(keys)
+    z = np.full(m, complex(d.basepoint), dtype=complex)
+    out = np.full(m, np.nan)
+    pos = np.arange(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(max_steps):
+            dist = d.distances(z)
+            hit = dist < eps
+            if np.count_nonzero(hit):
+                out[pos[hit]] = np.abs(d.projections(z[hit]))
+                keep = ~hit
+                z, pos, keys, dist = z[keep], pos[keep], keys[keep], dist[keep]
+                if z.size == 0:
+                    break
+            t = np.tan(np.pi * uniforms(keys, step))
+            g = 2.0 * dist / (1.0 + t * t)
+            z.real += g - dist
+            z.imag += g * t
+    return out
+
+
+BLOCK_DOMAINS = {**CHUNK_DOMAINS, "disk": Disk(1.0, basepoint=0.5 + 0.25j)}
+# walker counts at which the block width changes, and one on either side
+_WIDE = BLOCK_DRAWS // MAX_BLOCK_STEPS
+BLOCK_WALKERS = sorted({1, 2, 3, _WIDE - 1, _WIDE, _WIDE + 1, BLOCK_DRAWS // 2,
+                        BLOCK_DRAWS // 2 + 1, BLOCK_DRAWS, BLOCK_DRAWS + 1, 3000})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BLOCK_DOMAINS)),
+    seed=st.integers(0, 2**64 - 1),
+    n=st.sampled_from(BLOCK_WALKERS),
+    max_steps=st.sampled_from([1, 2, MAX_BLOCK_STEPS - 1, MAX_BLOCK_STEPS + 1, 130]),
+)
+def test_step_blocks_change_no_bit(name, seed, n, max_steps):
+    # drawing several steps per call changes no exit modulus, and leaves the
+    # same walks unterminated (nan) when the budget is not a whole number of
+    # blocks
+    d = BLOCK_DOMAINS[name]
+    cfg = WosConfig(n_samples=n, seed=seed, max_steps=max_steps)
+    keys = stream_keys(seed, np.arange(n, dtype=np.uint64))
+    want = _reference_walk(d, absorption_epsilon(d), max_steps, keys)
+    got = _exit_moduli(d, cfg)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
