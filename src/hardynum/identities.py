@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentCase
-from .function_norms import RADIAL_BLOCK, quad
+from .function_norms import quad
 from .geometry import Disk, DiskExterior, Domain, HalfPlane, Sector
 from .oracles import decay_exponent, exact_green, exact_hm
 
@@ -64,6 +64,7 @@ INEQUALITY_SLACK = 1e-9
 _TAIL_FACTOR = 1e4  # truncation radius multiple for dt/t integrals
 _MOMENT_R_MAX = 1e4  # truncation radius of the moment exchange
 _REL_FLOOR = 1e-300
+_RADIAL_BLOCK = 16  # radii per call of the circle integral; bounds its 2-D node arrays
 
 
 @dataclass(frozen=True)
@@ -215,8 +216,9 @@ def fubini_identity(d: Domain, p: float, omega_fn=None) -> IdentityReport:
     angles = [*_circle_breaks(d, r_max), cmath.phase(d.basepoint)]
 
     def lhs_integrand(r):
-        return np.concatenate([_green_circle_integral(d, r[k:k + RADIAL_BLOCK, None], points=angles)
-                               for k in range(0, r.size, RADIAL_BLOCK)])
+        return np.concatenate([
+            _green_circle_integral(d, r[k:k + _RADIAL_BLOCK, None], points=angles)
+            for k in range(0, r.size, _RADIAL_BLOCK)])
 
     # the circle means are non-smooth where the oracle measure is
     lhs = _radial_integral(lhs_integrand, a_mod, p, _omega_breaks(d))

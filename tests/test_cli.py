@@ -8,7 +8,7 @@ import math
 import pytest
 
 from hardynum import HalfPlane, Sector, WosConfig, dump_domain
-from hardynum import cli
+from hardynum import cli, function_norms
 from hardynum.cli import main
 
 
@@ -211,7 +211,12 @@ def test_norms_writes_catalog_profiles(tmp_path):
     (["--p", "0"], "exponent p"),
     (["--p", "inf"], "exponent p"),
 ], ids=["alpha_-2", "alpha_-1", "alpha_nan", "p_nan", "p_-1", "p_0", "p_inf"])
-def test_norms_rejects_invalid_exponents(tmp_path, capsys, flags, named):
+def test_norms_rejects_invalid_exponents(tmp_path, capsys, monkeypatch, flags, named):
+    # the exponents are checked before the first node table is built
+    def no_table(f):
+        raise AssertionError("norms built a node table before checking its exponents")
+
+    monkeypatch.setattr(function_norms.NodeTable, "for_growth", staticmethod(no_table))
     out = tmp_path / "out"
     assert main(["norms", *flags, "--out", str(out)]) == 2
     assert named in capsys.readouterr().err

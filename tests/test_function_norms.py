@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
@@ -30,7 +32,14 @@ from hardynum.function_norms import (
     AREA_REL_TOL,
     BERGMAN_GAPS,
     CIRCLE_REL_TOL,
+    HARDY_GAPS,
+    P_MAX,
     NodeTable,
+    _area_log_weight,
+    _bands,
+    _gl_weights,
+    _graded_rule,
+    _log_moduli,
     _log_sum_exp,
 )
 
@@ -265,6 +274,75 @@ def test_one_table_serves_every_probe():
                 ref = log_bergman_integral(f, p, alpha, gap)
                 tol = 1e-13 if gap == max(BERGMAN_GAPS) else AREA_REL_TOL
                 assert abs(v - ref) <= tol * abs(ref), (f, p, alpha, gap)
+
+
+def _reference_log_means(f, s, p_f, p_fp, block, derivative=False):
+    """log circle means at radii 1 - s, as the package computed them before
+    its flat table: one 2-D node array per block of rows, its zero-width nodes
+    masked out of a max-shifted log-sum-exp that nothing floors."""
+    out = []
+    for k in range(0, s.size, block):
+        rows = s[k:k + block, None]
+        t, width = _graded_rule(rows, 0.5 * math.pi)
+        sin2, cos2 = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
+        (f_0, fp_0), (f_pi, fp_pi) = (_log_moduli(f, rows, sin2, cos2, derivative),
+                                      _log_moduli(f, rows, cos2, sin2, derivative))
+        g = p_f * np.stack([f_0, f_pi], axis=1)
+        if p_fp != 0.0:
+            g += p_fp * np.stack([fp_0, fp_pi], axis=1)
+        w = _gl_weights(width)[:, None, :]
+        out.append(math.log(2.0) + _log_sum_exp(g, w, axis=(1, 2)))
+    return np.concatenate(out)
+
+
+DERIVATIVE_BAND = (1e-3, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f=st.sampled_from(CATALOG),
+    p_f=st.floats(-2.0, 8.0),
+    p_fp=st.floats(0.5, 4.0),
+    alpha=st.floats(-1.0, 3.0, exclude_min=True),
+    where=st.sampled_from(["circles", *_bands(BERGMAN_GAPS), "derivative"]),
+)
+# exp-cayley's log|f| spans ~1e10 within a row, so a negative p_f shifted by
+# anything but the row minimum overflows
+@example(f=exp_cayley(), p_f=-0.5, p_fp=1.0, alpha=0.0, where="circles")
+@example(f=exp_cayley(), p_f=-2.0, p_fp=1.0, alpha=1.0, where=(1e-7, 1e-5))
+def test_flat_table_matches_the_block_reference(f, p_f, p_fp, alpha, where):
+    # negative p_f takes the row-minimum shift; the error is relative on the
+    # log values, absolute below 1, where a log value may cross zero
+    close = lambda got, ref: np.all(np.abs(got - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0))
+    if where == "circles":
+        got = NodeTable(f, HARDY_GAPS).log_circle_means(HARDY_GAPS, p_f)
+        ref = _reference_log_means(f, np.array(HARDY_GAPS), p_f, 0.0, len(HARDY_GAPS))
+        assert got.shape == ref.shape and close(got, ref), (f, p_f)
+        return
+    band, p_fp = (DERIVATIVE_BAND, p_fp) if where == "derivative" else (where, 0.0)
+    table = NodeTable(f, bands=[band], derivative=p_fp != 0.0)
+    nodes = table._bands[band]
+    got = nodes.circles.log_means(p_f, p_fp)
+    ref = _reference_log_means(f, nodes.s, p_f, p_fp, function_norms.RADIAL_BLOCK,
+                               derivative=p_fp != 0.0)
+    assert got.shape == ref.shape and close(got, ref), (f, p_f, p_fp, band)
+    log_weight = _area_log_weight(alpha)
+    ref_integral = _log_sum_exp(ref + log_weight(nodes.s), nodes.w)
+    assert close(table.log_band_integral(band, p_f, p_fp, log_weight), ref_integral), (f, alpha)
+
+
+def test_exp_floor_changes_no_result(monkeypatch):
+    # exp-cayley at the largest probe exponent: p log|f| spans ~1e12 within a
+    # row, so most of its shifted terms lie below the floor
+    table = NodeTable.for_growth(exp_cayley())
+    circles = [table._circles, *(band.circles for band in table._bands.values())]
+    shifted = [P_MAX * (c.log_f - np.repeat(c.row_max, c.row_count)[:, None]) for c in circles]
+    below = sum(np.count_nonzero(g < function_norms.EXP_FLOOR) for g in shifted)
+    assert below > 0.5 * sum(g.size for g in shifted)
+    floored = [c.log_means(P_MAX, 0.0) for c in circles]
+    monkeypatch.setattr(function_norms, "EXP_FLOOR", -math.inf)
+    for c, got in zip(circles, floored):
+        np.testing.assert_array_equal(got, c.log_means(P_MAX, 0.0))
 
 
 def test_table_holds_only_its_own_nodes():

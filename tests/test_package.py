@@ -77,3 +77,21 @@ def test_benchmark_tracer_counts_every_draw(monkeypatch):
     jumps = work("geometry", "distances") - work("geometry", "projections")
     draws = work("rng", "uniforms")
     assert jumps <= draws <= jumps + (wos.MAX_BLOCK_STEPS - 1) * walks
+
+
+def test_benchmark_tracer_sees_every_growth_probe(monkeypatch):
+    # the tracer counts probes through the module names hardy_growth_profile
+    # and bergman_growth_profile; a probe path that bypassed them would read
+    # as zero probes. 9 and 8 are the bisection counts at P_MAX = 8 and the
+    # resolutions 0.05 and 0.1
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    tracing = importlib.import_module("tracing")
+    from hardynum import cayley, function_norms
+
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        function_norms.empirical_hb(cayley())
+    names = [s.name for s in tracer.spans if s.layer == "function_norms"]
+    assert names.count("empirical_hb") == 1
+    assert names.count("hardy_growth_profile") == 9
+    assert names.count("bergman_growth_profile") == 8
