@@ -93,12 +93,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _grid_field(name: str, kind: type, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"grid {name} {text!r} is not a valid {kind.__name__}") from None
+
+
 def _parse_grid(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("grid must be r0,ratio,count")
-    r0, ratio = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    r0, ratio, count = map(_grid_field, ("r0", "ratio", "count"), (float, float, int), parts)
     if not (r0 > 0.0 and math.isfinite(r0)):
         raise ValueError("grid r0 must be positive and finite")
     if not (ratio > 1.0):
@@ -218,10 +224,10 @@ def _mc_agreement_checks(cfg: WosConfig) -> list[dict]:
     ):
         est = estimate_hm(domain, r, cfg)
         exact = exact_hm(domain, r)
-        gap = abs(est.value - exact)
+        gap = abs(est.omega - exact)
         checks.append({
             "name": name,
-            "estimate": est.value,
+            "estimate": est.omega,
             "exact": exact,
             "stderr": est.stderr,
             "passed": bool(gap <= MC_AGREEMENT_SIGMAS * est.stderr),

@@ -304,7 +304,11 @@ def domain_from_dict(data: dict) -> Domain:
 
 def load_domain(path: str) -> Domain:
     with open(path, "r", encoding="utf-8") as fh:
-        return domain_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise HardynumError(f"domain file {path} is not valid JSON: {exc}") from None
+    return domain_from_dict(data)
 
 
 def dump_domain(d: Domain, path: str) -> None:

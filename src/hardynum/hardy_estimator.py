@@ -130,10 +130,12 @@ class HardyNumberEstimate:
 
 
 def _informative_entries(profile: DecayProfile, tail_window: int) -> list[ProfileEntry]:
-    """The positive-omega entries up to the first whose relative standard
-    error exceeds MAX_REL_STDERR, keeping at least tail_window + 1 of them when
-    that many are positive. Oracle entries carry no stderr and are all kept."""
-    positive = [e for e in profile.entries if e.omega > 0.0]
+    """The positive entries (r > 0 and 0 < omega < 1: both logs are finite,
+    and omega = 1 says nothing about the decay) up to the first whose relative
+    standard error exceeds MAX_REL_STDERR, keeping at least tail_window + 1 of
+    them when that many are positive. Oracle entries carry no stderr and are
+    all kept."""
+    positive = [e for e in profile.entries if e.r > 0.0 and 0.0 < e.omega < 1.0]
     kept = 0
     for e in positive:
         if e.stderr / e.omega > MAX_REL_STDERR:

@@ -4,10 +4,15 @@ A walk starts at the basepoint and repeatedly jumps to a uniform point on
 the largest circle centered at the walker that stays inside the domain; its
 radius is the boundary distance. It is absorbed once the boundary distance
 drops below the absorption shell epsilon; the absorbed position is then
-projected to the nearest boundary point and scored against the tail query.
+projected to the nearest boundary point, whose modulus is the exit modulus.
 There is no outer truncation sphere: walks far from the boundary keep going
 and either come back or exhaust the step budget, in which case they are
 reported as unterminated and excluded from the frequency estimate.
+
+One pass counts, at every radius r of a profile, the walks whose exit
+modulus exceeds r (equal is not beyond); omega(r) = hits / n and its
+binomial stderr use the n terminated walks. estimate_hm returns the entry
+of a one-radius profile.
 
 Each jump takes its direction theta = 2*pi*u from one uniform u, in
 half-angle form: with t = tan(pi*u), (cos theta, sin theta) =
@@ -44,7 +49,7 @@ from .geometry import Domain
 from .hardy_estimator import DecayProfile, ProfileEntry
 from .rng import stream_keys, uniforms
 
-__all__ = ["WosConfig", "HmEstimate", "estimate_hm", "estimate_profile"]
+__all__ = ["WosConfig", "estimate_hm", "estimate_profile"]
 
 DEFAULT_CHUNK = 65536  # walks per batch; batching never changes a result
 # step blocks (see the module docstring): up to BLOCK_DRAWS draws and
@@ -74,15 +79,6 @@ class WosConfig:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed!r}")
         if self.max_steps < 1 or self.chunk_size < 1:
             raise ValueError("max_steps and chunk_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class HmEstimate:
-    value: float
-    stderr: float
-    n_samples: int
-    n_unterminated: int
-    r: float
 
 
 def _exit_moduli(d: Domain, cfg: WosConfig) -> np.ndarray:
@@ -158,55 +154,43 @@ def _jump(z: np.ndarray, dist: np.ndarray, t: np.ndarray) -> None:
     z.imag += g * t
 
 
-def _estimate_from_moduli(moduli: np.ndarray, r: float, n: int) -> HmEstimate:
-    terminated = moduli[~np.isnan(moduli)]
-    n_unterminated = n - terminated.size
-    if terminated.size == 0:
-        raise DegenerateDomain("no walk terminated within the step budget")
-    hits = int(np.count_nonzero(terminated > r))
-    value = hits / terminated.size
-    stderr = math.sqrt(value * (1.0 - value) / terminated.size)
-    return HmEstimate(
-        value=value,
-        stderr=stderr,
-        n_samples=n,
-        n_unterminated=n_unterminated,
-        r=float(r),
-    )
-
-
-def _check_radii(radii: list[float]) -> None:
+def _profile(d: Domain, grid: list[float], cfg: WosConfig) -> DecayProfile:
+    """omega at every grid radius from one walk set, counted in one pass."""
+    radii = [float(r) for r in grid]
+    if any(b <= a for a, b in zip(radii, radii[1:])) or not radii:
+        raise ValueError("grid must be a non-empty strictly increasing radius list")
     # NaN fails both comparisons
     if not all(0.0 <= r < math.inf for r in radii):
         raise ValueError(f"tail radii must be finite and >= 0, got {radii!r}")
 
-
-def estimate_hm(d: Domain, r: float, cfg: WosConfig) -> HmEstimate:
-    """Monte Carlo estimate of the harmonic measure of the tail beyond modulus r."""
-    _check_radii([r])
     moduli = _exit_moduli(d, cfg)
-    return _estimate_from_moduli(moduli, r, cfg.n_samples)
-
-
-def estimate_profile(d: Domain, grid: list[float], cfg: WosConfig) -> DecayProfile:
-    """Decay profile over a radius grid, one shared walk set for all radii.
-
-    Each absorbed walk scores every grid radius below its exit modulus, so
-    the estimated omega is exactly non-increasing within a run.
-    """
-    radii = [float(r) for r in grid]
-    if any(b <= a for a, b in zip(radii, radii[1:])) or not radii:
-        raise ValueError("grid must be a non-empty strictly increasing radius list")
-    _check_radii(radii)
-
-    moduli = _exit_moduli(d, cfg)
-    ests = [_estimate_from_moduli(moduli, r, cfg.n_samples) for r in radii]
+    terminated = moduli[~np.isnan(moduli)]
+    n = terminated.size
+    if n == 0:
+        raise DegenerateDomain("no walk terminated within the step budget")
+    # a walk is beyond radii[j] iff j < (number of radii below its modulus),
+    # so the hits at radii[j] are the walks in bins j + 1 and up
+    bins = np.bincount(np.searchsorted(radii, terminated, side="left"), minlength=len(radii) + 1)
+    omega = np.cumsum(bins[::-1])[::-1][1:] / n
+    stderr = np.sqrt(omega * (1.0 - omega) / n)
     return DecayProfile(
-        entries=tuple(ProfileEntry(r=e.r, omega=e.value, stderr=e.stderr) for e in ests),
+        entries=tuple(map(ProfileEntry, radii, omega.tolist(), stderr.tolist())),
         source="monte_carlo",
         domain_regular=d.regular,
         domain_bounded=d.bounded,
         boundary_sup=d.boundary_modulus_sup(),
         n_samples=cfg.n_samples,
-        n_unterminated=ests[0].n_unterminated,
+        n_unterminated=cfg.n_samples - n,
     )
+
+
+def estimate_hm(d: Domain, r: float, cfg: WosConfig) -> ProfileEntry:
+    """Monte Carlo estimate of the harmonic measure of the tail beyond modulus r,
+    as the ProfileEntry (r, omega, stderr) of a one-radius profile."""
+    return _profile(d, [r], cfg).entries[0]
+
+
+def estimate_profile(d: Domain, grid: list[float], cfg: WosConfig) -> DecayProfile:
+    """Decay profile over a strictly increasing radius grid from one shared
+    walk set, so the estimated omega is exactly non-increasing within a run."""
+    return _profile(d, grid, cfg)

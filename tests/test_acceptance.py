@@ -97,7 +97,7 @@ def test_criterion_05_monte_carlo_vs_oracle_coverage():
     hits = 0
     for seed in range(20):
         est = estimate_hm(d, 10.0, WosConfig(n_samples=N_SAMPLES, seed=seed))
-        if abs(est.value - target) <= 3.0 * est.stderr:
+        if abs(est.omega - target) <= 3.0 * est.stderr:
             hits += 1
     assert hits >= 19, f"only {hits}/20 seeds within 3 stderr"
     print(f"criterion 05 PASS: {hits}/20 seeds within 3 stderr of {target}")

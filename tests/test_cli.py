@@ -339,8 +339,9 @@ def test_missing_domain_file_exits_2(tmp_path, capsys):
     ('{"shape": "half_plane", "basepoint": "x"}', "'basepoint'"),
     ('{"shape": "half_plane", "basepoint": [1.0, 0.0, 0.0]}', "'basepoint'"),
     ('{"shape": "disk", "radius": 1.0, "basepoint": 0.0, "center": [0.0, "y"]}', "'center'"),
+    ('not json', "dom.json is not valid JSON"),
 ], ids=["no_opening", "no_radius", "not_an_object", "basepoint_string", "basepoint_triple",
-        "center_not_numbers"])
+        "center_not_numbers", "not_json"])
 def test_malformed_domain_file_exits_2(tmp_path, capsys, text, named):
     dom = tmp_path / "dom.json"
     dom.write_text(text)
@@ -349,10 +350,24 @@ def test_malformed_domain_file_exits_2(tmp_path, capsys, text, named):
     assert named in capsys.readouterr().err
 
 
-def test_malformed_grid_exits_2(tmp_path, halfplane_json):
-    rc = main(["hardy", "--domain", halfplane_json, "--grid", "banana",
-               "--out", str(tmp_path / "o")])
+def test_malformed_grid_exits_2(tmp_path, halfplane_json, capsys):
+    # each message names the grid field that is wrong
+    for grid, named in (("banana", "r0,ratio,count"), ("2,2,1e3", "grid count '1e3'"),
+                        ("a,2,3", "grid r0 'a'"), ("2,x,3", "grid ratio 'x'")):
+        rc = main(["hardy", "--domain", halfplane_json, "--grid", grid,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+
+def test_grid_where_every_walk_is_beyond_exits_2(tmp_path, halfplane_json, capsys):
+    # omega = 1 at all three radii: log(1/omega) = 0 says nothing about the
+    # decay, so no q is fitted (it read q = 0 with a zero half-width)
+    rc = main(["hardy", "--domain", halfplane_json, "--grid", "1e-320,2,3",
+               "--samples", "1000", "--out", str(tmp_path / "o")])
     assert rc == 2
+    assert "fewer than two informative profile entries" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_overflowing_grid_exits_2(tmp_path, halfplane_json, capsys):

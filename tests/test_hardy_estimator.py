@@ -1,5 +1,6 @@
 """Decay-exponent estimator: synthetic exactness, oracle targets, warnings."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from hardynum import (
     default_grid,
     estimate_hardy_number,
     estimate_profile,
+    exact_hm,
     fit_decay,
     oracle_profile,
 )
@@ -240,6 +242,31 @@ def test_trimming_keeps_minimum_window():
                            boundary_sup=math.inf)
     est = estimate_hardy_number(profile, tail_window=3)
     assert est.used_radii == (radii[0], radii[3])
+
+
+def test_entries_with_omega_one_or_r_zero_never_enter_the_fit(capfd):
+    # omega = 1 puts log(1/omega) = 0 and r = 0 puts log r = -inf into the
+    # line; either made np.polyfit raise LinAlgError, with LAPACK DLASCL lines
+    d = HalfPlane(1.0)
+    oracle = oracle_profile(d, [0.0, 2.0, 4.0])
+    assert oracle.entries[0].omega == 1.0
+    est = estimate_hardy_number(oracle)
+    w2, w4 = exact_hm(d, 2.0), exact_hm(d, 4.0)
+    assert est.value == pytest.approx(math.log(w2 / w4) / math.log(2.0), rel=1e-12)
+    assert est.used_radii == (2.0, 4.0)
+    certain = DecayProfile(entries=(ProfileEntry(1.0, 1.0), ProfileEntry(4.0, 0.5),
+                                    ProfileEntry(8.0, 0.25)), source="oracle")
+    assert estimate_hardy_number(certain).value == pytest.approx(1.0, rel=1e-12)
+    # the slit's tip is a boundary point of modulus 0, so there a few walks
+    # exit at r = 0 and omega(0) < 1; a window of 5 reaches r = 0 unless dropped
+    for d in (d, Sector(2 * math.pi, 1.0)):
+        profile = estimate_profile(d, [0.0, 2.0, 4.0, 8.0, 16.0, 32.0], WosConfig(20_000, seed=0))
+        assert profile.entries[0].omega > 0.99
+        rest = dataclasses.replace(profile, entries=profile.entries[1:])
+        est = estimate_hardy_number(profile, tail_window=5)
+        assert est == estimate_hardy_number(rest, tail_window=5)
+        assert math.isfinite(est.value) and est.used_radii[0] == 2.0
+    assert "DLASCL" not in capfd.readouterr().err
 
 
 def test_ci_halfwidth_positive_for_noisy_profiles():

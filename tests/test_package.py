@@ -52,9 +52,14 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
 
     tracer = tracing.Tracer()
     with tracer.installed():
+        cli.estimate_profile(HalfPlane(), [2.0, 4.0], WosConfig(n_samples=100))
         cli.estimate_hm(HalfPlane(), 2.0, WosConfig(n_samples=100))
-    assert [(s.name, s.work) for s in tracer.spans if s.layer == "wos"] == [("estimate_hm", 100)]
+    # one span per call: neither entry point reaches the other's traced name
+    spans = [s for s in tracer.spans if s.layer == "wos"]
+    assert [(s.name, s.work) for s in spans] == [("estimate_profile", 100), ("estimate_hm", 100)]
+    assert [s.parent for s in spans] == [None, None]
     assert cli.estimate_hm is wos.estimate_hm  # the original is back
+    assert cli.estimate_profile is wos.estimate_profile
 
 
 def test_benchmark_tracer_counts_every_draw(monkeypatch):

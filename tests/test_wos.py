@@ -45,17 +45,18 @@ def test_epsilon_defaults_scale_with_basepoint():
 def test_halfplane_matches_oracle_within_four_sigma():
     d = HalfPlane(1.0)
     cfg = WosConfig(n_samples=100_000, seed=0)
-    est = estimate_hm(d, 10.0, cfg)
+    profile = estimate_profile(d, [10.0], cfg)
+    est = profile.entries[0]
     truth = exact_hm(d, 10.0)
-    assert est.n_unterminated == 0
-    assert abs(est.value - truth) <= 4.0 * est.stderr
+    assert profile.n_unterminated == 0
+    assert abs(est.omega - truth) <= 4.0 * est.stderr
 
 
 def test_sector_matches_oracle_within_four_sigma(fast_cfg):
     d = Sector(math.pi / 2, 1.0)
     est = estimate_hm(d, 5.0, fast_cfg)
     truth = exact_hm(d, 5.0)
-    assert abs(est.value - truth) <= 4.0 * est.stderr
+    assert abs(est.omega - truth) <= 4.0 * est.stderr
 
 
 def test_profile_monotone_exactly(fast_cfg):
@@ -72,31 +73,31 @@ def test_profile_entry_equals_single_radius_run(fast_cfg):
     d = HalfPlane(1.0)
     profile = estimate_profile(d, [2.0, 8.0], fast_cfg)
     single = estimate_hm(d, 8.0, fast_cfg)
-    assert profile.entries[1].omega == single.value
+    assert profile.entries[1].omega == single.omega
     assert profile.entries[1].stderr == single.stderr
 
 
 def test_bit_identical_across_chunk_sizes():
     d = HalfPlane(1.0)
     runs = [
-        estimate_hm(d, 10.0, WosConfig(n_samples=20_000, seed=5, chunk_size=c))
+        estimate_profile(d, [10.0], WosConfig(n_samples=20_000, seed=5, chunk_size=c))
         for c in (20_000, 977, 3_000)
     ]
-    assert len({(e.value, e.stderr, e.n_unterminated) for e in runs}) == 1
+    assert len({(p.entries, p.n_unterminated) for p in runs}) == 1
 
 
 def test_different_seeds_differ():
     d = HalfPlane(1.0)
     a = estimate_hm(d, 4.0, WosConfig(n_samples=5_000, seed=1))
     b = estimate_hm(d, 4.0, WosConfig(n_samples=5_000, seed=2))
-    assert a.value != b.value
+    assert a.omega != b.omega
 
 
 def test_scale_invariance_real_factor(fast_cfg):
     # z -> 2z maps HalfPlane(1) onto HalfPlane(2) and the tail past r to the tail past 2r
     a = estimate_hm(HalfPlane(1.0), 6.0, fast_cfg)
     b = estimate_hm(HalfPlane(2.0), 12.0, fast_cfg)
-    assert abs(a.value - b.value) <= 4.0 * (a.stderr + b.stderr)
+    assert abs(a.omega - b.omega) <= 4.0 * (a.stderr + b.stderr)
 
 
 def test_scale_invariance_rotation(tiny_cfg):
@@ -107,8 +108,8 @@ def test_scale_invariance_rotation(tiny_cfg):
     img = Disk(1.0, basepoint=1.5 * turn, center=1.5 * turn)
     a = estimate_hm(d, 1.2, tiny_cfg)
     b = estimate_hm(img, 1.2, tiny_cfg)
-    assert 0.0 < a.value < 1.0
-    assert abs(a.value - b.value) <= 4.0 * (a.stderr + b.stderr)
+    assert 0.0 < a.omega < 1.0
+    assert abs(a.omega - b.omega) <= 4.0 * (a.stderr + b.stderr)
 
 
 def test_disk_exterior_tail_measure_is_zero(tiny_cfg):
@@ -116,15 +117,15 @@ def test_disk_exterior_tail_measure_is_zero(tiny_cfg):
     d = DiskExterior(1.0)
     for r in (1.5, 2.0, 10.0):
         est = estimate_hm(d, r, tiny_cfg)
-        assert est.value == 0.0
+        assert est.omega == 0.0
         assert est.stderr == 0.0
 
 
 def test_bounded_disk_step_values(tiny_cfg):
     d = Disk(1.0, basepoint=0.0)
-    assert estimate_hm(d, 0.5, tiny_cfg).value == 1.0
-    assert estimate_hm(d, 2.0, tiny_cfg).value == 0.0
-    assert estimate_hm(d, 2.0, tiny_cfg).n_unterminated == 0
+    assert estimate_hm(d, 0.5, tiny_cfg).omega == 1.0
+    assert estimate_hm(d, 2.0, tiny_cfg).omega == 0.0
+    assert estimate_profile(d, [2.0], tiny_cfg).n_unterminated == 0
 
 
 def test_no_termination_raises():
@@ -136,9 +137,9 @@ def test_no_termination_raises():
 def test_unterminated_walks_reported_not_hidden():
     # a tight step budget on the exterior domain leaves some walks running
     cfg = WosConfig(n_samples=500, seed=3, max_steps=50)
-    est = estimate_hm(DiskExterior(1.0), 2.0, cfg)
-    assert est.n_unterminated > 0
-    assert est.n_samples == 500
+    profile = estimate_profile(DiskExterior(1.0), [2.0], cfg)
+    assert profile.n_unterminated > 0
+    assert profile.n_samples == 500
 
 
 def _no_walks(*args):
@@ -161,6 +162,31 @@ def test_estimate_hm_rejects_bad_radius(fast_cfg, monkeypatch):
     for r in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and >= 0"):
             estimate_hm(HalfPlane(1.0), r, fast_cfg)
+
+
+_GRID = [0.0, 1.0, 2.5, 4.0]
+
+
+@pytest.mark.parametrize("moduli", [
+    [math.nan, 0.0, 1.0, 1.0, 2.5, 3.0, 4.0, 5.0, math.nan, 0.5],  # some equal to radii
+    [10.0, 20.0, 4.5],  # all beyond
+    [0.0, 0.0, 1.0],  # none beyond the first radius
+    [2.5],  # a single walk, on a radius
+    [math.nan, 7.0, math.nan],  # a single terminated walk
+], ids=["mixed", "all_beyond", "none_beyond", "single_equal", "single_beyond"])
+def test_hit_counts_match_brute_force(monkeypatch, moduli):
+    # a walk is beyond r only when its exit modulus exceeds r; equal is not beyond
+    monkeypatch.setattr(wos, "_exit_moduli", lambda d, cfg: np.array(moduli))
+    cfg = WosConfig(n_samples=len(moduli))
+    profile = estimate_profile(HalfPlane(1.0), _GRID, cfg)
+    terminated = [m for m in moduli if not math.isnan(m)]
+    n = len(terminated)
+    assert profile.n_unterminated == len(moduli) - n
+    for r, e in zip(_GRID, profile.entries):
+        omega = sum(m > r for m in terminated) / n
+        assert (e.r, e.omega, e.stderr) == (r, omega, math.sqrt(omega * (1.0 - omega) / n))
+        assert type(e.omega) is float and type(e.stderr) is float
+        assert estimate_hm(HalfPlane(1.0), r, cfg) == e
 
 
 def test_jump_direction_matches_mpmath():
