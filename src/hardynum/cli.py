@@ -29,6 +29,7 @@ from .errors import HardynumError, ZeroMeasure
 from .geometry import HalfPlane, Sector, domain_to_dict, load_domain
 from .hardy_estimator import (
     DEFAULT_WINDOW,
+    check_tail_window,
     default_grid,
     estimate_hardy_number,
     fit_decay,
@@ -121,6 +122,8 @@ def _parse_grid(text: str):
 
 
 def _load_inputs(args):
+    if "window" in args:
+        check_tail_window(args.window)  # before any walk
     domain = load_domain(args.domain)
     grid = _parse_grid(args.grid) if args.grid else default_grid(domain)
     cfg = WosConfig(n_samples=args.samples, seed=args.seed, chunk_size=args.chunk)

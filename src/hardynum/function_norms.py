@@ -17,19 +17,19 @@ quadrature.
 quad is the same rule for a real integral over an interval: the package's
 other integrals (the identity suite) go through it.
 
-Every integrand is exp(p_f log|f| + p_fp log|f'|), and the nodes depend only
-on the circles and bands, never on the exponents. So all integrals read a
-NodeTable, which evaluates log|f| (and log|f'| where p_fp is nonzero) once on
-the nodes of one function; an integral at any exponent is then a weighted
-log-space sum over the table. The single integrals build a table for their
-one circle or band. Critical exponents are located by bisection on a
+Every integrand is exp(p log|f|), times the area weight
+(1-|z|^2)^alpha on bands, and the nodes depend only on the circles and bands,
+never on p or alpha. So all integrals read a NodeTable, which evaluates log|f|
+once on the nodes of one function; an integral at any exponent is then a
+weighted log-space sum over the table. The single integrals build a table for
+their one circle or band. Critical exponents are located by bisection on a
 bounded/unbounded growth classifier, and every probe of one function reads
 one table over the classifier's circles and bands (NodeTable.for_growth).
 
 A table keeps each set of circles flat: the logs of all its positive-width
 panels in one contiguous array, with each row's panel range and its extremes
-of log|f|, taken once at build. A probe at p_f then needs no pass to find
-its shift (p_f times the row maximum, or the row minimum for p_f < 0) and
+of log|f|, taken once at build. A probe at p then needs no pass to find
+its shift (p times the row maximum, or the row minimum for p < 0) and
 exponentiates the whole set in a few fixed-size chunks. The shifted terms
 are floored at EXP_FLOOR before exp, which keeps exp off the subnormal and
 underflowing results that cost it one to two orders of magnitude more per
@@ -177,7 +177,7 @@ GRADING_FLOOR = 1e-9
 # radial nodes per grading block: the circles of one block share a panel
 # count (see _graded_rule), so the block fixes where the circle nodes lie
 RADIAL_BLOCK = 16
-# a probe exponentiates p_f log|f| - shift, floored at EXP_FLOOR, PROBE_CHUNK
+# a probe exponentiates p log|f| - shift, floored at EXP_FLOOR, PROBE_CHUNK
 # panels of each quarter circle at a time; see NodeTable for why the floor
 # changes no result
 EXP_FLOOR = -600.0
@@ -289,35 +289,26 @@ def _log_sum_exp(g: np.ndarray, w: np.ndarray, axis=-1) -> np.ndarray:
         return np.log(np.sum(g, axis=axis)) + np.squeeze(shift, axis=axis)
 
 
-def _log_moduli(f: CatalogFunction, s: np.ndarray, sin2: np.ndarray, cos2: np.ndarray,
-                derivative: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """log|f| and, if derivative is set, log|f'| at z = (1-s) e^{i theta},
-    elementwise; None in place of log|f'| otherwise.
+def _log_moduli(f: CatalogFunction, s: np.ndarray, sin2: np.ndarray,
+                cos2: np.ndarray) -> np.ndarray:
+    """log|f| at z = (1-s) e^{i theta}, elementwise.
 
     The angle enters as sin2 = sin^2(theta/2) and cos2 = cos^2(theta/2), so a
     caller can mirror theta about pi/2 by swapping them without losing the
     digits of |1+z| near theta = pi.
     """
     if f.kind == KIND_IDENTITY:
-        log_f = np.broadcast_to(np.log(1.0 - s), sin2.shape)
-        return log_f, (np.zeros(sin2.shape) if derivative else None)  # f' == 1
+        return np.broadcast_to(np.log(1.0 - s), sin2.shape)
     base = 4.0 * (1.0 - s)
     m_minus = s * s + base * sin2  # |1-z|^2
-    log_minus = 0.5 * np.log(m_minus)
     if f.kind == KIND_EXP_CAYLEY:
-        log_f = s * (2.0 - s) / m_minus
-        log_fp = log_f + math.log(2.0) - 2.0 * log_minus if derivative else None
-        return log_f, log_fp
-    b = f.beta  # cayley is sector_power at beta = 1
-    log_plus = 0.5 * np.log(s * s + base * cos2)  # log |1+z|
-    log_f = b * (log_plus - log_minus)
-    if not derivative:
-        return log_f, None
-    return log_f, math.log(2.0 * b) + (b - 1.0) * log_plus - (b + 1.0) * log_minus
+        return s * (2.0 - s) / m_minus
+    # cayley is sector_power at beta = 1; log |1+z| - log |1-z|
+    return f.beta * (0.5 * np.log(s * s + base * cos2) - 0.5 * np.log(m_minus))
 
 
 class _Circles:
-    """log|f| (and log|f'|) on the theta nodes of the circles at radius 1 - s,
+    """log|f| on the theta nodes of the circles at radius 1 - s,
     one row per gap in the 1-D array s.
 
     All catalog kinds have real Taylor coefficients, so the integrand is
@@ -336,7 +327,7 @@ class _Circles:
     over them.
     """
 
-    def __init__(self, f: CatalogFunction, s: np.ndarray, derivative: bool, block: int) -> None:
+    def __init__(self, f: CatalogFunction, s: np.ndarray, block: int) -> None:
         rules = []
         for k in range(0, s.size, block):
             edges = _graded_edges(s[k:k + block, None], 0.5 * math.pi)
@@ -348,46 +339,36 @@ class _Circles:
         panels = int(self.row_count.sum())
         self.width = np.concatenate([width for _, _, width, _ in rules])
         self.log_f = np.empty((2, panels, GL_NODES))
-        self.log_fp = np.empty((2, panels, GL_NODES)) if derivative else None
         # cayley and sector_power are b (log|1+z| - log|1-z|), which the
         # mirror theta -> pi - theta negates exactly: it swaps the two moduli
-        mirrored = f.kind in (KIND_CAYLEY, KIND_SECTOR_POWER) and not derivative
+        mirrored = f.kind in (KIND_CAYLEY, KIND_SECTOR_POWER)
         at = 0
         for s_rows, start, width, count in rules:
             span = slice(at, at + width.size)
             t = start[:, None] + width[:, None] * _GL_T
             sin2, cos2 = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
             s_nodes = np.repeat(s_rows, count)[:, None]
-            self.log_f[0, span], fp_0 = _log_moduli(f, s_nodes, sin2, cos2, derivative)
+            self.log_f[0, span] = _log_moduli(f, s_nodes, sin2, cos2)
             if mirrored:
                 np.negative(self.log_f[0, span], out=self.log_f[1, span])
             else:
-                self.log_f[1, span], fp_pi = _log_moduli(f, s_nodes, cos2, sin2, derivative)
-            if derivative:
-                self.log_fp[0, span], self.log_fp[1, span] = fp_0, fp_pi
+                self.log_f[1, span] = _log_moduli(f, s_nodes, cos2, sin2)
             at = span.stop
-        self.row_max = self._row_reduce(np.maximum, self.log_f)
-        self.row_min = self._row_reduce(np.minimum, self.log_f)
+        self.row_max = self._row_reduce(np.maximum)
+        self.row_min = self._row_reduce(np.minimum)
 
-    def _row_reduce(self, ufunc, values: np.ndarray) -> np.ndarray:
-        """ufunc reduced over each row's nodes in both quarters of values."""
+    def _row_reduce(self, ufunc) -> np.ndarray:
+        """ufunc reduced over each row's nodes in both quarters of log_f."""
         # reduceat over the flat nodes: reducing the 10-long node axis is ~10x slower
         start = self.row_start * GL_NODES
-        return ufunc(ufunc.reduceat(values[0].ravel(), start),
-                     ufunc.reduceat(values[1].ravel(), start))
+        return ufunc(ufunc.reduceat(self.log_f[0].ravel(), start),
+                     ufunc.reduceat(self.log_f[1].ravel(), start))
 
-    def log_means(self, p_f: float, p_fp: float) -> np.ndarray:
-        """log of the circle integral of |f|^p_f |f'|^p_fp, one per row."""
-        if p_fp == 0.0:
-            g = None
-            # scaling by a fixed sign is monotone in floating point, so this is
-            # exactly the largest p_f log|f| of each row
-            shift = p_f * (self.row_max if p_f >= 0.0 else self.row_min)
-        else:
-            if self.log_fp is None:
-                raise ValueError("this node table holds no log|f'|")
-            g = p_f * self.log_f + p_fp * self.log_fp
-            shift = self._row_reduce(np.maximum, g)
+    def log_means(self, p: float) -> np.ndarray:
+        """log of the circle integral of |f|^p, one per row."""
+        # scaling by a fixed sign is monotone in floating point, so this is
+        # exactly the largest p log|f| of each row
+        shift = p * (self.row_max if p >= 0.0 else self.row_min)
         empty = shift == -math.inf  # no finite term: the mean is 0
         shift[~np.isfinite(shift)] = 0.0
         panel_shift = np.repeat(shift, self.row_count)[:, None]
@@ -396,8 +377,7 @@ class _Circles:
         buf = np.empty((2, min(PROBE_CHUNK, panels), GL_NODES))
         for lo in range(0, panels, PROBE_CHUNK):
             hi = min(lo + PROBE_CHUNK, panels)
-            chunk = (g[:, lo:hi] if g is not None
-                     else np.multiply(self.log_f[:, lo:hi], p_f, out=buf[:, :hi - lo]))
+            chunk = np.multiply(self.log_f[:, lo:hi], p, out=buf[:, :hi - lo])
             chunk -= panel_shift[lo:hi]
             np.maximum(chunk, EXP_FLOOR, out=chunk)
             np.exp(chunk, out=chunk)
@@ -417,44 +397,43 @@ class _Band:
     integral r dr dtheta = integral over s of (1-s) * [circle part] ds.
     The band is split at its midpoint, and each half is graded toward its end
     at the scale of that end: near s_lo the circle means grow on the scale
-    s_lo (and on s_lo^2 for exponentially large means), and s_hi = 1 is the
-    center of the disk, where the Green weight log(1/r) is singular. One
-    _Circles holds the circles at every radial node, graded RADIAL_BLOCK
-    radial nodes at a time.
+    s_lo (and on s_lo^2 for exponentially large means). Nothing singular lies
+    at s_hi = 1, the center of the disk, but the half toward it keeps its
+    grading all the same: the grading fixes the node positions, and so the
+    numbers in norms.json and the growth CSVs. One _Circles holds the circles
+    at every radial node, graded RADIAL_BLOCK radial nodes at a time.
     """
 
-    def __init__(self, f: CatalogFunction, s_lo: float, s_hi: float, derivative: bool) -> None:
+    def __init__(self, f: CatalogFunction, s_lo: float, s_hi: float) -> None:
         half = 0.5 * (s_hi - s_lo)
         t_lo, width_lo = _graded_rule(np.array([[s_lo]]), half)
         t_hi, width_hi = _graded_rule(np.array([[s_hi]]), half)
         self.s = np.concatenate([s_lo + t_lo[0], s_hi - t_hi[0]])
         self.w = np.concatenate([_gl_weights(width_lo)[0], _gl_weights(width_hi)[0]])
-        self.circles = _Circles(f, self.s, derivative, RADIAL_BLOCK)
+        self.circles = _Circles(f, self.s, RADIAL_BLOCK)
 
-    def log_integral(self, p_f: float, p_fp: float, log_weight) -> float:
-        """log of the integral over the band of M(s) * exp(log_weight(s)) ds,
-        where M(s) is the circle integral of |f|^p_f |f'|^p_fp at radius 1 - s;
-        callers fold the (1-s) Jacobian into log_weight."""
-        log_m = self.circles.log_means(p_f, p_fp)
-        return float(_log_sum_exp(log_m + log_weight(self.s), self.w))
+    def log_integral(self, p: float, alpha: float) -> float:
+        """log of the band integral of M(s) (1-s) (s(2-s))^alpha ds, M(s) the circle
+        integral of |f|^p at r = 1 - s: the area Jacobian times (1-r^2)^alpha."""
+        s = self.s
+        log_w = np.log(1.0 - s) + alpha * np.log(s * (2.0 - s))
+        return float(_log_sum_exp(self.circles.log_means(p) + log_w, self.w))
 
 
 class NodeTable:
     """log|f| of one catalog function on the quadrature nodes of a set of
-    circles (at radii 1 - gap) and radial bands, and log|f'| as well when
-    built with derivative=True.
+    circles (at radii 1 - gap) and radial bands.
 
-    The nodes depend on the gaps and bands, never on the exponents, so the
-    logs are evaluated once here and an integral at any exponents (p_f, p_fp)
-    is only exp(p_f log|f| + p_fp log|f'|) summed with the quadrature weights
-    in log space.
+    The nodes depend on the gaps and bands, never on p or alpha, so the logs
+    are evaluated once here and an integral at any exponent p is only
+    exp(p log|f|), times the area weight on bands, summed with the quadrature
+    weights in log space.
 
     Each set of circles is one flat table (see _Circles): the logs at the
     positive-width panels only, filled block by block into arrays sized at
     the start, the panel widths, each row's panel start and count, and each
-    row's largest and smallest log|f|. A probe without log|f'| takes its
-    shift from those extremes; one with log|f'| takes the row maxima of
-    p_f log|f| + p_fp log|f'| at probe time.
+    row's largest and smallest log|f|. A probe takes its shift from those
+    extremes, floors, exponentiates and sums.
 
     Before exp, each term's shifted exponent is floored at EXP_FLOOR = -600.
     The largest term of a row is exp(0) = 1 at a weight of at least
@@ -468,32 +447,31 @@ class NodeTable:
     all: keep it while probing one function, not longer.
     """
 
-    def __init__(self, f: CatalogFunction, gaps=(), bands=(), derivative: bool = False) -> None:
+    def __init__(self, f: CatalogFunction, gaps=(), bands=()) -> None:
         self.gaps = tuple(gaps)
-        self._circles = (_Circles(f, np.array(self.gaps, dtype=float), derivative, len(self.gaps))
+        self._circles = (_Circles(f, np.array(self.gaps, dtype=float), len(self.gaps))
                          if self.gaps else None)
-        self._bands = {tuple(band): _Band(f, *band, derivative) for band in bands}
+        self._bands = {tuple(band): _Band(f, *band) for band in bands}
 
     @classmethod
     def for_growth(cls, f: CatalogFunction) -> NodeTable:
         """The table behind every growth profile at HARDY_GAPS and BERGMAN_GAPS."""
         return cls(f, HARDY_GAPS, _bands(BERGMAN_GAPS))
 
-    def log_circle_means(self, gaps, p_f: float, p_fp: float = 0.0) -> np.ndarray:
-        """log of the circle integral of |f|^p_f |f'|^p_fp at radius 1 - gap,
-        for each gap; gaps must be the table's own."""
+    def log_circle_means(self, gaps, p: float) -> np.ndarray:
+        """log of the circle integral of |f|^p at radius 1 - gap, for each
+        gap; gaps must be the table's own."""
         if tuple(gaps) != self.gaps:
             raise ValueError(f"node table holds the circles at gaps {self.gaps}, not {tuple(gaps)}")
-        return self._circles.log_means(p_f, p_fp)
+        return self._circles.log_means(p)
 
-    def log_band_integral(self, band: tuple[float, float], p_f: float, p_fp: float,
-                          log_weight) -> float:
-        """log of the integral over s in band of M(s) * exp(log_weight(s)) ds,
-        where M(s) is the circle integral of |f|^p_f |f'|^p_fp at radius 1 - s."""
+    def log_band_integral(self, band: tuple[float, float], p: float, alpha: float) -> float:
+        """log of the area integral of |f|^p (1-|z|^2)^alpha over the annulus
+        of gaps s = 1 - |z| in band."""
         nodes = self._bands.get(tuple(band))
         if nodes is None:
             raise ValueError(f"node table holds no band {tuple(band)}")
-        return nodes.log_integral(p_f, p_fp, log_weight)
+        return nodes.log_integral(p, alpha)
 
 
 def _bands(gaps) -> list[tuple[float, float]]:
@@ -506,8 +484,8 @@ def log_hardy_mean(f: CatalogFunction, p: float, r: float) -> float:
     """log of the integral mean of |f|^p over the circle of radius r."""
     if not (0.0 <= r < 1.0):
         raise ValueError("radius must lie in [0, 1)")
-    if not (p >= 0.0):
-        raise ValueError("exponent p must be nonnegative")
+    if not (0.0 <= p < math.inf):
+        raise ValueError(f"exponent p must be finite and >= 0, got {p!r}")
     if r == 0.0:
         v = abs(f.value(0.0))
         return math.log(2.0 * math.pi) + (p * math.log(v) if v > 0 else (-math.inf if p > 0 else 0.0))
@@ -519,21 +497,16 @@ def log_hardy_mean(f: CatalogFunction, p: float, r: float) -> float:
 # area integrals
 
 
-def _area_log_weight(alpha: float):
-    """(1-s) from the area Jacobian times (1-|z|^2)^alpha = (s(2-s))^alpha."""
-    return lambda s: np.log(1.0 - s) + alpha * np.log(s * (2.0 - s))
-
-
 def log_bergman_integral(f: CatalogFunction, p: float, alpha: float, delta: float) -> float:
     """log of the area integral of |f|^p (1-|z|^2)^alpha over |z| <= 1 - delta."""
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    if not (p >= 0.0):
-        raise ValueError("exponent p must be nonnegative")
-    if not (alpha > -1.0):
-        raise ValueError("weight alpha must be > -1")
+    if not (0.0 <= p < math.inf):
+        raise ValueError(f"exponent p must be finite and >= 0, got {p!r}")
+    if not (-1.0 < alpha < math.inf):
+        raise ValueError(f"weight alpha must be finite and > -1, got {alpha!r}")
     band = (delta, 1.0)
-    return NodeTable(f, bands=[band]).log_band_integral(band, p, 0.0, _area_log_weight(alpha))
+    return NodeTable(f, bands=[band]).log_band_integral(band, p, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -576,35 +549,33 @@ def check_growth_exponents(p: float, alpha: float = 0.0) -> None:
         raise ValueError(f"weight alpha must be finite and > -1, got {alpha!r}")
 
 
-def hardy_growth_profile(f: CatalogFunction | NodeTable, p: float,
-                         gaps: tuple[float, ...] = HARDY_GAPS) -> GrowthProfile:
-    """Circle means along radii 1 - gap; bounded means f is in H^p.
+def hardy_growth_profile(f: CatalogFunction | NodeTable, p: float) -> GrowthProfile:
+    """Circle means at the radii 1 - HARDY_GAPS; bounded means f is in H^p.
 
     f is a catalog function or a NodeTable of one that holds these gaps.
     """
     check_growth_exponents(p)
-    table = f if isinstance(f, NodeTable) else NodeTable(f, gaps)
-    vals = [float(v) for v in table.log_circle_means(gaps, p)]
-    return _classify_growth(gaps, vals, HARDY_SLOPE_TOL)
+    table = f if isinstance(f, NodeTable) else NodeTable(f, HARDY_GAPS)
+    vals = [float(v) for v in table.log_circle_means(HARDY_GAPS, p)]
+    return _classify_growth(HARDY_GAPS, vals, HARDY_SLOPE_TOL)
 
 
-def bergman_growth_profile(f: CatalogFunction | NodeTable, p: float, alpha: float = 0.0,
-                           gaps: tuple[float, ...] = BERGMAN_GAPS) -> GrowthProfile:
-    """Truncated area integrals at shrinking gaps, computed incrementally:
+def bergman_growth_profile(f: CatalogFunction | NodeTable, p: float,
+                           alpha: float = 0.0) -> GrowthProfile:
+    """Truncated area integrals at the gaps BERGMAN_GAPS, computed incrementally:
     the annulus between consecutive gaps is integrated once and accumulated.
 
     f is a catalog function or a NodeTable of one that holds the bands
     between these gaps.
     """
     check_growth_exponents(p, alpha)
-    bands = _bands(gaps)
+    bands = _bands(BERGMAN_GAPS)
     table = f if isinstance(f, NodeTable) else NodeTable(f, bands=bands)
-    seg_logs = [table.log_band_integral(band, p, 0.0, _area_log_weight(alpha)) for band in bands]
-    # the truncated integral at a given gap sums every segment above that gap
-    acc = np.logaddexp.accumulate(seg_logs[::-1])[::-1]
-    log_by_gap = dict(zip(sorted(gaps), acc))
-    vals = [float(log_by_gap[g]) for g in gaps]
-    return _classify_growth(gaps, vals, BERGMAN_SLOPE_TOL)
+    seg_logs = [table.log_band_integral(band, p, alpha) for band in bands]
+    # the bands run inward from the smallest gap and BERGMAN_GAPS shrinks, so
+    # the truncated integral at its k-th gap sums the last k + 1 bands
+    vals = [float(v) for v in np.logaddexp.accumulate(seg_logs[::-1])]
+    return _classify_growth(BERGMAN_GAPS, vals, BERGMAN_SLOPE_TOL)
 
 
 @dataclass(frozen=True)

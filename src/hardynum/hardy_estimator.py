@@ -147,6 +147,12 @@ def _informative_entries(profile: DecayProfile, tail_window: int) -> list[Profil
     return used
 
 
+def check_tail_window(tail_window: int) -> None:
+    """Raise ValueError unless the fit window spans at least two entries."""
+    if tail_window < 1:
+        raise ValueError("tail_window must be >= 1")
+
+
 def fit_decay(profile: DecayProfile, tail_window: int = DEFAULT_WINDOW) -> DecayFit:
     """Least-squares line through (log r, log 1/omega) over the last
     tail_window + 1 informative entries.
@@ -157,8 +163,7 @@ def fit_decay(profile: DecayProfile, tail_window: int = DEFAULT_WINDOW) -> Decay
     an artifact of the boundary, not a decay rate, and ZeroMeasure is raised,
     as it is for a profile that is zero everywhere for no structural reason.
     """
-    if tail_window < 1:
-        raise ValueError("tail_window must be >= 1")
+    check_tail_window(tail_window)
     zeros = [e for e in profile.entries if e.omega == 0.0]
     structural = any(e.r >= profile.boundary_sup for e in zeros)
     if structural and profile.domain_regular is not False:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DivergentCase
 from .function_norms import quad
-from .geometry import Disk, DiskExterior, Domain, HalfPlane, Sector
+from .geometry import Disk, Domain, HalfPlane, Sector
 from .oracles import decay_exponent, exact_green, exact_hm
 
 __all__ = [
@@ -84,13 +84,9 @@ def _rel_error(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / scale
 
 
-def _omega(d: Domain, t):
-    return exact_hm(d, t)
-
-
 def _omega_breaks(d: Domain) -> tuple[float, ...]:
     # radii where the oracle harmonic measure is non-smooth
-    if isinstance(d, (Disk, DiskExterior)):
+    if isinstance(d, Disk):
         dist = abs(d.center)
         return (abs(dist - d.radius), dist + d.radius)
     return ()
@@ -103,7 +99,7 @@ def _circle_breaks(d: Domain, r: float) -> list[float]:
     if isinstance(d, Sector):
         half = 0.5 * d.opening
         return [t for t in (-half, half) if -math.pi < t < math.pi]
-    if isinstance(d, (Disk, DiskExterior)):
+    if isinstance(d, Disk):
         dist = abs(d.center)
         if dist == 0.0:
             return []
@@ -140,8 +136,8 @@ def _tail_log_integral(d: Domain, r: float) -> float:
     q = decay_exponent(d)
     top = r * _TAIL_FACTOR
     pts = [math.log(b / r) for b in _omega_breaks(d) if r < b < top]
-    val = quad(lambda u: _omega(d, r * np.exp(u)), 0.0, math.log(top / r), points=pts)[0]
-    tail = 0.0 if math.isinf(q) else _omega(d, top) / q
+    val = quad(lambda u: exact_hm(d, r * np.exp(u)), 0.0, math.log(top / r), points=pts)[0]
+    tail = 0.0 if math.isinf(q) else exact_hm(d, top) / q
     return val + tail
 
 
@@ -200,7 +196,7 @@ def fubini_identity(d: Domain, p: float, omega_fn=None) -> IdentityReport:
         raise DivergentCase(
             f"moment p={p} meets the decay exponent {q}; both sides are infinite"
         )
-    omega = omega_fn if omega_fn is not None else (lambda t: _omega(d, t))
+    omega = omega_fn if omega_fn is not None else (lambda t: exact_hm(d, t))
     omega_top = omega(r_max)
 
     # The rhs comes first: exact_hm rejects the off-center disks, the one
@@ -269,7 +265,7 @@ def tail_lower_bound(d: Domain, r: float) -> IdentityReport:
     """Doubling bound: the Green circle integral at r dominates
     2pi log(2) omega(a, E_{2r}); tight when omega is flat on [r, 2r]."""
     lhs = _green_circle_integral(d, r)
-    rhs = 2.0 * math.pi * math.log(2.0) * _omega(d, 2.0 * r)
+    rhs = 2.0 * math.pi * math.log(2.0) * exact_hm(d, 2.0 * r)
     gap = 0.0 if lhs < _REL_FLOOR else (lhs - rhs) / lhs
     return IdentityReport(
         name="tail_doubling_bound",

@@ -10,9 +10,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hardynum
 from hardynum import (
     Disk,
     DiskExterior,
@@ -172,7 +174,10 @@ def test_criterion_09_membership_verdicts_and_embedding_sweep():
 
 
 def _run_cli(args, out_dir, threads):
-    env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+    # the package's parent directory, so a checkout runs without an install
+    paths = [str(Path(hardynum.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(p for p in paths if p))
     code = ("import sys; from hardynum.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
     proc = subprocess.run([sys.executable, "-c", code, *args, "--out", str(out_dir)],

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from hardynum import HalfPlane, Sector, WosConfig, dump_domain
-from hardynum import cli, function_norms
+from hardynum import cli, function_norms, wos
 from hardynum.cli import main
 
 
@@ -390,12 +390,17 @@ def test_seed_outside_64_bits_exits_2(tmp_path, halfplane_json, capsys, seed):
     assert not (tmp_path / "o").exists()
 
 
-def test_non_positive_window_exits_2(tmp_path, halfplane_json, capsys):
+def test_non_positive_window_exits_2(tmp_path, halfplane_json, capsys, monkeypatch):
+    def no_walks(d, cfg):
+        raise AssertionError("a walk ran before the window was checked")
+
+    monkeypatch.setattr(wos, "_exit_moduli", no_walks)
     for command in (["hardy"], ["member", "--p", "0.5"], ["report"]):
         rc = main([*command, "--domain", halfplane_json, "--samples", "2000",
                    "--window", "0", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "tail_window must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 _PROFILE_FLAGS = {"--domain", "--grid", "--seed", "--samples", "--chunk", "--out"}

@@ -13,7 +13,6 @@ from scipy.special import logsumexp
 from hardynum import (
     HalfPlane,
     Sector,
-    UnsupportedImage,
     bergman_growth_profile,
     cayley,
     default_grid,
@@ -35,7 +34,6 @@ from hardynum.function_norms import (
     HARDY_GAPS,
     P_MAX,
     NodeTable,
-    _area_log_weight,
     _bands,
     _gl_weights,
     _graded_rule,
@@ -67,88 +65,6 @@ def quad_log_mean(f, p, s):
     val = quad(lambda t: math.exp(g(t) - shift), 0.0, math.pi, points=breaks,
                epsrel=1e-9, epsabs=0.0, limit=500)[0]
     return shift + math.log(2.0 * val)
-
-
-# ---- change of variable: disk-side area integral vs image-plane Green integral
-
-
-def _green_log_weight(s):
-    """(1-s) from the area Jacobian times the Green weight log 1/r, r = 1 - s."""
-    return np.log(1.0 - s) + np.log(-np.log1p(-s))
-
-
-def _quad(fn, a, b, rel, points=None, limit=800) -> float:
-    val, err, info, *rest = quad(fn, a, b, epsrel=rel, epsabs=0.0, limit=limit,
-                                 points=points, full_output=1)
-    if rest and err > 100.0 * rel * max(abs(val), 1e-300):
-        pytest.fail(f"quadrature did not converge: {rest[0]}")
-    return val
-
-
-def change_of_variable_check(f, p, delta):
-    """Both sides of the Green-function change of variable for the truncated
-    region |z| <= 1 - delta, for univalent catalog maps with unbounded image.
-
-    Left side: area integral over the disk region of |f|^(p-2) |f'|^2 log(1/|z|),
-    by the package's rule (a NodeTable band integral).
-    Right side: area integral over the image of the region of |w|^(p-2) times
-    the Green's function of the image with pole at f(0), written in the
-    Cayley coordinate u = (1+z)/(1-z) (where w = u^beta) so one formula
-    covers every opening. The image of |z| <= R = 1 - delta under the Cayley
-    map is the disk |u - c| <= rho with c = (1+R^2)/(1-R^2) and
-    rho = 2R/(1-R^2); there the Green factor is the half-plane one,
-    log|(u+1)/(u-1)|, and dA(w) = beta^2 |u|^(2 beta - 2) dA(u). In polar
-    coordinates u = 1 + s e^{i phi} around the pole,
-
-        rhs = 2 beta^2 * integral over phi in [0, pi] of
-              integral over s in [0, s_max(phi)] of
-              |u|^(beta p - 2) * log|(u+1)/(u-1)| * s ds dphi,
-
-    where s_max(phi) reaches the boundary circle and the factor 2 (with
-    phi in [0, pi] only) comes from the symmetry phi <-> -phi of the
-    integrand and of the disk. The right side is integrated by adaptive scipy
-    quadrature to AREA_REL_TOL, an independent route to the same number.
-    """
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    if not f.univalent:
-        raise UnsupportedImage("change of variable needs a univalent map")
-    if f.kind == "identity":
-        raise UnsupportedImage("image is bounded; no Green integral to compare against")
-    beta = f.beta if f.kind == "sector_power" else 1.0
-
-    band = (delta, 1.0)
-    lhs_log = NodeTable(f, bands=[band], derivative=True).log_band_integral(
-        band, p - 2.0, 2.0, _green_log_weight)
-    lhs = math.exp(lhs_log) if lhs_log > -math.inf else 0.0
-
-    big_r = 1.0 - delta
-    c = (1.0 + big_r**2) / (1.0 - big_r**2)
-    rho = 2.0 * big_r / (1.0 - big_r**2)
-    d = c - 1.0
-    power = beta * p - 2.0
-
-    def s_max(phi):
-        disc = rho * rho - (d * math.sin(phi)) ** 2
-        return d * math.cos(phi) + math.sqrt(max(disc, 0.0))
-
-    def inner(phi):
-        cos_phi = math.cos(phi)
-        top = s_max(phi)
-
-        def integrand(s):
-            if s <= 0.0:
-                return 0.0
-            mod_u_sq = 1.0 + 2.0 * s * cos_phi + s * s
-            mod_u_plus1_sq = 4.0 + 4.0 * s * cos_phi + s * s
-            green = 0.5 * math.log(mod_u_plus1_sq) - math.log(s)
-            return math.exp(0.5 * power * math.log(mod_u_sq)) * green * s
-
-        pts = sorted({min(10.0**k, top * 0.5) for k in range(-6, 3)})
-        return _quad(integrand, 0.0, top, 0.1 * AREA_REL_TOL, points=pts, limit=400)
-
-    rhs = 2.0 * beta**2 * _quad(inner, 0.0, math.pi, AREA_REL_TOL, limit=200)
-    return lhs, rhs
 
 
 # ---- the 1-D rule -------------------------------------------------------------
@@ -262,7 +178,7 @@ def test_one_table_serves_every_probe():
         table = NodeTable(f, gaps)
         growth = NodeTable.for_growth(f)
         for p, alpha in ((2.5, 1.0), (0.5, 0.0), (2.5, 1.0)):  # the repeat catches a mutated table
-            for gap, v in zip(gaps, hardy_growth_profile(table, p, gaps).log_values):
+            for gap, v in zip(gaps, table.log_circle_means(gaps, p)):
                 ref = log_hardy_mean(f, p, 1.0 - gap)
                 assert abs(v - ref) <= 1e-13 * abs(ref), (f, p, gap)
             assert hardy_growth_profile(growth, p) == hardy_growth_profile(f, p)
@@ -276,7 +192,7 @@ def test_one_table_serves_every_probe():
                 assert abs(v - ref) <= tol * abs(ref), (f, p, alpha, gap)
 
 
-def _reference_log_means(f, s, p_f, p_fp, block, derivative=False):
+def _reference_log_means(f, s, p, block):
     """log circle means at radii 1 - s, as the package computed them before
     its flat table: one 2-D node array per block of rows, its zero-width nodes
     masked out of a max-shifted log-sum-exp that nothing floors."""
@@ -285,50 +201,42 @@ def _reference_log_means(f, s, p_f, p_fp, block, derivative=False):
         rows = s[k:k + block, None]
         t, width = _graded_rule(rows, 0.5 * math.pi)
         sin2, cos2 = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
-        (f_0, fp_0), (f_pi, fp_pi) = (_log_moduli(f, rows, sin2, cos2, derivative),
-                                      _log_moduli(f, rows, cos2, sin2, derivative))
-        g = p_f * np.stack([f_0, f_pi], axis=1)
-        if p_fp != 0.0:
-            g += p_fp * np.stack([fp_0, fp_pi], axis=1)
+        g = p * np.stack([_log_moduli(f, rows, sin2, cos2), _log_moduli(f, rows, cos2, sin2)],
+                         axis=1)
         w = _gl_weights(width)[:, None, :]
         out.append(math.log(2.0) + _log_sum_exp(g, w, axis=(1, 2)))
     return np.concatenate(out)
 
 
-DERIVATIVE_BAND = (1e-3, 1.0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     f=st.sampled_from(CATALOG),
-    p_f=st.floats(-2.0, 8.0),
-    p_fp=st.floats(0.5, 4.0),
+    p=st.floats(-2.0, 8.0),
     alpha=st.floats(-1.0, 3.0, exclude_min=True),
-    where=st.sampled_from(["circles", *_bands(BERGMAN_GAPS), "derivative"]),
+    where=st.sampled_from(["circles", *_bands(BERGMAN_GAPS)]),
 )
-# exp-cayley's log|f| spans ~1e10 within a row, so a negative p_f shifted by
+# exp-cayley's log|f| spans ~1e10 within a row, so a negative p shifted by
 # anything but the row minimum overflows
-@example(f=exp_cayley(), p_f=-0.5, p_fp=1.0, alpha=0.0, where="circles")
-@example(f=exp_cayley(), p_f=-2.0, p_fp=1.0, alpha=1.0, where=(1e-7, 1e-5))
-def test_flat_table_matches_the_block_reference(f, p_f, p_fp, alpha, where):
-    # negative p_f takes the row-minimum shift; the error is relative on the
+@example(f=exp_cayley(), p=-0.5, alpha=0.0, where="circles")
+@example(f=exp_cayley(), p=-2.0, alpha=1.0, where=(1e-7, 1e-5))
+def test_flat_table_matches_the_block_reference(f, p, alpha, where):
+    # negative p takes the row-minimum shift; the error is relative on the
     # log values, absolute below 1, where a log value may cross zero
     close = lambda got, ref: np.all(np.abs(got - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0))
     if where == "circles":
-        got = NodeTable(f, HARDY_GAPS).log_circle_means(HARDY_GAPS, p_f)
-        ref = _reference_log_means(f, np.array(HARDY_GAPS), p_f, 0.0, len(HARDY_GAPS))
-        assert got.shape == ref.shape and close(got, ref), (f, p_f)
+        got = NodeTable(f, HARDY_GAPS).log_circle_means(HARDY_GAPS, p)
+        ref = _reference_log_means(f, np.array(HARDY_GAPS), p, len(HARDY_GAPS))
+        assert got.shape == ref.shape and close(got, ref), (f, p)
         return
-    band, p_fp = (DERIVATIVE_BAND, p_fp) if where == "derivative" else (where, 0.0)
-    table = NodeTable(f, bands=[band], derivative=p_fp != 0.0)
-    nodes = table._bands[band]
-    got = nodes.circles.log_means(p_f, p_fp)
-    ref = _reference_log_means(f, nodes.s, p_f, p_fp, function_norms.RADIAL_BLOCK,
-                               derivative=p_fp != 0.0)
-    assert got.shape == ref.shape and close(got, ref), (f, p_f, p_fp, band)
-    log_weight = _area_log_weight(alpha)
-    ref_integral = _log_sum_exp(ref + log_weight(nodes.s), nodes.w)
-    assert close(table.log_band_integral(band, p_f, p_fp, log_weight), ref_integral), (f, alpha)
+    table = NodeTable(f, bands=[where])
+    nodes = table._bands[where]
+    got = nodes.circles.log_means(p)
+    ref = _reference_log_means(f, nodes.s, p, function_norms.RADIAL_BLOCK)
+    assert got.shape == ref.shape and close(got, ref), (f, p, where)
+    # (1-s) from the area Jacobian times (1-|z|^2)^alpha = (s(2-s))^alpha
+    s = nodes.s
+    ref_integral = _log_sum_exp(ref + np.log(1.0 - s) + alpha * np.log(s * (2.0 - s)), nodes.w)
+    assert close(table.log_band_integral(where, p, alpha), ref_integral), (f, alpha)
 
 
 def test_exp_floor_changes_no_result(monkeypatch):
@@ -339,10 +247,10 @@ def test_exp_floor_changes_no_result(monkeypatch):
     shifted = [P_MAX * (c.log_f - np.repeat(c.row_max, c.row_count)[:, None]) for c in circles]
     below = sum(np.count_nonzero(g < function_norms.EXP_FLOOR) for g in shifted)
     assert below > 0.5 * sum(g.size for g in shifted)
-    floored = [c.log_means(P_MAX, 0.0) for c in circles]
+    floored = [c.log_means(P_MAX) for c in circles]
     monkeypatch.setattr(function_norms, "EXP_FLOOR", -math.inf)
     for c, got in zip(circles, floored):
-        np.testing.assert_array_equal(got, c.log_means(P_MAX, 0.0))
+        np.testing.assert_array_equal(got, c.log_means(P_MAX))
 
 
 def test_table_holds_only_its_own_nodes():
@@ -350,9 +258,7 @@ def test_table_holds_only_its_own_nodes():
     with pytest.raises(ValueError):
         table.log_circle_means((1e-4,), 1.0)
     with pytest.raises(ValueError):
-        table.log_band_integral((1e-4, 1.0), 1.0, 0.0, lambda s: 0.0 * s)
-    with pytest.raises(ValueError):  # no log|f'| without derivative=True
-        table.log_circle_means((1e-3,), 1.0, 2.0)
+        table.log_band_integral((1e-4, 1.0), 1.0, 0.0)
 
 
 # ---- circle means ------------------------------------------------------------
@@ -428,6 +334,8 @@ def test_mean_parameter_validation():
     with pytest.raises(ValueError):
         log_hardy_mean(cayley(), math.nan, 0.5)
     with pytest.raises(ValueError):
+        log_hardy_mean(cayley(), math.inf, 0.5)
+    with pytest.raises(ValueError):
         log_hardy_mean(cayley(), 1.0, 1.0)
     with pytest.raises(ValueError):
         log_hardy_mean(cayley(), 1.0, -0.1)
@@ -480,23 +388,13 @@ def test_area_parameter_validation():
     with pytest.raises(ValueError):
         log_bergman_integral(cayley(), math.nan, 0.0, 0.1)
     with pytest.raises(ValueError):
+        log_bergman_integral(cayley(), 1.0, math.inf, 0.1)
+    with pytest.raises(ValueError):
+        log_bergman_integral(cayley(), math.inf, 0.0, 0.1)
+    with pytest.raises(ValueError):
         log_bergman_integral(cayley(), 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         log_bergman_integral(cayley(), 1.0, 0.0, 1.0)
-
-
-def test_change_of_variable_two_routes_agree():
-    for f in (cayley(), sector_power(0.5)):
-        for delta in (0.5, 1e-2, 1e-3):
-            lhs, rhs = change_of_variable_check(f, 0.5, delta)
-            assert rhs == pytest.approx(lhs, rel=1e-5), (f, delta)
-
-
-def test_change_of_variable_needs_univalent_unbounded_image():
-    with pytest.raises(UnsupportedImage):
-        change_of_variable_check(exp_cayley(), 0.5, 0.1)
-    with pytest.raises(UnsupportedImage):
-        change_of_variable_check(identity_map(), 0.5, 0.1)
 
 
 # ---- growth classification --------------------------------------------------------
