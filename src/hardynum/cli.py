@@ -26,7 +26,7 @@ from pathlib import Path
 from . import function_norms, identities
 from ._serialize import fmt_float, growth_csv, json_dumps, profile_csv, write_text
 from .errors import HardynumError, ZeroMeasure
-from .geometry import HalfPlane, Sector, domain_to_dict, load_domain
+from .geometry import HalfPlane, Sector, domain_to_dict, exact_hm, load_domain
 from .hardy_estimator import (
     DEFAULT_WINDOW,
     check_tail_window,
@@ -36,12 +36,12 @@ from .hardy_estimator import (
     sampling_warnings,
 )
 from .membership import MembershipQuery, classify_bergman, classify_hardy
-from .oracles import exact_hm
 from .wos import DEFAULT_CHUNK, WosConfig, estimate_hm, estimate_profile
 
 DEFAULT_SEED = 0
 DEFAULT_SAMPLES = 100_000
 MC_AGREEMENT_SIGMAS = 4.0
+MAX_GRID_COUNT = 10_000  # radii in a --grid; the default grid has 13
 
 _CATALOG = (
     ("cayley", function_norms.cayley()),
@@ -110,8 +110,8 @@ def _parse_grid(text: str):
         raise ValueError("grid r0 must be positive and finite")
     if not (ratio > 1.0):
         raise ValueError("grid ratio must exceed 1")
-    if count < 2:
-        raise ValueError("grid count must be at least 2")
+    if not 2 <= count <= MAX_GRID_COUNT:
+        raise ValueError(f"grid count {count} is outside [2, {MAX_GRID_COUNT}]")
     try:
         last = r0 * ratio ** (count - 1)
     except OverflowError:

@@ -1,4 +1,4 @@
-"""Planar domain geometry.
+"""Planar domain geometry and each shape's closed forms.
 
 Domains are open connected subsets of the complex plane. Built-in shapes:
 
@@ -8,8 +8,8 @@ Domains are open connected subsets of the complex plane. Built-in shapes:
     Disk           {|z - center| < radius}
     DiskExterior   {|z - center| > radius}
 
-These four are the only shapes: every query, oracle and JSON form handles
-each of them and nothing else.
+These four are the only shapes: every query, closed form and JSON form
+handles each of them and nothing else.
 
 Every domain carries a basepoint (an interior point used as the start of
 random walks and as the pole of Green's functions; the constructor default
@@ -18,6 +18,20 @@ structural flags: ``regular`` (all boundary points regular for the Dirichlet
 problem), ``bounded`` and ``simply_connected``. ``DiskExterior`` is not
 regular: its boundary in the extended plane includes the point at infinity,
 which planar Brownian motion never reaches.
+
+Each class carries its closed forms, the ground truth of the Monte Carlo and
+identity checks: the decay exponent, the harmonic measure of the boundary
+beyond modulus r and the Green's function, both seen from the basepoint, and
+where they are non-smooth. The base Domain raises UnsupportedShape for each.
+All are exact, with no series truncation and no quadrature. The tail measure:
+
+    half-plane   1 - (1/pi) * (atan((r-y)/x) + atan((r+y)/x)),  a = x + iy,
+                 evaluated as (1/pi) * (atan(x/(r-y)) + atan(x/(r+y)))
+                 for r > |y|, where the first form cancels
+    sector       pulled back through w -> w**(pi/opening), which maps the
+                 sector conformally onto the right half-plane and sends the
+                 tail beyond r to the tail beyond r**(pi/opening)
+    disk(s)      0 once r clears every boundary modulus, 1 below all of them
 """
 
 from __future__ import annotations
@@ -44,6 +58,9 @@ __all__ = [
     "domain_from_dict",
     "load_domain",
     "dump_domain",
+    "exact_hm",
+    "exact_green",
+    "decay_exponent",
 ]
 
 _TWO_PI = 2 * math.pi
@@ -76,6 +93,28 @@ class Domain:
     def boundary_modulus_sup(self) -> float:
         """sup{|w| : w on the boundary}."""
         raise NotImplementedError
+
+    # ---- closed forms: each shape overrides the ones it has -------------
+
+    @property
+    def decay_exponent(self) -> float:
+        """Exact power-law decay rate of the tail measure in r (inf for bounded tails)."""
+        raise UnsupportedShape(f"no closed-form decay exponent for {self!r}")
+
+    @property
+    def hm_breaks(self) -> tuple[float, ...]:
+        """Radii where the tail measure is non-smooth."""
+        raise UnsupportedShape(f"no closed-form harmonic measure for {self!r}")
+
+    def circle_breaks(self, r: float) -> list[float]:
+        """Angles in (-pi, pi) where the circle |z| = r crosses the boundary."""
+        raise UnsupportedShape(f"no boundary crossings known for {self!r}")
+
+    def _tail(self, r):  # a float for a float radius, an array for an array
+        raise UnsupportedShape(f"no closed-form harmonic measure for {self!r}")
+
+    def _green(self, z: np.ndarray) -> np.ndarray:
+        raise UnsupportedShape(f"no closed-form Green's function for {self!r}")
 
     def _check_basepoint(self) -> None:
         b = self.basepoint
@@ -110,6 +149,18 @@ class HalfPlane(Domain):
 
     def boundary_modulus_sup(self) -> float:
         return math.inf
+
+    decay_exponent = 1.0
+    hm_breaks = ()
+
+    def circle_breaks(self, r: float) -> list[float]:
+        return [-0.5 * math.pi, 0.5 * math.pi]
+
+    def _tail(self, r):
+        return _halfplane_tail(self.basepoint, r)
+
+    def _green(self, z: np.ndarray) -> np.ndarray:
+        return _halfplane_green(self.basepoint, z)
 
     def __repr__(self) -> str:
         return f"HalfPlane(basepoint={self.basepoint!r})"
@@ -165,6 +216,24 @@ class Sector(Domain):
     def boundary_modulus_sup(self) -> float:
         return math.inf
 
+    hm_breaks = ()
+
+    @property
+    def decay_exponent(self) -> float:
+        return math.pi / self.opening
+
+    def circle_breaks(self, r: float) -> list[float]:
+        half = 0.5 * self.opening
+        return [t for t in (-half, half) if -math.pi < t < math.pi]
+
+    def _tail(self, r):
+        return _halfplane_tail(self.basepoint**self.decay_exponent, r**self.decay_exponent)
+
+    def _green(self, z: np.ndarray) -> np.ndarray:
+        power = self.decay_exponent
+        inside = (z != 0) & (np.abs(np.angle(z)) < 0.5 * self.opening)
+        return np.where(inside, _halfplane_green(self.basepoint**power, z**power), 0.0)
+
     def __repr__(self) -> str:
         return f"Sector(opening={self.opening!r}, basepoint={self.basepoint!r})"
 
@@ -192,6 +261,32 @@ class _Round(Domain):
     def boundary_modulus_sup(self) -> float:
         return abs(self.center) + self.radius
 
+    decay_exponent = math.inf
+
+    @property
+    def hm_breaks(self) -> tuple[float, float]:
+        dist = abs(self.center)
+        return (abs(dist - self.radius), dist + self.radius)
+
+    def circle_breaks(self, r: float) -> list[float]:
+        dist = abs(self.center)
+        cos_phi = (r * r + dist * dist - self.radius**2) / (2.0 * r * dist) if dist else 1.0
+        if abs(cos_phi) >= 1.0:  # a centered circle, or r outside the band hm_breaks
+            return []
+        phi = math.acos(cos_phi)
+        base = math.atan2(self.center.imag, self.center.real)
+        # wrap into (-pi, pi]
+        wrapped = (math.atan2(math.sin(t), math.cos(t)) for t in (base - phi, base + phi))
+        return sorted(t for t in wrapped if -math.pi < t < math.pi)
+
+    def _tail(self, r):
+        lo, hi = self.hm_breaks
+        if np.any((lo < r) & (r < hi)):
+            raise UnsupportedShape(f"tail radius inside the boundary modulus band of {self!r}")
+        # beyond hi the tail set is empty; below lo it is the entire boundary
+        tail = np.where(r >= hi, 0.0, 1.0)
+        return tail if np.ndim(r) else float(tail)
+
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(radius={self.radius!r}, basepoint={self.basepoint!r}, "
@@ -216,6 +311,12 @@ class Disk(_Round):
     def distances(self, zs: np.ndarray) -> np.ndarray:
         return self.radius - np.abs(zs - self.center)
 
+    def _green(self, z: np.ndarray) -> np.ndarray:
+        a = self.basepoint - self.center
+        u = z - self.center
+        val = np.log(np.abs(self.radius**2 - np.conj(a) * u) / (self.radius * np.abs(u - a)))
+        return np.where(np.abs(u) < self.radius, np.maximum(val, 0.0), 0.0)
+
 
 class DiskExterior(_Round):
     """Exterior {|z - center| > radius}.
@@ -238,6 +339,62 @@ class DiskExterior(_Round):
 
     def distances(self, zs: np.ndarray) -> np.ndarray:
         return np.abs(zs - self.center) - self.radius
+
+
+# ---- closed forms ----------------------------------------------------------
+
+
+def _halfplane_tail(a: complex, r):
+    # integral of the Poisson kernel of {Re z > 0} over {it : |t| > r}.
+    # For r > |y| both arctangents of the first form near pi/2 and its
+    # 1 - ... cancels; atan(s) = pi/2 - atan(1/s) for s > 0 gives the
+    # complementary form, which does not.
+    x, y = a.real, a.imag
+    if np.ndim(r) == 0:
+        if r > abs(y):
+            return (math.atan(x / (r - y)) + math.atan(x / (r + y))) / math.pi
+        return 1.0 - (math.atan((r - y) / x) + math.atan((r + y) / x)) / math.pi
+    far = r > abs(y)
+    # each form only where it is used, so no division by r -+ y = 0
+    rf, rn = r[far], r[~far]
+    out = np.empty_like(r)
+    out[far] = (np.arctan(x / (rf - y)) + np.arctan(x / (rf + y))) / math.pi
+    out[~far] = 1.0 - (np.arctan((rn - y) / x) + np.arctan((rn + y) / x)) / math.pi
+    return out
+
+
+def _halfplane_green(a: complex, w: np.ndarray) -> np.ndarray:
+    val = np.log(np.abs((w + np.conj(a)) / (w - a)))
+    return np.where(w.real > 0.0, np.maximum(val, 0.0), 0.0)
+
+
+def exact_hm(d: Domain, r):
+    """Harmonic measure of the boundary tail beyond modulus r, from the basepoint.
+
+    r is a radius or an array-like of radii; an array gives an array, and a
+    radius a float from math-module arithmetic.
+    """
+    radii = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(radii) & (radii >= 0)):
+        raise ValueError(f"tail radius must be finite and >= 0, got {r!r}")
+    return d._tail(radii if radii.ndim else float(radii))
+
+
+def exact_green(d: Domain, w):
+    """Green's function of the domain with pole at the basepoint; +inf at the pole.
+
+    Extended by zero outside the domain, which also gives the correct value
+    0 in the limit |w| -> infinity. w is a point or an array of points; an
+    array gives an array and a point a float.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        green = d._green(np.asarray(w, dtype=complex))
+    return green if np.ndim(w) else float(green)
+
+
+def decay_exponent(d: Domain) -> float:
+    """Exact power-law decay rate of exact_hm in r (inf for bounded tails)."""
+    return d.decay_exponent
 
 
 # ---- JSON interface ------------------------------------------------------

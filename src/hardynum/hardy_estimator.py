@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFewPoints, ZeroMeasure
-from .geometry import Domain
-from .oracles import exact_hm
+from .geometry import Domain, exact_hm
 
 __all__ = [
     "ProfileEntry",

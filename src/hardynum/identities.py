@@ -40,8 +40,7 @@ import numpy as np
 
 from .errors import DivergentCase
 from .function_norms import quad
-from .geometry import Disk, Domain, HalfPlane, Sector
-from .oracles import decay_exponent, exact_green, exact_hm
+from .geometry import Domain, HalfPlane, decay_exponent, exact_green, exact_hm
 
 __all__ = [
     "IdentityReport",
@@ -84,58 +83,23 @@ def _rel_error(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / scale
 
 
-def _omega_breaks(d: Domain) -> tuple[float, ...]:
-    # radii where the oracle harmonic measure is non-smooth
-    if isinstance(d, Disk):
-        dist = abs(d.center)
-        return (abs(dist - d.radius), dist + d.radius)
-    return ()
-
-
-def _circle_breaks(d: Domain, r: float) -> list[float]:
-    """Angles in (-pi, pi) where the circle |z| = r crosses the boundary."""
-    if isinstance(d, HalfPlane):
-        return [-0.5 * math.pi, 0.5 * math.pi]
-    if isinstance(d, Sector):
-        half = 0.5 * d.opening
-        return [t for t in (-half, half) if -math.pi < t < math.pi]
-    if isinstance(d, Disk):
-        dist = abs(d.center)
-        if dist == 0.0:
-            return []
-        cos_phi = (r * r + dist * dist - d.radius**2) / (2.0 * r * dist)
-        if abs(cos_phi) >= 1.0:
-            return []
-        phi = math.acos(cos_phi)
-        base = math.atan2(d.center.imag, d.center.real)
-        out = []
-        for t in (base - phi, base + phi):
-            t = math.atan2(math.sin(t), math.cos(t))  # wrap into (-pi, pi]
-            if -math.pi < t < math.pi:
-                out.append(t)
-        return sorted(out)
-    return []
-
-
 def _green_circle_integral(d: Domain, r, power: float = 1.0, points=None):
     """int_{-pi}^{pi} g(a, r e^{i theta})^power d theta (unnormalized).
 
     r is a radius, or a column of radii for one integral per row; points
-    defaults to _circle_breaks(d, r) and must suit every row.
+    defaults to d.circle_breaks(r) and must suit every row.
     """
     if not np.all(r > abs(d.basepoint)):
         raise ValueError("circle radius must exceed |basepoint|")
-    if points is None:
-        points = _circle_breaks(d, r)
     return quad(lambda theta: exact_green(d, r * np.exp(1j * theta)) ** power,
-                -math.pi, math.pi, points=points)[0]
+                -math.pi, math.pi, points=d.circle_breaks(r) if points is None else points)[0]
 
 
 def _tail_log_integral(d: Domain, r: float) -> float:
     """int_r^inf omega(a, E_t) dt/t with a power-law tail beyond r * 1e4."""
     q = decay_exponent(d)
     top = r * _TAIL_FACTOR
-    pts = [math.log(b / r) for b in _omega_breaks(d) if r < b < top]
+    pts = [math.log(b / r) for b in d.hm_breaks if r < b < top]
     val = quad(lambda u: exact_hm(d, r * np.exp(u)), 0.0, math.log(top / r), points=pts)[0]
     tail = 0.0 if math.isinf(q) else exact_hm(d, top) / q
     return val + tail
@@ -204,12 +168,12 @@ def fubini_identity(d: Domain, p: float, omega_fn=None) -> IdentityReport:
     def rhs_integrand(t):
         return omega(t) * (1.0 - (a_mod / t) ** p)
 
-    rhs = _radial_integral(rhs_integrand, a_mod, p, _omega_breaks(d))
+    rhs = _radial_integral(rhs_integrand, a_mod, p, d.hm_breaks)
     if math.isfinite(q):
         rhs += omega_top * (r_max**p / (q - p) - a_mod**p / q)
     rhs *= 2.0 * math.pi / p
 
-    angles = [*_circle_breaks(d, r_max), cmath.phase(d.basepoint)]
+    angles = [*d.circle_breaks(r_max), cmath.phase(d.basepoint)]
 
     def lhs_integrand(r):
         return np.concatenate([
@@ -217,7 +181,7 @@ def fubini_identity(d: Domain, p: float, omega_fn=None) -> IdentityReport:
             for k in range(0, r.size, _RADIAL_BLOCK)])
 
     # the circle means are non-smooth where the oracle measure is
-    lhs = _radial_integral(lhs_integrand, a_mod, p, _omega_breaks(d))
+    lhs = _radial_integral(lhs_integrand, a_mod, p, d.hm_breaks)
     if math.isfinite(q):
         lhs += 2.0 * math.pi * omega_top * r_max**p / (q * (q - p))
 

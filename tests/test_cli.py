@@ -350,10 +350,17 @@ def test_malformed_domain_file_exits_2(tmp_path, capsys, text, named):
     assert named in capsys.readouterr().err
 
 
-def test_malformed_grid_exits_2(tmp_path, halfplane_json, capsys):
-    # each message names the grid field that is wrong
+def test_malformed_grid_exits_2(tmp_path, halfplane_json, capsys, monkeypatch):
+    def no_walks(d, cfg):
+        raise AssertionError("a walk ran on a rejected grid")
+
+    monkeypatch.setattr(wos, "_exit_moduli", no_walks)
+    # each message names the grid field that is wrong; a count over the cap
+    # is rejected before its radii are built
+    too_many = cli.MAX_GRID_COUNT + 1
     for grid, named in (("banana", "r0,ratio,count"), ("2,2,1e3", "grid count '1e3'"),
-                        ("a,2,3", "grid r0 'a'"), ("2,x,3", "grid ratio 'x'")):
+                        ("a,2,3", "grid r0 'a'"), ("2,x,3", "grid ratio 'x'"),
+                        (f"1,1.0000001,{too_many}", f"grid count {too_many}")):
         rc = main(["hardy", "--domain", halfplane_json, "--grid", grid,
                    "--out", str(tmp_path / "o")])
         assert rc == 2

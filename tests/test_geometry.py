@@ -1,5 +1,6 @@
-"""Geometry: shapes, distances, projections, JSON round trips."""
+"""Geometry: shapes, distances, projections, circle crossings, JSON round trips."""
 
+import cmath
 import json
 import math
 
@@ -232,6 +233,22 @@ def test_boundary_modulus_sup():
     assert Disk(2.0).boundary_modulus_sup() == 2.0
     assert Disk(1.0, 3.0, 3.0).boundary_modulus_sup() == 4.0
     assert DiskExterior(1.0).boundary_modulus_sup() == 1.0
+
+
+@pytest.mark.parametrize("center", [1.5 + 1.0j, 0.5j, -2.0 + 0.0j], ids=repr)
+def test_offcenter_circle_breaks_solve_the_crossing_equation(center):
+    # two crossings strictly inside the band of boundary moduli, none outside
+    # it; at -2 the crossings lie either side of arg = +-pi, where they wrap
+    d = Disk(1.0, basepoint=center, center=center)
+    lo, hi = d.hm_breaks
+    for r in np.linspace(lo, hi, 7)[1:-1]:
+        angles = d.circle_breaks(r)
+        assert len(angles) == 2 and angles == sorted(angles)
+        for t in angles:
+            assert -math.pi < t < math.pi
+            assert abs(abs(r * cmath.exp(1j * t) - center) - d.radius) <= 1e-12
+    for r in (0.5 * lo, 2.0 * hi):
+        assert d.circle_breaks(r) == []
 
 
 # ---- JSON -------------------------------------------------------------------

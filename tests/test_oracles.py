@@ -235,3 +235,6 @@ def test_tail_array_matches_scalar_path(d):
     got = exact_hm(d, r)
     want = np.array([exact_hm(d, float(x)) for x in r])
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    # any array-like of radii takes the array path, ints included
+    np.testing.assert_array_equal(exact_hm(d, r.tolist()), got)
+    np.testing.assert_array_equal(exact_hm(d, [0, 2, 4]), exact_hm(d, np.array([0.0, 2.0, 4.0])))

@@ -1,7 +1,8 @@
 """Package surface: every exported name resolves, the README's Python
-examples run, the CLI imports numpy only, and the benchmark tracer finds
-every name it patches."""
+examples run, the CLI imports numpy only, only geometry branches on the shape
+class, and the benchmark tracer finds every name it patches."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -41,6 +42,26 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+SHAPE_CLASSES = {"HalfPlane", "Sector", "Disk", "DiskExterior", "_Round"}
+
+
+def test_only_geometry_dispatches_on_shape():
+    # each shape class carries its own closed forms, so a new shape edits
+    # geometry alone; an isinstance test on a shape elsewhere is a second
+    # dispatch that the new shape would have to extend
+    found = []
+    for path in sorted(Path(hardynum.__file__).parent.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                # a class is a Name (Disk) or an Attribute (geometry.Disk)
+                classes = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[-1])}
+                if classes & SHAPE_CLASSES:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
