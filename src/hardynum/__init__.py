@@ -1,128 +1,21 @@
 """Hardy and Bergman numbers of plane domains, estimated from the decay of
 harmonic measure at infinity, with closed-form oracles, membership
-classification, and an identity verification suite."""
+classification, and an identity verification suite.
 
-from .errors import (
-    BasepointOutsideDomain,
-    DegenerateDomain,
-    DivergentCase,
-    HardynumError,
-    TooFewPoints,
-    UnsupportedImage,
-    UnsupportedShape,
-    ZeroMeasure,
-)
-from .geometry import (
-    Disk,
-    DiskExterior,
-    Domain,
-    HalfPlane,
-    Sector,
-    domain_from_dict,
-    domain_to_dict,
-    dump_domain,
-    load_domain,
-)
-from .geometry import decay_exponent, exact_green, exact_hm
-from .wos import WosConfig, estimate_hm, estimate_profile
-from .hardy_estimator import (
-    DecayFit,
-    DecayProfile,
-    HardyNumberEstimate,
-    ProfileEntry,
-    default_grid,
-    estimate_hardy_number,
-    fit_decay,
-    oracle_profile,
-    sampling_warnings,
-)
-from .membership import (
-    MembershipQuery,
-    MembershipVerdict,
-    classify_bergman,
-    classify_hardy,
-)
-from .function_norms import (
-    CatalogFunction,
-    EmpiricalExponents,
-    GrowthProfile,
-    NodeTable,
-    bergman_growth_profile,
-    cayley,
-    empirical_hb,
-    exp_cayley,
-    hardy_growth_profile,
-    identity_map,
-    log_bergman_integral,
-    log_hardy_mean,
-    sector_power,
-)
-from .identities import (
-    IdentityReport,
-    baernstein_identity,
-    fubini_identity,
-    jensen_check,
-    run_identity_suite,
-    tail_lower_bound,
-)
+The public names are each module's __all__, re-exported here, so a name is
+declared once, in its own module."""
+
+from . import errors, geometry, wos, hardy_estimator, membership, function_norms, identities
+from .errors import *
+from .geometry import *
+from .wos import *
+from .hardy_estimator import *
+from .membership import *
+from .function_norms import *
+from .identities import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HardynumError",
-    "UnsupportedShape",
-    "BasepointOutsideDomain",
-    "DegenerateDomain",
-    "ZeroMeasure",
-    "TooFewPoints",
-    "UnsupportedImage",
-    "DivergentCase",
-    "Domain",
-    "HalfPlane",
-    "Sector",
-    "Disk",
-    "DiskExterior",
-    "domain_to_dict",
-    "domain_from_dict",
-    "load_domain",
-    "dump_domain",
-    "exact_hm",
-    "exact_green",
-    "decay_exponent",
-    "WosConfig",
-    "estimate_hm",
-    "estimate_profile",
-    "ProfileEntry",
-    "DecayProfile",
-    "HardyNumberEstimate",
-    "estimate_hardy_number",
-    "sampling_warnings",
-    "default_grid",
-    "oracle_profile",
-    "DecayFit",
-    "MembershipQuery",
-    "MembershipVerdict",
-    "fit_decay",
-    "classify_hardy",
-    "classify_bergman",
-    "CatalogFunction",
-    "cayley",
-    "sector_power",
-    "exp_cayley",
-    "identity_map",
-    "log_hardy_mean",
-    "log_bergman_integral",
-    "NodeTable",
-    "GrowthProfile",
-    "hardy_growth_profile",
-    "bergman_growth_profile",
-    "EmpiricalExponents",
-    "empirical_hb",
-    "IdentityReport",
-    "baernstein_identity",
-    "fubini_identity",
-    "jensen_check",
-    "tail_lower_bound",
-    "run_identity_suite",
-    "__version__",
-]
+__all__ = [name for module in (errors, geometry, wos, hardy_estimator, membership,
+                               function_norms, identities) for name in module.__all__]
+__all__.append("__version__")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import function_norms, identities
@@ -130,19 +131,6 @@ def _load_inputs(args):
     return domain, grid, cfg
 
 
-def _estimate_payload(est, args, domain) -> dict:
-    return {
-        "value": est.value,
-        "warnings": list(est.warnings),
-        "ci_halfwidth": est.ci_halfwidth,
-        "tail_window": est.tail_window,
-        "used_radii": list(est.used_radii) if est.used_radii is not None else None,
-        "seed": args.seed,
-        "n_samples": args.samples,
-        "domain": domain_to_dict(domain),
-    }
-
-
 def _cmd_hm(args) -> int:
     domain, grid, cfg = _load_inputs(args)
     profile = estimate_profile(domain, grid, cfg)
@@ -155,7 +143,9 @@ def _cmd_hardy(args) -> int:
     profile = estimate_profile(domain, grid, cfg)
     est = estimate_hardy_number(profile, tail_window=args.window)
     write_text(Path(args.out) / "profile.csv", profile_csv(profile))
-    write_text(Path(args.out) / "hardy.json", json_dumps(_estimate_payload(est, args, domain)))
+    payload = {**asdict(est), "seed": args.seed, "n_samples": args.samples,
+               "domain": domain_to_dict(domain)}
+    write_text(Path(args.out) / "hardy.json", json_dumps(payload))
     return 0
 
 
@@ -169,11 +159,7 @@ def _cmd_member(args) -> int:
     else:
         verdict = classify_bergman(fit, query)
     payload = {
-        "verdict": verdict.verdict,
-        "rationale": verdict.rationale,
-        "margin": verdict.margin,
-        "query_ratio": verdict.query_ratio,
-        "critical_ratio": verdict.critical_ratio,
+        **asdict(verdict),
         "p": args.p,
         "alpha": args.alpha,
         "fit": {
@@ -242,17 +228,7 @@ def _cmd_verify(args) -> int:
     # built first, so that a bad seed or sample count fails before the identity suite runs
     cfg = WosConfig(n_samples=args.samples, seed=args.seed, chunk_size=args.chunk)
     reports = identities.run_identity_suite()
-    entries = [
-        {
-            "name": rep.name,
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "relative_error": rep.relative_error,
-            "tolerance": rep.tolerance,
-            "passed": rep.passed,
-        }
-        for rep in reports
-    ]
+    entries = [asdict(rep) for rep in reports]
     entries.extend(_mc_agreement_checks(cfg))
     write_text(Path(args.out) / "verify.json", json_dumps(entries))
     failed = [e["name"] for e in entries if not e["passed"]]

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "HardynumError",
+    "UnsupportedShape",
+    "BasepointOutsideDomain",
+    "DegenerateDomain",
+    "ZeroMeasure",
+    "TooFewPoints",
+    "UnsupportedImage",
+    "DivergentCase",
+]
+
 
 class HardynumError(ValueError):
     """Base class for all package-specific errors."""

@@ -68,9 +68,6 @@ __all__ = [
     "bergman_growth_profile",
     "EmpiricalExponents",
     "empirical_hb",
-    "quad",
-    "CIRCLE_REL_TOL",
-    "AREA_REL_TOL",
 ]
 
 KIND_CAYLEY = "cayley"
@@ -118,6 +115,8 @@ class CatalogFunction:
             raise ValueError(f"unknown catalog kind: {self.kind!r}")
         if self.kind == KIND_SECTOR_POWER and not (0.0 < self.beta <= 2.0):
             raise ValueError("sector power beta must lie in (0, 2]")
+        if self.kind != KIND_SECTOR_POWER and self.beta != 1.0:
+            raise ValueError(f"catalog kind {self.kind!r} takes no beta, got {self.beta!r}")
 
     @property
     def univalent(self) -> bool:
@@ -449,9 +448,14 @@ class NodeTable:
 
     def __init__(self, f: CatalogFunction, gaps=(), bands=()) -> None:
         self.gaps = tuple(gaps)
+        bands = [tuple(band) for band in bands]
+        if not all(0.0 < gap < 1.0 for gap in self.gaps):
+            raise ValueError(f"node table gaps must lie in (0, 1), got {self.gaps}")
+        if not all(0.0 < lo < hi <= 1.0 for lo, hi in bands):
+            raise ValueError(f"node table bands need 0 < lo < hi <= 1, got {bands}")
         self._circles = (_Circles(f, np.array(self.gaps, dtype=float), len(self.gaps))
                          if self.gaps else None)
-        self._bands = {tuple(band): _Band(f, *band) for band in bands}
+        self._bands = {band: _Band(f, *band) for band in bands}
 
     @classmethod
     def for_growth(cls, f: CatalogFunction) -> NodeTable:
@@ -481,15 +485,17 @@ def _bands(gaps) -> list[tuple[float, float]]:
 
 
 def log_hardy_mean(f: CatalogFunction, p: float, r: float) -> float:
-    """log of the integral mean of |f|^p over the circle of radius r."""
+    """log of the integral of |f|^p over the circle of radius r, 2 pi times its mean."""
     if not (0.0 <= r < 1.0):
         raise ValueError("radius must lie in [0, 1)")
     if not (0.0 <= p < math.inf):
         raise ValueError(f"exponent p must be finite and >= 0, got {p!r}")
-    if r == 0.0:
-        v = abs(f.value(0.0))
-        return math.log(2.0 * math.pi) + (p * math.log(v) if v > 0 else (-math.inf if p > 0 else 0.0))
     gaps = (1.0 - r,)
+    if gaps[0] == 1.0:
+        # r is 0 or below one rounding of 1, where |f| is |f(r)| on the whole
+        # circle to double precision; a table circle needs a gap below 1
+        v = abs(f.value(r))
+        return math.log(2.0 * math.pi) + (p * math.log(v) if v > 0 else (-math.inf if p > 0 else 0.0))
     return float(NodeTable(f, gaps).log_circle_means(gaps, p)[0])
 
 

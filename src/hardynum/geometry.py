@@ -441,22 +441,35 @@ def _point_from(data: dict, field: str) -> dict:
     )
 
 
+# the fields each shape reads besides "shape", "basepoint" and "regular"
+_SHAPE_FIELDS = {
+    "half_plane": (),
+    "sector": ("opening",),
+    "disk": ("radius", "center"),
+    "disk_exterior": ("radius", "center"),
+}
+
+
 def domain_from_dict(data: dict) -> Domain:
     """The domain a JSON object describes; an omitted basepoint or center
-    takes the constructor's default."""
+    takes the constructor's default, and a field the shape does not read is
+    an error."""
     if not isinstance(data, dict):
         raise HardynumError(f"a domain must be a JSON object, got {type(data).__name__}")
     shape = data.get("shape")
-    basepoint = _point_from(data, "basepoint")
+    if not isinstance(shape, str) or shape not in _SHAPE_FIELDS:
+        raise UnsupportedShape(f"unknown shape {shape!r}")
     # "regular" is derived from the shape and ignored on input
+    unread = [k for k in data if k not in ("shape", "basepoint", "regular", *_SHAPE_FIELDS[shape])]
+    if unread:
+        raise HardynumError(f"shape {shape!r} has no domain field {', '.join(map(repr, unread))}")
+    basepoint = _point_from(data, "basepoint")
     if shape == "half_plane":
         return HalfPlane(**basepoint)
     if shape == "sector":
         return Sector(_number_from(data, "opening"), **basepoint)
-    round_cls = {"disk": Disk, "disk_exterior": DiskExterior}.get(shape)
-    if round_cls is not None:
-        return round_cls(_number_from(data, "radius"), **basepoint, **_point_from(data, "center"))
-    raise UnsupportedShape(f"unknown shape {shape!r}")
+    round_cls = Disk if shape == "disk" else DiskExterior
+    return round_cls(_number_from(data, "radius"), **basepoint, **_point_from(data, "center"))
 
 
 def load_domain(path: str) -> Domain:

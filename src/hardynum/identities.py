@@ -49,8 +49,6 @@ __all__ = [
     "jensen_check",
     "tail_lower_bound",
     "run_identity_suite",
-    "SWEEP_RADII",
-    "SWEEP_ALPHAS",
 ]
 
 SWEEP_RADII = tuple(float(2**k) for k in range(1, 11))

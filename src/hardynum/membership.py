@@ -15,9 +15,9 @@ divergence direction uses the integral test directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from .function_norms import check_growth_exponents
 from .hardy_estimator import DecayFit
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "MembershipVerdict",
     "classify_hardy",
     "classify_bergman",
-    "DEFAULT_MARGIN",
 ]
 
 DEFAULT_MARGIN = 0.05
@@ -46,10 +45,7 @@ class MembershipQuery:
     alpha: float | None = None  # None queries H^p, a number queries A^p_alpha
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.p < math.inf):
-            raise ValueError(f"exponent p must be finite and > 0, got {self.p!r}")
-        if self.alpha is not None and not (-1.0 < self.alpha < math.inf):
-            raise ValueError(f"weight alpha must be finite and > -1, got {self.alpha!r}")
+        check_growth_exponents(self.p, 0.0 if self.alpha is None else self.alpha)
 
 
 @dataclass(frozen=True)

@@ -340,8 +340,10 @@ def test_missing_domain_file_exits_2(tmp_path, capsys):
     ('{"shape": "half_plane", "basepoint": [1.0, 0.0, 0.0]}', "'basepoint'"),
     ('{"shape": "disk", "radius": 1.0, "basepoint": 0.0, "center": [0.0, "y"]}', "'center'"),
     ('not json', "dom.json is not valid JSON"),
+    ('{"shape": "disk", "radius": 1, "centre": [5, 0]}', "'centre'"),
+    ('{"shape": ["disk"]}', "unknown shape"),
 ], ids=["no_opening", "no_radius", "not_an_object", "basepoint_string", "basepoint_triple",
-        "center_not_numbers", "not_json"])
+        "center_not_numbers", "not_json", "unread_field", "shape_not_a_string"])
 def test_malformed_domain_file_exits_2(tmp_path, capsys, text, named):
     dom = tmp_path / "dom.json"
     dom.write_text(text)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import logsumexp
+from scipy.special import beta as euler_beta
+from scipy.special import betainc, logsumexp
 
 from hardynum import (
     HalfPlane,
@@ -124,6 +125,14 @@ def test_catalog_flags_and_values():
     h = sector_power(0.5)
     assert h.univalent
     assert h.value(0.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind", ["cayley", "exp_cayley", "identity"])
+@pytest.mark.parametrize("beta", [2.0, math.nan])
+def test_catalog_rejects_beta_on_kinds_that_ignore_it(kind, beta):
+    # only sector_power reads beta; elsewhere it would reach log|f| alone
+    with pytest.raises(ValueError, match="takes no beta"):
+        function_norms.CatalogFunction(kind, beta=beta)
 
 
 def test_image_domains():
@@ -259,6 +268,14 @@ def test_table_holds_only_its_own_nodes():
         table.log_circle_means((1e-4,), 1.0)
     with pytest.raises(ValueError):
         table.log_band_integral((1e-4, 1.0), 1.0, 0.0)
+    # a gap outside (0, 1) is no circle of the disk, and a band must lie
+    # inside it: gap 1.5 would be the circle of radius -0.5
+    for gaps in ((1.5,), (0.0,), (1.0,), (math.nan,), (1e-3, -1e-3)):
+        with pytest.raises(ValueError, match="gaps"):
+            NodeTable(cayley(), gaps=gaps)
+    for band in ((0.1, 2.0), (0.0, 1.0), (0.5, 0.5), (0.5, 0.1), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="bands"):
+            NodeTable(cayley(), bands=[band])
 
 
 # ---- circle means ------------------------------------------------------------
@@ -308,6 +325,11 @@ def test_mean_at_center_is_point_value():
     assert log_hardy_mean(cayley(), 2.0, 0.0) == pytest.approx(math.log(TWO_PI), abs=1e-12)
     assert log_hardy_mean(exp_cayley(), 1.0, 0.0) == pytest.approx(math.log(TWO_PI) + 1.0,
                                                                    abs=1e-12)
+    # below one rounding of 1, 1 - r is no gap of a table circle, and |z| = r
+    # holds on the whole circle
+    r = 1e-20
+    assert log_hardy_mean(identity_map(), 2.0, r) == pytest.approx(math.log(TWO_PI * r**2), rel=1e-15)
+    assert log_hardy_mean(cayley(), 2.0, r) == pytest.approx(math.log(TWO_PI), abs=1e-12)
 
 
 def test_sector_power_mean_is_cayley_power_mean():
@@ -370,6 +392,19 @@ def test_identity_weighted_area_integral():
     # integral of |z| (1 - |z|^2) over the unit disk is 4 pi / 15
     got = log_bergman_integral(identity_map(), 1.0, 1.0, 1e-8)
     assert got == pytest.approx(math.log(4.0 * math.pi / 15.0), abs=1e-5)
+
+
+def test_identity_area_integrals_match_the_incomplete_beta():
+    # the integral of |z|^p (1-|z|^2)^alpha over |z| <= R is, with u = |z|^2,
+    # pi B(p/2+1, alpha+1) I_{R^2}(p/2+1, alpha+1); at non-integer p and alpha
+    # the integrand is no polynomial that a Gauss rule integrates exactly
+    for p in (0.1, 0.5, 2.5, 7.9):
+        for alpha in (-0.9, 0.0, 3.0):
+            for delta in (1e-3, 1e-7):
+                a, b = 0.5 * p + 1.0, alpha + 1.0
+                ref = math.log(math.pi * euler_beta(a, b) * betainc(a, b, (1.0 - delta) ** 2))
+                got = log_bergman_integral(identity_map(), p, alpha, delta)
+                assert abs(math.expm1(got - ref)) <= AREA_REL_TOL, (p, alpha, delta)
 
 
 def test_exp_cayley_truncations_blow_up():

@@ -15,6 +15,7 @@ from hardynum import (
     Disk,
     DiskExterior,
     HalfPlane,
+    HardynumError,
     Sector,
     UnsupportedShape,
     domain_from_dict,
@@ -280,6 +281,18 @@ def test_json_file_round_trip(tmp_path):
 def test_json_rejects_unknown_shape():
     with pytest.raises(UnsupportedShape):
         domain_from_dict({"shape": "pacman", "basepoint": [1.0, 0.0]})
+
+
+@pytest.mark.parametrize("data, unread", [
+    ({"shape": "disk", "radius": 1, "centre": [5, 0]}, "'centre'"),
+    ({"shape": "half_plane", "basepiont": [2.0, 0.0]}, "'basepiont'"),
+    ({"shape": "half_plane", "opening": 1.0}, "'opening'"),
+    ({"shape": "sector", "opening": 1.0, "radius": 1.0}, "'radius'"),
+], ids=["centre", "basepiont", "half_plane_opening", "sector_radius"])
+def test_json_rejects_fields_the_shape_does_not_read(data, unread):
+    # an unread field would otherwise fall back to a default without a word
+    with pytest.raises(HardynumError, match=unread):
+        domain_from_dict(data)
 
 
 @pytest.mark.parametrize("data, default", [

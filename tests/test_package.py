@@ -1,9 +1,11 @@
-"""Package surface: every exported name resolves, the README's Python
-examples run, the CLI imports numpy only, only geometry branches on the shape
-class, and the benchmark tracer finds every name it patches."""
+"""Package surface: every exported name resolves, each public name is
+declared once, in its module's __all__, the README's Python examples run,
+the CLI imports numpy only, only geometry branches on the shape class, and
+the benchmark tracer finds every name it patches."""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -23,6 +25,41 @@ def test_every_exported_name_resolves():
     missing = [f"{mod.__name__}.{name}" for mod in modules
                for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def _modules_with_all():
+    modules = [importlib.import_module(f"hardynum.{m.name}")
+               for m in pkgutil.iter_modules(hardynum.__path__)]
+    return [mod for mod in modules if hasattr(mod, "__all__")]
+
+
+def test_package_exports_its_public_modules_lists():
+    # hardynum re-exports the __all__ of every public module that has one,
+    # plus its own __version__, and a name is declared in one module only
+    public = [mod for mod in _modules_with_all() if not mod.__name__.split(".")[-1].startswith("_")]
+    declared = [name for mod in public for name in mod.__all__]
+    assert len(hardynum.__all__) == len(set(hardynum.__all__))
+    assert sorted(hardynum.__all__) == sorted(declared + ["__version__"])
+
+
+def test_every_exported_class_and_function_is_defined_in_its_module():
+    misplaced = []
+    for mod in _modules_with_all():
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if (inspect.isclass(obj) or inspect.isfunction(obj)) and obj.__module__ != mod.__name__:
+                misplaced.append(f"{mod.__name__}.{name}")
+    assert misplaced == []
+
+
+def test_package_init_lists_no_public_name_by_hand():
+    # a name written out in __init__.py is a second list that a new name
+    # would have to join
+    names = {name for mod in _modules_with_all() for name in mod.__all__}
+    tree = ast.parse(Path(hardynum.__file__).read_text(encoding="utf-8"))
+    literals = {node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(literals & names) == []
 
 
 def test_readme_python_examples_run():
