@@ -7,7 +7,10 @@ panels, summed in log space (max-shift, exp, weight, sum, log), so
 astronomically large integrands such as exp((1+z)/(1-z)) never overflow.
 Circle means grade their theta panels at the scale s of the boundary gap,
 toward theta = 0 and toward theta = pi; area integrals nest those circle
-means inside the same rule in s, graded toward both ends of each radial band.
+means inside the same rule in s, graded toward the outer end of each radial
+band and, for the band that reaches the center, toward the center as well;
+a band's half toward an inner end holds nothing singular and takes
+INNER_PANELS uniform panels.
 The rule has no tolerance parameter: its node count, panel density and
 grading floor are module constants, and its accuracy contract is
 CIRCLE_REL_TOL relative error on circle means and AREA_REL_TOL on area
@@ -27,13 +30,14 @@ bounded/unbounded growth classifier, and every probe of one function reads
 one table over the classifier's circles and bands (NodeTable.for_growth).
 
 A table keeps each set of circles flat: the logs of all its positive-width
-panels in one contiguous array, with each row's panel range and its extremes
-of log|f|, taken once at build. A probe at p then needs no pass to find
-its shift (p times the row maximum, or the row minimum for p < 0) and
-exponentiates the whole set in a few fixed-size chunks. The shifted terms
-are floored at EXP_FLOOR before exp, which keeps exp off the subnormal and
-underflowing results that cost it one to two orders of magnitude more per
-value; NodeTable says why the floor changes no result.
+panels in one contiguous array, each stored less its row's largest log|f|,
+which is taken once at build, with each row's panel range. For p >= 0, p
+times a stored log is already the shifted term of a probe, whose largest per
+row is 0: a probe scales, floors, exponentiates and sums the whole set in a
+few fixed-size chunks, and adds p times each row maximum back to the row's
+log. The terms are floored at EXP_FLOOR before exp, which keeps exp off the
+subnormal and underflowing results that cost it one to two orders of
+magnitude more per value; NodeTable says why the floor changes no result.
 
 Radii are parametrized by the boundary gap s = 1 - r throughout, which keeps
 the integrand formulas cancellation-free down to s ~ 1e-12:
@@ -176,9 +180,11 @@ GRADING_FLOOR = 1e-9
 # radial nodes per grading block: the circles of one block share a panel
 # count (see _graded_rule), so the block fixes where the circle nodes lie
 RADIAL_BLOCK = 16
-# a probe exponentiates p log|f| - shift, floored at EXP_FLOOR, PROBE_CHUNK
-# panels of each quarter circle at a time; see NodeTable for why the floor
-# changes no result
+# uniform panels on the half of a band toward an inner end s_hi < 1 (_Band)
+INNER_PANELS = 4
+# a probe exponentiates p (log|f| - row max), floored at EXP_FLOOR,
+# PROBE_CHUNK panels of each quarter circle at a time; see NodeTable for why
+# the floor changes no result
 EXP_FLOOR = -600.0
 PROBE_CHUNK = 4096
 
@@ -318,12 +324,14 @@ class _Circles:
     panel by panel, so they share their panel widths. The rows are graded
     `block` at a time (_graded_edges), which fixes the node positions.
 
-    The table is flat. Panel k of the table is a positive-width panel of
-    width width[k]; log_f[0, k] holds log|f| at its GL_NODES nodes in the
-    quarter toward theta = 0, and log_f[1, k] at their mirror images in the
-    quarter toward theta = pi. Row i owns the row_count[i] panels from
-    row_start[i] on, and row_max[i] and row_min[i] are the extremes of log|f|
-    over them.
+    The table is flat and relative to each row's maximum. Panel k of the
+    table is a positive-width panel of width width[k]; log_f[0, k] holds
+    log|f| - row_max at its GL_NODES nodes in the quarter toward theta = 0,
+    and log_f[1, k] at their mirror images in the quarter toward theta = pi.
+    Row i owns the row_count[i] panels from row_start[i] on, and row_max[i]
+    is the largest log|f| over them, so every stored log is at most 0; a
+    row whose largest log|f| is not finite is stored unshifted, with
+    row_max 0.
     """
 
     def __init__(self, f: CatalogFunction, s: np.ndarray, block: int) -> None:
@@ -353,40 +361,40 @@ class _Circles:
             else:
                 self.log_f[1, span] = _log_moduli(f, s_nodes, cos2, sin2)
             at = span.stop
-        self.row_max = self._row_reduce(np.maximum)
-        self.row_min = self._row_reduce(np.minimum)
-
-    def _row_reduce(self, ufunc) -> np.ndarray:
-        """ufunc reduced over each row's nodes in both quarters of log_f."""
         # reduceat over the flat nodes: reducing the 10-long node axis is ~10x slower
         start = self.row_start * GL_NODES
-        return ufunc(ufunc.reduceat(self.log_f[0].ravel(), start),
-                     ufunc.reduceat(self.log_f[1].ravel(), start))
+        row_max = np.maximum(np.maximum.reduceat(self.log_f[0].ravel(), start),
+                             np.maximum.reduceat(self.log_f[1].ravel(), start))
+        self.row_max = np.where(np.isfinite(row_max), row_max, 0.0)
+        self.log_f -= np.repeat(self.row_max, self.row_count)[:, None]
 
     def log_means(self, p: float) -> np.ndarray:
-        """log of the circle integral of |f|^p, one per row."""
-        # scaling by a fixed sign is monotone in floating point, so this is
-        # exactly the largest p log|f| of each row
-        shift = p * (self.row_max if p >= 0.0 else self.row_min)
-        empty = shift == -math.inf  # no finite term: the mean is 0
-        shift[~np.isfinite(shift)] = 0.0
-        panel_shift = np.repeat(shift, self.row_count)[:, None]
+        """log of the circle integral of |f|^p, one per row, for p >= 0."""
+        if not p >= 0.0:
+            raise ValueError(f"circle means need an exponent p >= 0, got {p!r}")
+        # p times a stored log is p log|f| less p row_max; each row stores its
+        # largest log as exactly 0, so its largest term is exp(0) = 1
         panels = self.width.size
         sums = np.empty(panels)
         buf = np.empty((2, min(PROBE_CHUNK, panels), GL_NODES))
         for lo in range(0, panels, PROBE_CHUNK):
             hi = min(lo + PROBE_CHUNK, panels)
             chunk = np.multiply(self.log_f[:, lo:hi], p, out=buf[:, :hi - lo])
-            chunk -= panel_shift[lo:hi]
             np.maximum(chunk, EXP_FLOOR, out=chunk)
             np.exp(chunk, out=chunk)
             quarters = chunk @ _GL_W
             np.add(quarters[0], quarters[1], out=sums[lo:hi])
         sums *= self.width
         with np.errstate(divide="ignore"):
-            log_means = math.log(2.0) + np.log(np.add.reduceat(sums, self.row_start)) + shift
-        log_means[empty] = -math.inf
-        return log_means
+            return math.log(2.0) + np.log(np.add.reduceat(sums, self.row_start)) + p * self.row_max
+
+
+def _uniform_rule(length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and panel widths, as _graded_rule gives them for one row, of
+    INNER_PANELS equal panels on [0, length]."""
+    width = np.full((1, INNER_PANELS), length / INNER_PANELS)
+    t = ((np.arange(INNER_PANELS)[:, None] + _GL_T) * width[0, 0]).reshape(1, -1)
+    return t, width
 
 
 class _Band:
@@ -394,19 +402,21 @@ class _Band:
 
     Area integrals in the coordinates (s, theta) read
     integral r dr dtheta = integral over s of (1-s) * [circle part] ds.
-    The band is split at its midpoint, and each half is graded toward its end
-    at the scale of that end: near s_lo the circle means grow on the scale
-    s_lo (and on s_lo^2 for exponentially large means). Nothing singular lies
-    at s_hi = 1, the center of the disk, but the half toward it keeps its
-    grading all the same: the grading fixes the node positions, and so the
-    numbers in norms.json and the growth CSVs. One _Circles holds the circles
-    at every radial node, graded RADIAL_BLOCK radial nodes at a time.
+    The band is split at its midpoint. The half toward s_lo is graded toward
+    s_lo at the scale s_lo: there the circle means grow on the scale s_lo
+    (and on s_lo^2 for exponentially large means). Nothing singular lies at
+    an inner end s_hi < 1, so the half toward it is INNER_PANELS uniform
+    panels. At s_hi = 1, the center of the disk, |f|^p (1-s) has a kink for
+    a map with f(0) = 0, so there the half stays graded toward s_hi. One
+    _Circles holds the circles at every radial node, graded RADIAL_BLOCK
+    radial nodes at a time.
     """
 
     def __init__(self, f: CatalogFunction, s_lo: float, s_hi: float) -> None:
         half = 0.5 * (s_hi - s_lo)
         t_lo, width_lo = _graded_rule(np.array([[s_lo]]), half)
-        t_hi, width_hi = _graded_rule(np.array([[s_hi]]), half)
+        t_hi, width_hi = (_graded_rule(np.array([[s_hi]]), half) if s_hi == 1.0
+                          else _uniform_rule(half))
         self.s = np.concatenate([s_lo + t_lo[0], s_hi - t_hi[0]])
         self.w = np.concatenate([_gl_weights(width_lo)[0], _gl_weights(width_hi)[0]])
         self.circles = _Circles(f, self.s, RADIAL_BLOCK)
@@ -430,11 +440,12 @@ class NodeTable:
 
     Each set of circles is one flat table (see _Circles): the logs at the
     positive-width panels only, filled block by block into arrays sized at
-    the start, the panel widths, each row's panel start and count, and each
-    row's largest and smallest log|f|. A probe takes its shift from those
-    extremes, floors, exponentiates and sums.
+    the start and stored less each row's largest log|f|, the panel widths,
+    each row's panel start and count, and that row maximum. A probe at
+    p >= 0 scales the stored logs by p, floors, exponentiates and sums, and
+    adds p times the row maximum back.
 
-    Before exp, each term's shifted exponent is floored at EXP_FLOOR = -600.
+    Before exp, each term p (log|f| - row max) is floored at EXP_FLOOR = -600.
     The largest term of a row is exp(0) = 1 at a weight of at least
     GRADING_FLOOR * gap * min(GL weight), about 3e-21 at the smallest gap
     1e-10, while every floored term adds at most exp(-600) ~ 3e-261 times a
@@ -442,8 +453,9 @@ class NodeTable:
     1e-230 relative, far below one rounding, and the tests find the floored and
     unfloored sums bit-identical on exp-cayley at P_MAX.
 
-    The growth-classifier table (for_growth) holds 707,640 logs, 6.0 MB in
-    all: keep it while probing one function, not longer.
+    The growth-classifier table (for_growth) holds 539,640 logs (26,880
+    band panels and 102 circle panels), 4.6 MB in all: keep it while probing
+    one function, not longer.
     """
 
     def __init__(self, f: CatalogFunction, gaps=(), bands=()) -> None:

@@ -22,12 +22,14 @@ boundary outside radius t:
 Every integral goes through function_norms.quad, the package's one rule:
 composite Gauss-Legendre on panels graded toward both ends of each piece
 between breakpoints. Circle integrals break where the circle crosses the
-boundary; dt/t integrals run in u = log t and break at the radii where the
-oracle measure is non-smooth. The oracles are evaluated once per integral, on
-the whole node array, and the moment exchange evaluates the Green's function
-on a grid of radii and angles, with its circles also broken at arg(a), so
-that the panels grade toward the pole as r -> |a|. Its radial integrals run
-in u = log r, and below r = 1 around a pole at the origin in s = r^p.
+boundary and run over the arcs inside the domain only, since the Green's
+function is 0 off it; dt/t integrals run in u = log t and break at the radii
+where the oracle measure is non-smooth. The oracles are evaluated once per
+integral, on the whole node array, and the moment exchange evaluates the
+Green's function on a grid of radii and angles, with its circles also broken
+at arg(a), so that the panels grade toward the pole as r -> |a|. Its radial
+integrals run in u = log r, and below r = 1 around a pole at the origin in
+s = r^p.
 """
 
 from __future__ import annotations
@@ -85,12 +87,21 @@ def _green_circle_integral(d: Domain, r, power: float = 1.0, points=None):
     """int_{-pi}^{pi} g(a, r e^{i theta})^power d theta (unnormalized).
 
     r is a radius, or a column of radii for one integral per row; points
-    defaults to d.circle_breaks(r) and must suit every row.
+    defaults to d.circle_breaks(r) and must suit every row. g is 0 off the
+    domain, so the arcs between breaks are integrated one by one, and only
+    those whose midpoint lies in the domain on some row.
     """
     if not np.all(r > abs(d.basepoint)):
         raise ValueError("circle radius must exceed |basepoint|")
-    return quad(lambda theta: exact_green(d, r * np.exp(1j * theta)) ** power,
-                -math.pi, math.pi, points=d.circle_breaks(r) if points is None else points)[0]
+    points = d.circle_breaks(r) if points is None else points
+    edges = sorted({-math.pi, math.pi, *(t for t in points if -math.pi < t < math.pi)})
+    total = np.zeros(np.shape(r)[:-1])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = cmath.exp(0.5j * (lo + hi))
+        if any(d.contains(rho * mid) for rho in np.ravel(r)):
+            total = total + quad(lambda theta: exact_green(d, r * np.exp(1j * theta)) ** power,
+                                 lo, hi)[0]
+    return float(total) if np.ndim(r) == 0 else total
 
 
 def _tail_log_integral(d: Domain, r: float) -> float:

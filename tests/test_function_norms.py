@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import beta as euler_beta
@@ -220,17 +220,13 @@ def _reference_log_means(f, s, p, block):
 @settings(max_examples=60, deadline=None)
 @given(
     f=st.sampled_from(CATALOG),
-    p=st.floats(-2.0, 8.0),
+    p=st.floats(0.0, 8.0),
     alpha=st.floats(-1.0, 3.0, exclude_min=True),
     where=st.sampled_from(["circles", *_bands(BERGMAN_GAPS)]),
 )
-# exp-cayley's log|f| spans ~1e10 within a row, so a negative p shifted by
-# anything but the row minimum overflows
-@example(f=exp_cayley(), p=-0.5, alpha=0.0, where="circles")
-@example(f=exp_cayley(), p=-2.0, alpha=1.0, where=(1e-7, 1e-5))
 def test_flat_table_matches_the_block_reference(f, p, alpha, where):
-    # negative p takes the row-minimum shift; the error is relative on the
-    # log values, absolute below 1, where a log value may cross zero
+    # the error is relative on the log values, absolute below 1, where a log
+    # value may cross zero
     close = lambda got, ref: np.all(np.abs(got - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0))
     if where == "circles":
         got = NodeTable(f, HARDY_GAPS).log_circle_means(HARDY_GAPS, p)
@@ -250,16 +246,65 @@ def test_flat_table_matches_the_block_reference(f, p, alpha, where):
 
 def test_exp_floor_changes_no_result(monkeypatch):
     # exp-cayley at the largest probe exponent: p log|f| spans ~1e12 within a
-    # row, so most of its shifted terms lie below the floor
+    # row, so most of its shifted terms lie below the floor; the table stores
+    # log|f| relative to each row maximum, so p times it is the shifted term
     table = NodeTable.for_growth(exp_cayley())
     circles = [table._circles, *(band.circles for band in table._bands.values())]
-    shifted = [P_MAX * (c.log_f - np.repeat(c.row_max, c.row_count)[:, None]) for c in circles]
+    shifted = [P_MAX * c.log_f for c in circles]
     below = sum(np.count_nonzero(g < function_norms.EXP_FLOOR) for g in shifted)
     assert below > 0.5 * sum(g.size for g in shifted)
     floored = [c.log_means(P_MAX) for c in circles]
     monkeypatch.setattr(function_norms, "EXP_FLOOR", -math.inf)
     for c, got in zip(circles, floored):
         np.testing.assert_array_equal(got, c.log_means(P_MAX))
+
+
+def test_circle_means_need_a_non_negative_exponent():
+    # the table stores log|f| less each row maximum, which bounds p log|f| from
+    # above only for p >= 0
+    table = NodeTable(exp_cayley(), gaps=(1e-3,), bands=[(1e-5, 1e-3)])
+    for circles in (table._circles, table._bands[(1e-5, 1e-3)].circles):
+        with pytest.raises(ValueError, match="p >= 0"):
+            circles.log_means(-0.5)
+        assert np.all(np.isfinite(circles.log_means(0.0)))
+
+
+def test_growth_table_node_counts_are_pinned():
+    # per table: 3 circles of 34 panels, and 3 bands whose radial nodes carry
+    # 26,880 circle panels; the inner half of each band off the center is
+    # INNER_PANELS uniform panels, 40 radial nodes where grading took 190
+    for f in CATALOG:
+        table = NodeTable.for_growth(f)
+        bands = table._bands.values()
+        assert table._circles.width.size == 102
+        assert sum(band.s.size for band in bands) == 980
+        assert sum(band.circles.width.size for band in bands) == 26_880
+        assert all(np.all(c.log_f <= 0.0) for c in (table._circles, *(b.circles for b in bands)))
+
+
+def _graded_band_rule(band):
+    """Radial nodes and weights of a band graded toward both of its ends."""
+    s_lo, s_hi = band
+    half = 0.5 * (s_hi - s_lo)
+    t_lo, width_lo = _graded_rule(np.array([[s_lo]]), half)
+    t_hi, width_hi = _graded_rule(np.array([[s_hi]]), half)
+    s = np.concatenate([s_lo + t_lo[0], s_hi - t_hi[0]])
+    return s, np.concatenate([_gl_weights(width_lo)[0], _gl_weights(width_hi)[0]])
+
+
+def test_uniform_inner_halves_match_the_graded_bands():
+    # the half of a band toward an inner end s_hi < 1 holds nothing singular,
+    # so its uniform panels agree with grading it toward s_hi as well
+    for f in CATALOG:
+        table = NodeTable.for_growth(f)
+        for band in _bands(BERGMAN_GAPS):
+            s, w = _graded_band_rule(band)
+            for p in (0.5, 2.5, 7.9):
+                log_means = _reference_log_means(f, s, p, function_norms.RADIAL_BLOCK)
+                for alpha in (-0.9, 0.0, 3.0):
+                    got = table.log_band_integral(band, p, alpha)
+                    ref = _log_sum_exp(log_means + np.log(1.0 - s) + alpha * np.log(s * (2.0 - s)), w)
+                    assert abs(got - ref) <= 1e-9 * abs(ref), (f, band, p, alpha)
 
 
 def test_table_holds_only_its_own_nodes():

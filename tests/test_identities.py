@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -20,6 +21,7 @@ from hardynum import (
     run_identity_suite,
     tail_lower_bound,
 )
+from hardynum import function_norms, identities
 from hardynum.identities import (
     SWEEP_ALPHAS,
     SWEEP_RADII,
@@ -62,6 +64,38 @@ def test_circle_and_tail_integrals_match_adaptive_quadrature(d):
         ref = scipy_quad(lambda u: exact_hm(d, r * math.exp(u)), 0.0, math.log(R_MAX))
         ref += exact_hm(d, r * R_MAX) / q
         assert _tail_log_integral(d, r) == pytest.approx(ref, rel=1e-8), r
+
+
+def _record_green(monkeypatch):
+    """The list of every array of Green's function values identities evaluates."""
+    values = []
+
+    def green(d, z):
+        values.append(exact_green(d, z))
+        return values[-1]
+
+    monkeypatch.setattr(identities, "exact_green", green)
+    return values
+
+
+@pytest.mark.parametrize("d", (*SCIPY_DOMAINS, Disk(2.0, basepoint=0.0)), ids=repr)
+def test_circle_integrals_skip_the_arcs_off_the_domain(d, monkeypatch):
+    # g is 0 off the domain: the arcs there take no node, and the arcs inside
+    # keep theirs, so the whole-circle rule gives the same integral
+    values = _record_green(monkeypatch)
+    for r in (1.5, 4.0, 64.0):
+        whole = function_norms.quad(lambda t: exact_green(d, r * np.exp(1j * t)),
+                                    -math.pi, math.pi, points=d.circle_breaks(r))[0]
+        assert _green_circle_integral(d, r) == pytest.approx(whole, rel=1e-13, abs=0.0), r
+    assert all(np.all(v > 0.0) for v in values)
+
+
+def test_identity_suite_evaluates_no_green_off_the_domain(monkeypatch):
+    # the moment exchange integrates blocks of circles at once, each on the
+    # arcs inside the domain
+    values = _record_green(monkeypatch)
+    run_identity_suite()
+    assert values and all(np.all(v > 0.0) for v in values)
 
 
 def scipy_radial(fn, a_mod, p, breaks=()):
