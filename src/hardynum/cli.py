@@ -184,7 +184,7 @@ def _cmd_norms(args) -> int:
     out = Path(args.out)
     summary = {}
     for name, fn in _CATALOG:
-        table = function_norms.NodeTable.for_growth(fn)
+        table = function_norms.NodeTable(fn)
         hardy_gp = function_norms.hardy_growth_profile(table, args.p)
         bergman_gp = function_norms.bergman_growth_profile(table, args.p, args.alpha)
         write_text(out / f"norms_{name}_hardy.csv", growth_csv(hardy_gp))

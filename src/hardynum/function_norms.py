@@ -22,12 +22,11 @@ other integrals (the identity suite) go through it.
 
 Every integrand is exp(p log|f|), times the area weight
 (1-|z|^2)^alpha on bands, and the nodes depend only on the circles and bands,
-never on p or alpha. So all integrals read a NodeTable, which evaluates log|f|
-once on the nodes of one function; an integral at any exponent is then a
-weighted log-space sum over the table. The single integrals build a table for
-their one circle or band. Critical exponents are located by bisection on a
-bounded/unbounded growth classifier, and every probe of one function reads
-one table over the classifier's circles and bands (NodeTable.for_growth).
+never on p or alpha. Critical exponents are located by bisection on a
+bounded/unbounded growth classifier, whose circles (HARDY_GAPS) and bands
+(BERGMAN_GAPS) are fixed; NodeTable(f) evaluates log|f| once on all their
+nodes, and every probe of one function at any exponent is then a weighted
+log-space sum over that one table.
 
 A table keeps each set of circles flat: the logs of all its positive-width
 panels in one contiguous array, each stored less its row's largest log|f|,
@@ -64,8 +63,6 @@ __all__ = [
     "sector_power",
     "exp_cayley",
     "identity_map",
-    "log_hardy_mean",
-    "log_bergman_integral",
     "NodeTable",
     "GrowthProfile",
     "hardy_growth_profile",
@@ -177,8 +174,8 @@ def identity_map() -> CatalogFunction:
 GL_NODES = 10
 PANELS_PER_DECADE = 2
 GRADING_FLOOR = 1e-9
-# radial nodes per grading block: the circles of one block share a panel
-# count (see _graded_rule), so the block fixes where the circle nodes lie
+# circles per grading block (_Circles): the circles of one block share a
+# panel count (see _graded_rule), so the block fixes where their nodes lie
 RADIAL_BLOCK = 16
 # uniform panels on the half of a band toward an inner end s_hi < 1 (_Band)
 INNER_PANELS = 4
@@ -322,7 +319,8 @@ class _Circles:
     scale s toward its end: toward theta = 0, where 1/|1-z| peaks, and toward
     theta = pi, where |1+z| has its cusp. The quarters mirror each other
     panel by panel, so they share their panel widths. The rows are graded
-    `block` at a time (_graded_edges), which fixes the node positions.
+    RADIAL_BLOCK at a time (_graded_edges), which fixes the node positions;
+    the HARDY_GAPS circles form one block.
 
     The table is flat and relative to each row's maximum. Panel k of the
     table is a positive-width panel of width width[k]; log_f[0, k] holds
@@ -334,13 +332,14 @@ class _Circles:
     row_max 0.
     """
 
-    def __init__(self, f: CatalogFunction, s: np.ndarray, block: int) -> None:
+    def __init__(self, f: CatalogFunction, s: np.ndarray) -> None:
         rules = []
-        for k in range(0, s.size, block):
-            edges = _graded_edges(s[k:k + block, None], 0.5 * math.pi)
+        for k in range(0, s.size, RADIAL_BLOCK):
+            rows = s[k:k + RADIAL_BLOCK]
+            edges = _graded_edges(rows[:, None], 0.5 * math.pi)
             width = np.diff(edges, axis=1)
             keep = width > 0.0  # the zero-width panels carry no weight
-            rules.append((s[k:k + block], edges[:, :-1][keep], width[keep], keep.sum(axis=1)))
+            rules.append((rows, edges[:, :-1][keep], width[keep], keep.sum(axis=1)))
         self.row_count = np.concatenate([count for *_, count in rules])
         self.row_start = np.cumsum(self.row_count) - self.row_count
         panels = int(self.row_count.sum())
@@ -408,8 +407,7 @@ class _Band:
     an inner end s_hi < 1, so the half toward it is INNER_PANELS uniform
     panels. At s_hi = 1, the center of the disk, |f|^p (1-s) has a kink for
     a map with f(0) = 0, so there the half stays graded toward s_hi. One
-    _Circles holds the circles at every radial node, graded RADIAL_BLOCK
-    radial nodes at a time.
+    _Circles holds the circles at every radial node.
     """
 
     def __init__(self, f: CatalogFunction, s_lo: float, s_hi: float) -> None:
@@ -419,7 +417,7 @@ class _Band:
                           else _uniform_rule(half))
         self.s = np.concatenate([s_lo + t_lo[0], s_hi - t_hi[0]])
         self.w = np.concatenate([_gl_weights(width_lo)[0], _gl_weights(width_hi)[0]])
-        self.circles = _Circles(f, self.s, RADIAL_BLOCK)
+        self.circles = _Circles(f, self.s)
 
     def log_integral(self, p: float, alpha: float) -> float:
         """log of the band integral of M(s) (1-s) (s(2-s))^alpha ds, M(s) the circle
@@ -430,19 +428,13 @@ class _Band:
 
 
 class NodeTable:
-    """log|f| of one catalog function on the quadrature nodes of a set of
-    circles (at radii 1 - gap) and radial bands.
+    """log|f| of one catalog function on the quadrature nodes of the growth
+    classifier: the circles at the radii 1 - HARDY_GAPS and the radial bands
+    between consecutive BERGMAN_GAPS and from the largest to the center.
 
-    The nodes depend on the gaps and bands, never on p or alpha, so the logs
-    are evaluated once here and an integral at any exponent p is only
-    exp(p log|f|), times the area weight on bands, summed with the quadrature
-    weights in log space.
-
-    Each set of circles is one flat table (see _Circles): the logs at the
-    positive-width panels only, filled block by block into arrays sized at
-    the start and stored less each row's largest log|f|, the panel widths,
-    each row's panel start and count, and that row maximum. A probe at
-    p >= 0 scales the stored logs by p, floors, exponentiates and sums, and
+    The logs are evaluated once here, each set of circles in one flat table
+    stored less each row's largest log|f| (see _Circles). A probe at p >= 0
+    scales the stored logs by p, floors, exponentiates, weights and sums, and
     adds p times the row maximum back.
 
     Before exp, each term p (log|f| - row max) is floored at EXP_FLOOR = -600.
@@ -453,78 +445,28 @@ class NodeTable:
     1e-230 relative, far below one rounding, and the tests find the floored and
     unfloored sums bit-identical on exp-cayley at P_MAX.
 
-    The growth-classifier table (for_growth) holds 539,640 logs (26,880
-    band panels and 102 circle panels), 4.6 MB in all: keep it while probing
-    one function, not longer.
+    A table holds 539,640 logs (26,880 band panels and 102 circle panels),
+    4.6 MB in all: keep it while probing one function, not longer.
     """
 
-    def __init__(self, f: CatalogFunction, gaps=(), bands=()) -> None:
-        self.gaps = tuple(gaps)
-        bands = [tuple(band) for band in bands]
-        if not all(0.0 < gap < 1.0 for gap in self.gaps):
-            raise ValueError(f"node table gaps must lie in (0, 1), got {self.gaps}")
-        if not all(0.0 < lo < hi <= 1.0 for lo, hi in bands):
-            raise ValueError(f"node table bands need 0 < lo < hi <= 1, got {bands}")
-        self._circles = (_Circles(f, np.array(self.gaps, dtype=float), len(self.gaps))
-                         if self.gaps else None)
-        self._bands = {band: _Band(f, *band) for band in bands}
+    def __init__(self, f: CatalogFunction) -> None:
+        self._circles = _Circles(f, np.array(HARDY_GAPS))
+        self._bands = [_Band(f, *band) for band in _bands(BERGMAN_GAPS)]
 
-    @classmethod
-    def for_growth(cls, f: CatalogFunction) -> NodeTable:
-        """The table behind every growth profile at HARDY_GAPS and BERGMAN_GAPS."""
-        return cls(f, HARDY_GAPS, _bands(BERGMAN_GAPS))
-
-    def log_circle_means(self, gaps, p: float) -> np.ndarray:
-        """log of the circle integral of |f|^p at radius 1 - gap, for each
-        gap; gaps must be the table's own."""
-        if tuple(gaps) != self.gaps:
-            raise ValueError(f"node table holds the circles at gaps {self.gaps}, not {tuple(gaps)}")
+    def log_circle_means(self, p: float) -> np.ndarray:
+        """log of the circle integral of |f|^p at each radius 1 - HARDY_GAPS."""
         return self._circles.log_means(p)
 
-    def log_band_integral(self, band: tuple[float, float], p: float, alpha: float) -> float:
-        """log of the area integral of |f|^p (1-|z|^2)^alpha over the annulus
-        of gaps s = 1 - |z| in band."""
-        nodes = self._bands.get(tuple(band))
-        if nodes is None:
-            raise ValueError(f"node table holds no band {tuple(band)}")
-        return nodes.log_integral(p, alpha)
+    def log_band_integrals(self, p: float, alpha: float) -> list[float]:
+        """log of the area integral of |f|^p (1-|z|^2)^alpha over each band,
+        in _bands order: the annuli of gaps s = 1 - |z| in the band."""
+        return [band.log_integral(p, alpha) for band in self._bands]
 
 
 def _bands(gaps) -> list[tuple[float, float]]:
     """The bands between consecutive gaps, and from the largest gap to the center."""
     edges = sorted(gaps) + [1.0]
     return list(zip(edges[:-1], edges[1:]))
-
-
-def log_hardy_mean(f: CatalogFunction, p: float, r: float) -> float:
-    """log of the integral of |f|^p over the circle of radius r, 2 pi times its mean."""
-    if not (0.0 <= r < 1.0):
-        raise ValueError("radius must lie in [0, 1)")
-    if not (0.0 <= p < math.inf):
-        raise ValueError(f"exponent p must be finite and >= 0, got {p!r}")
-    gaps = (1.0 - r,)
-    if gaps[0] == 1.0:
-        # r is 0 or below one rounding of 1, where |f| is |f(r)| on the whole
-        # circle to double precision; a table circle needs a gap below 1
-        v = abs(f.value(r))
-        return math.log(2.0 * math.pi) + (p * math.log(v) if v > 0 else (-math.inf if p > 0 else 0.0))
-    return float(NodeTable(f, gaps).log_circle_means(gaps, p)[0])
-
-
-# ---------------------------------------------------------------------------
-# area integrals
-
-
-def log_bergman_integral(f: CatalogFunction, p: float, alpha: float, delta: float) -> float:
-    """log of the area integral of |f|^p (1-|z|^2)^alpha over |z| <= 1 - delta."""
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    if not (0.0 <= p < math.inf):
-        raise ValueError(f"exponent p must be finite and >= 0, got {p!r}")
-    if not (-1.0 < alpha < math.inf):
-        raise ValueError(f"weight alpha must be finite and > -1, got {alpha!r}")
-    band = (delta, 1.0)
-    return NodeTable(f, bands=[band]).log_band_integral(band, p, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +501,7 @@ def _classify_growth(gaps, log_values, slope_tol) -> GrowthProfile:
     return GrowthProfile(tuple(gaps), tuple(log_values), tuple(slopes), cls)
 
 
-def check_growth_exponents(p: float, alpha: float = 0.0) -> None:
+def check_exponents(p: float, alpha: float = 0.0) -> None:
     """Raise ValueError unless 0 < p < inf and -1 < alpha < inf."""
     if not (0.0 < p < math.inf):
         raise ValueError(f"exponent p must be finite and > 0, got {p!r}")
@@ -567,14 +509,28 @@ def check_growth_exponents(p: float, alpha: float = 0.0) -> None:
         raise ValueError(f"weight alpha must be finite and > -1, got {alpha!r}")
 
 
+def check_growth_exponents(p: float, alpha: float = 0.0) -> None:
+    """Raise ValueError unless 0 < p <= P_MAX and -1 < alpha < inf.
+
+    The growth classifier is calibrated on the exponents that empirical_hb
+    bisects only; above P_MAX a bounded function's slow approach to its
+    limit reads as divergence.
+    """
+    check_exponents(p, alpha)
+    if p > P_MAX:
+        raise ValueError(f"growth probes need an exponent p <= P_MAX = {P_MAX:g}, got {p!r}")
+
+
 def hardy_growth_profile(f: CatalogFunction | NodeTable, p: float) -> GrowthProfile:
     """Circle means at the radii 1 - HARDY_GAPS; bounded means f is in H^p.
 
-    f is a catalog function or a NodeTable of one that holds these gaps.
+    f is a catalog function or its NodeTable; a function gets a table of its
+    own, bands included, so probe one function several times through one
+    table.
     """
     check_growth_exponents(p)
-    table = f if isinstance(f, NodeTable) else NodeTable(f, HARDY_GAPS)
-    vals = [float(v) for v in table.log_circle_means(HARDY_GAPS, p)]
+    table = f if isinstance(f, NodeTable) else NodeTable(f)
+    vals = [float(v) for v in table.log_circle_means(p)]
     return _classify_growth(HARDY_GAPS, vals, HARDY_SLOPE_TOL)
 
 
@@ -583,13 +539,12 @@ def bergman_growth_profile(f: CatalogFunction | NodeTable, p: float,
     """Truncated area integrals at the gaps BERGMAN_GAPS, computed incrementally:
     the annulus between consecutive gaps is integrated once and accumulated.
 
-    f is a catalog function or a NodeTable of one that holds the bands
-    between these gaps.
+    f is a catalog function or its NodeTable; a function gets a table of its
+    own, circles included.
     """
     check_growth_exponents(p, alpha)
-    bands = _bands(BERGMAN_GAPS)
-    table = f if isinstance(f, NodeTable) else NodeTable(f, bands=bands)
-    seg_logs = [table.log_band_integral(band, p, alpha) for band in bands]
+    table = f if isinstance(f, NodeTable) else NodeTable(f)
+    seg_logs = table.log_band_integrals(p, alpha)
     # the bands run inward from the smallest gap and BERGMAN_GAPS shrinks, so
     # the truncated integral at its k-th gap sums the last k + 1 bands
     vals = [float(v) for v in np.logaddexp.accumulate(seg_logs[::-1])]
@@ -634,10 +589,10 @@ def empirical_hb(f: CatalogFunction | NodeTable) -> EmpiricalExponents:
     """Bisect the bounded/unbounded transition of circle means and area
     integrals; resolution 0.05 in the Hardy exponent and in b_hat = p/2.
 
-    f is a catalog function or its NodeTable.for_growth table; every probe
-    reads that one table.
+    f is a catalog function or its NodeTable; every probe reads that one
+    table.
     """
-    table = f if isinstance(f, NodeTable) else NodeTable.for_growth(f)
+    table = f if isinstance(f, NodeTable) else NodeTable(f)
     h_hat, h_bracket = _bisect_critical(
         lambda p: hardy_growth_profile(table, p).classification, HARDY_RESOLUTION
     )

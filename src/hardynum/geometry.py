@@ -75,7 +75,9 @@ class Domain:
     bounded: bool
     simply_connected: bool
 
-    def contains(self, z: complex) -> bool:
+    def contains(self, z):
+        """Whether z lies in the domain; z is a point or an array of points,
+        and an array gives a bool array."""
         raise NotImplementedError
 
     # ---- vector queries (no containment checks) -------------------------
@@ -138,8 +140,8 @@ class HalfPlane(Domain):
         self.basepoint = complex(basepoint)
         self._check_basepoint()
 
-    def contains(self, z: complex) -> bool:
-        return complex(z).real > 0.0
+    def contains(self, z):
+        return np.real(z) > 0.0
 
     def distances(self, zs: np.ndarray) -> np.ndarray:
         return zs.real.copy()
@@ -186,11 +188,8 @@ class Sector(Domain):
         self.basepoint = complex(basepoint)
         self._check_basepoint()
 
-    def contains(self, z: complex) -> bool:
-        z = complex(z)
-        if z == 0:
-            return False
-        return abs(math.atan2(z.imag, z.real)) < self.opening / 2
+    def contains(self, z):
+        return (z != 0) & (np.abs(np.angle(z)) < 0.5 * self.opening)
 
     def _frame(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # By the symmetry about the real axis the nearest ray of z is the
@@ -231,8 +230,7 @@ class Sector(Domain):
 
     def _green(self, z: np.ndarray) -> np.ndarray:
         power = self.decay_exponent
-        inside = (z != 0) & (np.abs(np.angle(z)) < 0.5 * self.opening)
-        return np.where(inside, _halfplane_green(self.basepoint**power, z**power), 0.0)
+        return np.where(self.contains(z), _halfplane_green(self.basepoint**power, z**power), 0.0)
 
     def __repr__(self) -> str:
         return f"Sector(opening={self.opening!r}, basepoint={self.basepoint!r})"
@@ -305,8 +303,8 @@ class Disk(_Round):
     def __init__(self, radius: float, basepoint: complex = 0.0, center: complex = 0.0) -> None:
         super().__init__(radius, basepoint, center)
 
-    def contains(self, z: complex) -> bool:
-        return abs(complex(z) - self.center) < self.radius
+    def contains(self, z):
+        return np.abs(z - self.center) < self.radius
 
     def distances(self, zs: np.ndarray) -> np.ndarray:
         return self.radius - np.abs(zs - self.center)
@@ -334,8 +332,8 @@ class DiskExterior(_Round):
     def __init__(self, radius: float, basepoint: complex = 2.0, center: complex = 0.0) -> None:
         super().__init__(radius, basepoint, center)
 
-    def contains(self, z: complex) -> bool:
-        return abs(complex(z) - self.center) > self.radius
+    def contains(self, z):
+        return np.abs(z - self.center) > self.radius
 
     def distances(self, zs: np.ndarray) -> np.ndarray:
         return np.abs(zs - self.center) - self.radius

@@ -89,7 +89,8 @@ def _green_circle_integral(d: Domain, r, power: float = 1.0, points=None):
     r is a radius, or a column of radii for one integral per row; points
     defaults to d.circle_breaks(r) and must suit every row. g is 0 off the
     domain, so the arcs between breaks are integrated one by one, and only
-    those whose midpoint lies in the domain on some row.
+    those whose midpoint lies in the domain on some row, asked of the domain
+    once per arc for all rows.
     """
     if not np.all(r > abs(d.basepoint)):
         raise ValueError("circle radius must exceed |basepoint|")
@@ -98,7 +99,7 @@ def _green_circle_integral(d: Domain, r, power: float = 1.0, points=None):
     total = np.zeros(np.shape(r)[:-1])
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = cmath.exp(0.5j * (lo + hi))
-        if any(d.contains(rho * mid) for rho in np.ravel(r)):
+        if np.any(d.contains(np.ravel(r) * mid)):
             total = total + quad(lambda theta: exact_green(d, r * np.exp(1j * theta)) ** power,
                                  lo, hi)[0]
     return float(total) if np.ndim(r) == 0 else total

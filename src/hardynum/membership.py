@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .function_norms import check_growth_exponents
+from .function_norms import check_exponents
 from .hardy_estimator import DecayFit
 
 __all__ = [
@@ -45,7 +45,7 @@ class MembershipQuery:
     alpha: float | None = None  # None queries H^p, a number queries A^p_alpha
 
     def __post_init__(self) -> None:
-        check_growth_exponents(self.p, 0.0 if self.alpha is None else self.alpha)
+        check_exponents(self.p, 0.0 if self.alpha is None else self.alpha)
 
 
 @dataclass(frozen=True)

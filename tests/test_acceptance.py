@@ -20,6 +20,7 @@ from hardynum import (
     DiskExterior,
     HalfPlane,
     MembershipQuery,
+    NodeTable,
     Sector,
     WosConfig,
     bergman_growth_profile,
@@ -33,7 +34,6 @@ from hardynum import (
     exp_cayley,
     empirical_hb,
     fit_decay,
-    log_bergman_integral,
     oracle_profile,
     run_identity_suite,
     sector_power,
@@ -133,16 +133,18 @@ def test_criterion_07_function_side_exponents_match_domain_side():
 
 
 def test_criterion_08_divergence_witness_blows_up():
-    f = exp_cayley()
+    # the truncated integrals at the gaps BERGMAN_GAPS, each a hundredth of
+    # the last, must grow by more than a factor 10 from one gap to the next
+    table = NodeTable(exp_cayley())
     growth_floor = math.log(10.0)
     worst = math.inf
     for p in (0.5, 1.0, 2.0):
         for alpha in (0.0, 1.0):
-            coarse = log_bergman_integral(f, p, alpha, 1e-2)
-            fine = log_bergman_integral(f, p, alpha, 1e-3)
-            worst = min(worst, fine - coarse)
-            assert fine - coarse > growth_floor, (p, alpha, fine - coarse)
-            profile = bergman_growth_profile(f, p, alpha)
+            profile = bergman_growth_profile(table, p, alpha)
+            levels = profile.log_values
+            steps = [fine - coarse for coarse, fine in zip(levels, levels[1:])]
+            worst = min(worst, *steps)
+            assert min(steps) > growth_floor, (p, alpha, steps)
             assert profile.classification == "unbounded", (p, alpha)
     print(f"criterion 08 PASS: truncation growth factor >= e^{worst:.1f} "
           f"(> 10 required) and all six profiles classified unbounded")

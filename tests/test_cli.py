@@ -210,17 +210,36 @@ def test_norms_writes_catalog_profiles(tmp_path):
     (["--p", "-1"], "exponent p"),
     (["--p", "0"], "exponent p"),
     (["--p", "inf"], "exponent p"),
-], ids=["alpha_-2", "alpha_-1", "alpha_nan", "p_nan", "p_-1", "p_0", "p_inf"])
+    # the growth classifier probes p up to P_MAX only
+    (["--p", "8.5"], "P_MAX"),
+    (["--p", "1e5"], "P_MAX"),
+], ids=["alpha_-2", "alpha_-1", "alpha_nan", "p_nan", "p_-1", "p_0", "p_inf", "p_8.5", "p_1e5"])
 def test_norms_rejects_invalid_exponents(tmp_path, capsys, monkeypatch, flags, named):
     # the exponents are checked before the first node table is built
     def no_table(f):
         raise AssertionError("norms built a node table before checking its exponents")
 
-    monkeypatch.setattr(function_norms.NodeTable, "for_growth", staticmethod(no_table))
+    monkeypatch.setattr(function_norms, "NodeTable", no_table)
     out = tmp_path / "out"
     assert main(["norms", *flags, "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not (out / "norms.json").exists()
+
+
+def test_norms_probes_up_to_p_max(tmp_path):
+    out = tmp_path / "out"
+    assert main(["norms", "--p", "8", "--out", str(out)]) == 0
+    identity = read_json(out / "norms.json")["functions"]["identity"]
+    assert identity["hardy_classification"] == identity["bergman_classification"] == "bounded"
+
+
+def test_member_takes_exponents_above_p_max(tmp_path, halfplane_json):
+    # the domain side compares any p with the fitted q; only the function
+    # side's growth classifier stops at P_MAX
+    out = tmp_path / "out"
+    assert main(["member", "--domain", halfplane_json, "--samples", "2000",
+                 "--p", "20", "--out", str(out)]) == 0
+    assert read_json(out / "member.json")["verdict"] == "not_member"
 
 
 @pytest.mark.parametrize("flags, named", [

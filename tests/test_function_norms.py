@@ -22,8 +22,6 @@ from hardynum import (
     exp_cayley,
     hardy_growth_profile,
     identity_map,
-    log_bergman_integral,
-    log_hardy_mean,
     oracle_profile,
     sector_power,
 )
@@ -35,7 +33,9 @@ from hardynum.function_norms import (
     HARDY_GAPS,
     P_MAX,
     NodeTable,
+    _Band,
     _bands,
+    _Circles,
     _gl_weights,
     _graded_rule,
     _log_moduli,
@@ -55,6 +55,18 @@ def log_modulus_f(f, s, theta):
         return s * (2.0 - s) / m_minus
     m_plus = s * s + 4.0 * (1.0 - s) * math.cos(0.5 * theta) ** 2
     return 0.5 * f.beta * (math.log(m_plus) - math.log(m_minus))
+
+
+def one_circle_log_mean(f, p, r):
+    """log circle integral of |f|^p at radius r, by the rule the growth table
+    is built from, on its one circle."""
+    return float(_Circles(f, np.array([1.0 - r])).log_means(p)[0])
+
+
+def one_band_log_integral(f, p, alpha, delta):
+    """log area integral of |f|^p (1-|z|^2)^alpha over |z| <= 1 - delta, by the
+    rule the growth table is built from, on its one band."""
+    return _Band(f, delta, 1.0).log_integral(p, alpha)
 
 
 def quad_log_mean(f, p, s):
@@ -180,15 +192,13 @@ def test_log_sum_exp_edge_cases():
 
 
 def test_one_table_serves_every_probe():
-    # dyadic gaps, so that 1 - (1 - gap) == gap and log_hardy_mean sees the
-    # very circles of the table
-    gaps = (2.0**-14, 2.0**-24, 2.0**-34)
     for f in CATALOG:
-        table = NodeTable(f, gaps)
-        growth = NodeTable.for_growth(f)
+        growth = NodeTable(f)
         for p, alpha in ((2.5, 1.0), (0.5, 0.0), (2.5, 1.0)):  # the repeat catches a mutated table
-            for gap, v in zip(gaps, table.log_circle_means(gaps, p)):
-                ref = log_hardy_mean(f, p, 1.0 - gap)
+            # each circle of the three-row table agrees with its own one-row
+            # table: the rows form one grading block either way
+            for gap, v in zip(HARDY_GAPS, growth.log_circle_means(p)):
+                ref = _Circles(f, np.array([gap])).log_means(p)[0]
                 assert abs(v - ref) <= 1e-13 * abs(ref), (f, p, gap)
             assert hardy_growth_profile(growth, p) == hardy_growth_profile(f, p)
             profile = bergman_growth_profile(growth, p, alpha)
@@ -196,7 +206,7 @@ def test_one_table_serves_every_probe():
             # the outermost gap is one band on both sides; inner gaps sum
             # bands, which agree with one long band to the rule's accuracy
             for gap, v in zip(BERGMAN_GAPS, profile.log_values):
-                ref = log_bergman_integral(f, p, alpha, gap)
+                ref = one_band_log_integral(f, p, alpha, gap)
                 tol = 1e-13 if gap == max(BERGMAN_GAPS) else AREA_REL_TOL
                 assert abs(v - ref) <= tol * abs(ref), (f, p, alpha, gap)
 
@@ -229,27 +239,26 @@ def test_flat_table_matches_the_block_reference(f, p, alpha, where):
     # value may cross zero
     close = lambda got, ref: np.all(np.abs(got - ref) <= 1e-13 * np.maximum(np.abs(ref), 1.0))
     if where == "circles":
-        got = NodeTable(f, HARDY_GAPS).log_circle_means(HARDY_GAPS, p)
+        got = _Circles(f, np.array(HARDY_GAPS)).log_means(p)
         ref = _reference_log_means(f, np.array(HARDY_GAPS), p, len(HARDY_GAPS))
         assert got.shape == ref.shape and close(got, ref), (f, p)
         return
-    table = NodeTable(f, bands=[where])
-    nodes = table._bands[where]
+    nodes = _Band(f, *where)
     got = nodes.circles.log_means(p)
     ref = _reference_log_means(f, nodes.s, p, function_norms.RADIAL_BLOCK)
     assert got.shape == ref.shape and close(got, ref), (f, p, where)
     # (1-s) from the area Jacobian times (1-|z|^2)^alpha = (s(2-s))^alpha
     s = nodes.s
     ref_integral = _log_sum_exp(ref + np.log(1.0 - s) + alpha * np.log(s * (2.0 - s)), nodes.w)
-    assert close(table.log_band_integral(where, p, alpha), ref_integral), (f, alpha)
+    assert close(nodes.log_integral(p, alpha), ref_integral), (f, alpha)
 
 
 def test_exp_floor_changes_no_result(monkeypatch):
     # exp-cayley at the largest probe exponent: p log|f| spans ~1e12 within a
     # row, so most of its shifted terms lie below the floor; the table stores
     # log|f| relative to each row maximum, so p times it is the shifted term
-    table = NodeTable.for_growth(exp_cayley())
-    circles = [table._circles, *(band.circles for band in table._bands.values())]
+    table = NodeTable(exp_cayley())
+    circles = [table._circles, *(band.circles for band in table._bands)]
     shifted = [P_MAX * c.log_f for c in circles]
     below = sum(np.count_nonzero(g < function_norms.EXP_FLOOR) for g in shifted)
     assert below > 0.5 * sum(g.size for g in shifted)
@@ -262,8 +271,8 @@ def test_exp_floor_changes_no_result(monkeypatch):
 def test_circle_means_need_a_non_negative_exponent():
     # the table stores log|f| less each row maximum, which bounds p log|f| from
     # above only for p >= 0
-    table = NodeTable(exp_cayley(), gaps=(1e-3,), bands=[(1e-5, 1e-3)])
-    for circles in (table._circles, table._bands[(1e-5, 1e-3)].circles):
+    table = NodeTable(exp_cayley())
+    for circles in (table._circles, *(band.circles for band in table._bands)):
         with pytest.raises(ValueError, match="p >= 0"):
             circles.log_means(-0.5)
         assert np.all(np.isfinite(circles.log_means(0.0)))
@@ -274,8 +283,8 @@ def test_growth_table_node_counts_are_pinned():
     # 26,880 circle panels; the inner half of each band off the center is
     # INNER_PANELS uniform panels, 40 radial nodes where grading took 190
     for f in CATALOG:
-        table = NodeTable.for_growth(f)
-        bands = table._bands.values()
+        table = NodeTable(f)
+        bands = table._bands
         assert table._circles.width.size == 102
         assert sum(band.s.size for band in bands) == 980
         assert sum(band.circles.width.size for band in bands) == 26_880
@@ -296,31 +305,18 @@ def test_uniform_inner_halves_match_the_graded_bands():
     # the half of a band toward an inner end s_hi < 1 holds nothing singular,
     # so its uniform panels agree with grading it toward s_hi as well
     for f in CATALOG:
-        table = NodeTable.for_growth(f)
-        for band in _bands(BERGMAN_GAPS):
-            s, w = _graded_band_rule(band)
-            for p in (0.5, 2.5, 7.9):
+        table = NodeTable(f)
+        for p in (0.5, 2.5, 7.9):
+            graded = []
+            for band in _bands(BERGMAN_GAPS):
+                s, w = _graded_band_rule(band)
                 log_means = _reference_log_means(f, s, p, function_norms.RADIAL_BLOCK)
-                for alpha in (-0.9, 0.0, 3.0):
-                    got = table.log_band_integral(band, p, alpha)
+                graded.append((band, s, w, log_means))
+            for alpha in (-0.9, 0.0, 3.0):
+                # log_band_integrals gives the bands in _bands order
+                for (band, s, w, log_means), got in zip(graded, table.log_band_integrals(p, alpha)):
                     ref = _log_sum_exp(log_means + np.log(1.0 - s) + alpha * np.log(s * (2.0 - s)), w)
                     assert abs(got - ref) <= 1e-9 * abs(ref), (f, band, p, alpha)
-
-
-def test_table_holds_only_its_own_nodes():
-    table = NodeTable(cayley(), gaps=(1e-3,), bands=[(1e-3, 1.0)])
-    with pytest.raises(ValueError):
-        table.log_circle_means((1e-4,), 1.0)
-    with pytest.raises(ValueError):
-        table.log_band_integral((1e-4, 1.0), 1.0, 0.0)
-    # a gap outside (0, 1) is no circle of the disk, and a band must lie
-    # inside it: gap 1.5 would be the circle of radius -0.5
-    for gaps in ((1.5,), (0.0,), (1.0,), (math.nan,), (1e-3, -1e-3)):
-        with pytest.raises(ValueError, match="gaps"):
-            NodeTable(cayley(), gaps=gaps)
-    for band in ((0.1, 2.0), (0.0, 1.0), (0.5, 0.5), (0.5, 0.1), (math.nan, 1.0)):
-        with pytest.raises(ValueError, match="bands"):
-            NodeTable(cayley(), bands=[band])
 
 
 # ---- circle means ------------------------------------------------------------
@@ -331,7 +327,7 @@ def test_cayley_second_mean_closed_form():
     # 2*pi*(1 + 4 r^2 / (1 - r^2))
     for r in (0.1, 0.5, 0.9, 0.999, 0.9999):
         expected = TWO_PI * (1.0 + 4.0 * r * r / (1.0 - r * r))
-        assert log_hardy_mean(cayley(), 2.0, r) == pytest.approx(math.log(expected), abs=1e-10)
+        assert one_circle_log_mean(cayley(), 2.0, r) == pytest.approx(math.log(expected), abs=1e-10)
 
 
 def test_means_match_high_precision_references():
@@ -339,7 +335,7 @@ def test_means_match_high_precision_references():
     # last is exp-cayley's peak at gap 1e-10, about 2.5e-6 gaps wide, whose
     # log near 1.6e11 resolves only to one ulp (3e-5)
     cases = (
-        (log_hardy_mean(exp_cayley(), 1 / 32, 1 - 1e-4), 613.11317670270873),
+        (one_circle_log_mean(exp_cayley(), 1 / 32, 1 - 1e-4), 613.11317670270873),
         (hardy_growth_profile(cayley(), 1.5).log_values[-1], 14.209746761257510),
         (hardy_growth_profile(exp_cayley(), 8.0).log_values[-1], 159999999956.64728836),
     )
@@ -355,26 +351,15 @@ def test_circle_means_match_adaptive_quadrature():
                 ref = quad_log_mean(f, p, 1.0 - r)
                 # a log value near 8e7 (exp-cayley at gap 1e-7) resolves only ~1.5e-8
                 tol = CIRCLE_REL_TOL + math.ulp(ref)
-                assert abs(log_hardy_mean(f, p, r) - ref) <= tol, (f, p, gap)
+                assert abs(one_circle_log_mean(f, p, r) - ref) <= tol, (f, p, gap)
 
 
 def test_identity_means_exact():
     for p in (0.5, 1.0, 3.0):
         for r in (0.2, 0.8):
-            assert log_hardy_mean(identity_map(), p, r) == pytest.approx(
+            assert one_circle_log_mean(identity_map(), p, r) == pytest.approx(
                 math.log(TWO_PI) + p * math.log(r), abs=1e-10
             )
-
-
-def test_mean_at_center_is_point_value():
-    assert log_hardy_mean(cayley(), 2.0, 0.0) == pytest.approx(math.log(TWO_PI), abs=1e-12)
-    assert log_hardy_mean(exp_cayley(), 1.0, 0.0) == pytest.approx(math.log(TWO_PI) + 1.0,
-                                                                   abs=1e-12)
-    # below one rounding of 1, 1 - r is no gap of a table circle, and |z| = r
-    # holds on the whole circle
-    r = 1e-20
-    assert log_hardy_mean(identity_map(), 2.0, r) == pytest.approx(math.log(TWO_PI * r**2), rel=1e-15)
-    assert log_hardy_mean(cayley(), 2.0, r) == pytest.approx(math.log(TWO_PI), abs=1e-12)
 
 
 def test_sector_power_mean_is_cayley_power_mean():
@@ -382,8 +367,8 @@ def test_sector_power_mean_is_cayley_power_mean():
     for beta in (0.5, 1.0, 2.0):
         for p in (1.0, 2.0):
             for r in (0.4, 0.9, 1.0 - 1e-7):
-                lhs = log_hardy_mean(sector_power(beta), p, r)
-                rhs = log_hardy_mean(cayley(), beta * p, r)
+                lhs = one_circle_log_mean(sector_power(beta), p, r)
+                rhs = one_circle_log_mean(cayley(), beta * p, r)
                 assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -391,21 +376,8 @@ def test_means_monotone_in_radius():
     radii = [0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
     for f in (cayley(), sector_power(0.5), identity_map(), exp_cayley()):
         for p in (0.5, 2.0):
-            vals = [log_hardy_mean(f, p, r) for r in radii]
+            vals = [one_circle_log_mean(f, p, r) for r in radii]
             assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:])), (f, p)
-
-
-def test_mean_parameter_validation():
-    with pytest.raises(ValueError):
-        log_hardy_mean(cayley(), -1.0, 0.5)
-    with pytest.raises(ValueError):
-        log_hardy_mean(cayley(), math.nan, 0.5)
-    with pytest.raises(ValueError):
-        log_hardy_mean(cayley(), math.inf, 0.5)
-    with pytest.raises(ValueError):
-        log_hardy_mean(cayley(), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        log_hardy_mean(cayley(), 1.0, -0.1)
 
 
 # ---- area integrals ------------------------------------------------------------
@@ -417,7 +389,7 @@ def test_cayley_bergman_closed_form():
     for delta in (0.5, 0.2, 0.05, 1e-4):
         radius = 1.0 - delta
         expected = TWO_PI * (-1.5 * radius**2 - 2.0 * math.log(1.0 - radius**2))
-        got = log_bergman_integral(cayley(), 2.0, 0.0, delta)
+        got = one_band_log_integral(cayley(), 2.0, 0.0, delta)
         assert got == pytest.approx(math.log(expected), abs=1e-8)
 
 
@@ -430,12 +402,12 @@ def test_area_band_matches_adaptive_quadrature():
     val = quad(lambda s: math.exp(log_h(s) - shift), delta, 1.0, points=breaks,
                epsrel=1e-9, epsabs=0.0, limit=500)[0]
     ref = shift + math.log(val)
-    assert log_bergman_integral(f, 1.0, 0.0, delta) == pytest.approx(ref, abs=AREA_REL_TOL)
+    assert one_band_log_integral(f, 1.0, 0.0, delta) == pytest.approx(ref, abs=AREA_REL_TOL)
 
 
 def test_identity_weighted_area_integral():
     # integral of |z| (1 - |z|^2) over the unit disk is 4 pi / 15
-    got = log_bergman_integral(identity_map(), 1.0, 1.0, 1e-8)
+    got = one_band_log_integral(identity_map(), 1.0, 1.0, 1e-8)
     assert got == pytest.approx(math.log(4.0 * math.pi / 15.0), abs=1e-5)
 
 
@@ -448,51 +420,36 @@ def test_identity_area_integrals_match_the_incomplete_beta():
             for delta in (1e-3, 1e-7):
                 a, b = 0.5 * p + 1.0, alpha + 1.0
                 ref = math.log(math.pi * euler_beta(a, b) * betainc(a, b, (1.0 - delta) ** 2))
-                got = log_bergman_integral(identity_map(), p, alpha, delta)
+                got = one_band_log_integral(identity_map(), p, alpha, delta)
                 assert abs(math.expm1(got - ref)) <= AREA_REL_TOL, (p, alpha, delta)
 
 
 def test_exp_cayley_truncations_blow_up():
     # the weighted area integral grows without bound as the rim is approached
     f = exp_cayley()
-    levels = [log_bergman_integral(f, 1.0, 0.0, d) for d in (1e-1, 1e-2, 1e-3)]
+    levels = [one_band_log_integral(f, 1.0, 0.0, d) for d in (1e-1, 1e-2, 1e-3)]
     assert levels[1] - levels[0] > math.log(10.0)
     assert levels[2] - levels[1] > math.log(10.0)
-
-
-def test_area_parameter_validation():
-    with pytest.raises(ValueError):
-        log_bergman_integral(cayley(), 1.0, -1.0, 0.1)
-    with pytest.raises(ValueError):
-        log_bergman_integral(cayley(), 1.0, math.nan, 0.1)
-    with pytest.raises(ValueError):
-        log_bergman_integral(cayley(), math.nan, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        log_bergman_integral(cayley(), 1.0, math.inf, 0.1)
-    with pytest.raises(ValueError):
-        log_bergman_integral(cayley(), math.inf, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        log_bergman_integral(cayley(), 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        log_bergman_integral(cayley(), 1.0, 0.0, 1.0)
 
 
 # ---- growth classification --------------------------------------------------------
 
 
 def test_hardy_growth_classification_brackets_critical_exponent():
-    assert hardy_growth_profile(cayley(), 0.9).classification == "bounded"
-    assert hardy_growth_profile(cayley(), 1.1).classification == "unbounded"
-    assert hardy_growth_profile(sector_power(0.5), 1.8).classification == "bounded"
-    assert hardy_growth_profile(sector_power(0.5), 2.2).classification == "unbounded"
+    cay, half = NodeTable(cayley()), NodeTable(sector_power(0.5))
+    assert hardy_growth_profile(cay, 0.9).classification == "bounded"
+    assert hardy_growth_profile(cay, 1.1).classification == "unbounded"
+    assert hardy_growth_profile(half, 1.8).classification == "bounded"
+    assert hardy_growth_profile(half, 2.2).classification == "unbounded"
 
 
 def test_bergman_growth_classification_brackets_critical_exponent():
-    assert bergman_growth_profile(cayley(), 1.8, 0.0).classification == "bounded"
-    assert bergman_growth_profile(cayley(), 2.2, 0.0).classification == "unbounded"
+    cay = NodeTable(cayley())
+    assert bergman_growth_profile(cay, 1.8, 0.0).classification == "bounded"
+    assert bergman_growth_profile(cay, 2.2, 0.0).classification == "unbounded"
     # the weight shifts the critical exponent proportionally
-    assert bergman_growth_profile(cayley(), 2.7, 1.0).classification == "bounded"
-    assert bergman_growth_profile(cayley(), 3.3, 1.0).classification == "unbounded"
+    assert bergman_growth_profile(cay, 2.7, 1.0).classification == "bounded"
+    assert bergman_growth_profile(cay, 3.3, 1.0).classification == "unbounded"
 
 
 def test_growth_profile_shape():
@@ -503,15 +460,37 @@ def test_growth_profile_shape():
 
 
 def test_bounded_function_bounded_at_every_exponent():
+    table = NodeTable(identity_map())
     for p in (0.5, 4.0):
-        assert hardy_growth_profile(identity_map(), p).classification == "bounded"
-        assert bergman_growth_profile(identity_map(), p, 0.0).classification == "bounded"
+        assert hardy_growth_profile(table, p).classification == "bounded"
+        assert bergman_growth_profile(table, p, 0.0).classification == "bounded"
 
 
 def test_exp_cayley_unbounded_at_every_exponent():
+    table = NodeTable(exp_cayley())
     for p in (0.5, 2.0):
-        assert hardy_growth_profile(exp_cayley(), p).classification == "unbounded"
-        assert bergman_growth_profile(exp_cayley(), p, 0.0).classification == "unbounded"
+        assert hardy_growth_profile(table, p).classification == "unbounded"
+        assert bergman_growth_profile(table, p, 0.0).classification == "unbounded"
+
+
+def test_growth_probes_stop_at_p_max(monkeypatch):
+    # the classifier is calibrated on the exponents empirical_hb bisects:
+    # above P_MAX the identity map's slow approach to its limit read as
+    # divergence, so a probe there fails before any table is built
+    table = NodeTable(identity_map())
+    assert hardy_growth_profile(table, P_MAX).classification == "bounded"
+    assert bergman_growth_profile(table, P_MAX, 1.0).classification == "bounded"
+
+    class NoTable(NodeTable):
+        def __init__(self, f):
+            raise AssertionError("a growth probe built a table before checking its exponent")
+
+    monkeypatch.setattr(function_norms, "NodeTable", NoTable)
+    for p in (P_MAX + 0.5, 1e5, 1e300):
+        with pytest.raises(ValueError, match="P_MAX"):
+            hardy_growth_profile(identity_map(), p)
+        with pytest.raises(ValueError, match="P_MAX"):
+            bergman_growth_profile(identity_map(), p, 1.0)
 
 
 # ---- empirical exponents -------------------------------------------------------------
@@ -526,7 +505,7 @@ def test_empirical_brackets_are_pinned():
         "identity": ((8.0, math.inf), (4.0, math.inf)),
     }
     for name, f in zip(expected, CATALOG):
-        for source in (f, NodeTable.for_growth(f)):
+        for source in (f, NodeTable(f)):
             result = empirical_hb(source)
             assert (result.h_bracket, result.b_bracket) == expected[name], name
 

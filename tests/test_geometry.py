@@ -217,6 +217,21 @@ def test_distances_and_projections_match_brute_force(d, offsets):
     assert np.all(np.array([_brute_distance(w, d) for w in proj]) <= tol)
 
 
+@settings(max_examples=100, deadline=None)
+@given(d=_SHAPES,
+       offsets=st.lists(st.builds(complex, st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
+                        max_size=16))
+def test_contains_takes_an_array_of_points(d, offsets):
+    # the points of the brute-force test, inside the domain or not, and the
+    # origin, where a sector has its vertex
+    zs = np.array([0j, *(d.basepoint + w for w in [0j, *offsets])])
+    inside = d.contains(zs)
+    assert inside.dtype == bool and inside.shape == zs.shape
+    assert inside.tolist() == [bool(d.contains(z)) for z in zs.tolist()]
+    assert inside[1]
+    np.testing.assert_array_equal(d.contains(zs[:, None]), inside[:, None])
+
+
 # ---- structure flags --------------------------------------------------------
 
 

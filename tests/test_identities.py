@@ -90,6 +90,35 @@ def test_circle_integrals_skip_the_arcs_off_the_domain(d, monkeypatch):
     assert all(np.all(v > 0.0) for v in values)
 
 
+@pytest.mark.parametrize("d", (*SCIPY_DOMAINS, Disk(2.0, basepoint=0.0)), ids=repr)
+def test_circle_integrals_ask_the_domain_once_per_arc(d, monkeypatch):
+    # one array containment test per arc between breaks, for all rows at once;
+    # the sector's Green's function masks with contains too, uncounted here
+    shapes, in_green = [], []
+    contains = type(d).contains
+
+    def counted(self, z):
+        if not in_green:
+            shapes.append(np.shape(z))
+        return contains(self, z)
+
+    def green(d, z):
+        in_green.append(True)
+        try:
+            return exact_green(d, z)
+        finally:
+            in_green.pop()
+
+    monkeypatch.setattr(type(d), "contains", counted)
+    monkeypatch.setattr(identities, "exact_green", green)
+    points = d.circle_breaks(4.0)
+    arcs = len({-math.pi, math.pi, *(t for t in points if -math.pi < t < math.pi)}) - 1
+    for r in (4.0, np.array([[4.0], [8.0], [16.0]])):
+        shapes.clear()
+        _green_circle_integral(d, r, points=points)
+        assert shapes == [(np.size(r),)] * arcs, r
+
+
 def test_identity_suite_evaluates_no_green_off_the_domain(monkeypatch):
     # the moment exchange integrates blocks of circles at once, each on the
     # arcs inside the domain
