@@ -27,7 +27,8 @@ from pathlib import Path
 from . import function_norms, identities
 from ._serialize import fmt_float, growth_csv, json_dumps, profile_csv, write_text
 from .errors import HardynumError, ZeroMeasure
-from .geometry import HalfPlane, Sector, domain_to_dict, exact_hm, load_domain
+from .geometry import (Disk, DiskExterior, HalfPlane, Sector, domain_to_dict, exact_hm,
+                       load_domain)
 from .hardy_estimator import (
     DEFAULT_WINDOW,
     check_tail_window,
@@ -44,11 +45,12 @@ DEFAULT_SAMPLES = 100_000
 MC_AGREEMENT_SIGMAS = 4.0
 MAX_GRID_COUNT = 10_000  # radii in a --grid; the default grid has 13
 
+# the norms output names, each with the domain whose covering map it probes
 _CATALOG = (
-    ("cayley", function_norms.cayley()),
-    ("sector_power_half", function_norms.sector_power(0.5)),
-    ("exp_cayley", function_norms.exp_cayley()),
-    ("identity", function_norms.identity_map()),
+    ("cayley", HalfPlane()),
+    ("sector_power_half", Sector(0.5 * math.pi)),
+    ("exp_cayley", DiskExterior(1.0, basepoint=math.e)),
+    ("identity", Disk(1.0)),
 )
 
 
@@ -183,14 +185,14 @@ def _cmd_norms(args) -> int:
     function_norms.check_growth_exponents(args.p, args.alpha)  # before any table is built
     out = Path(args.out)
     summary = {}
-    for name, fn in _CATALOG:
-        table = function_norms.NodeTable(fn)
+    for name, domain in _CATALOG:
+        table = function_norms.NodeTable(domain)
         hardy_gp = function_norms.hardy_growth_profile(table, args.p)
         bergman_gp = function_norms.bergman_growth_profile(table, args.p, args.alpha)
         write_text(out / f"norms_{name}_hardy.csv", growth_csv(hardy_gp))
         write_text(out / f"norms_{name}_bergman.csv", growth_csv(bergman_gp))
         exps = function_norms.empirical_hb(table)
-        del table  # 4.6 MB: free it before the next function's table is built
+        del table  # 4.6 MB: free it before the next map's table is built
         summary[name] = {
             "h_hat": exps.h_hat,
             "b_hat": exps.b_hat,

@@ -7,7 +7,6 @@ __all__ = [
     "DegenerateDomain",
     "ZeroMeasure",
     "TooFewPoints",
-    "UnsupportedImage",
     "DivergentCase",
 ]
 
@@ -34,10 +33,6 @@ class ZeroMeasure(HardynumError):
 
 class TooFewPoints(HardynumError):
     """Not enough profile entries for the requested computation."""
-
-
-class UnsupportedImage(HardynumError):
-    """The image domain of the map is outside what the check supports."""
 
 
 class DivergentCase(HardynumError):

@@ -1,5 +1,7 @@
-"""Integral means, area integrals, and empirical critical exponents for a
-small catalog of analytic test functions on the unit disk.
+"""Integral means, area integrals, and empirical critical exponents of the
+covering map f of the unit disk onto a domain, f(0) its basepoint, for the
+domains that carry one in closed form (see geometry; every other domain
+raises UnsupportedShape).
 
 Everything here is numerical but deterministic, and every disk-side integral
 goes through one rule: composite Gauss-Legendre on geometrically graded
@@ -24,9 +26,9 @@ Every integrand is exp(p log|f|), times the area weight
 (1-|z|^2)^alpha on bands, and the nodes depend only on the circles and bands,
 never on p or alpha. Critical exponents are located by bisection on a
 bounded/unbounded growth classifier, whose circles (HARDY_GAPS) and bands
-(BERGMAN_GAPS) are fixed; NodeTable(f) evaluates log|f| once on all their
-nodes, and every probe of one function at any exponent is then a weighted
-log-space sum over that one table.
+(BERGMAN_GAPS) are fixed; NodeTable(d) evaluates the log|f| of the domain d
+once on all their nodes, and every probe of one map at any exponent is then a
+weighted log-space sum over that one table.
 
 A table keeps each set of circles flat: the logs of all its positive-width
 panels in one contiguous array, each stored less its row's largest log|f|,
@@ -48,21 +50,14 @@ the integrand formulas cancellation-free down to s ~ 1e-12:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedImage
-from .geometry import Disk, Domain, HalfPlane, Sector
+from .geometry import Domain
 
 __all__ = [
-    "CatalogFunction",
-    "cayley",
-    "sector_power",
-    "exp_cayley",
-    "identity_map",
     "NodeTable",
     "GrowthProfile",
     "hardy_growth_profile",
@@ -70,11 +65,6 @@ __all__ = [
     "EmpiricalExponents",
     "empirical_hb",
 ]
-
-KIND_CAYLEY = "cayley"
-KIND_SECTOR_POWER = "sector_power"
-KIND_EXP_CAYLEY = "exp_cayley"
-KIND_IDENTITY = "identity"
 
 CIRCLE_REL_TOL = 1e-8
 AREA_REL_TOL = 1e-6
@@ -96,76 +86,6 @@ BERGMAN_RESOLUTION = 0.1
 CLASS_BOUNDED = "bounded"
 CLASS_UNBOUNDED = "unbounded"
 CLASS_INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class CatalogFunction:
-    """Analytic map of the unit disk, one of four closed-form kinds.
-
-    kind "cayley" is (1+z)/(1-z) onto the right half-plane; "sector_power"
-    raises it to the power beta in (0, 2], mapping onto a sector of opening
-    beta*pi; "exp_cayley" is exp((1+z)/(1-z)), an infinite-valence map onto
-    the exterior of the closed unit disk; "identity" is z.
-    """
-
-    kind: str
-    beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in (KIND_CAYLEY, KIND_SECTOR_POWER, KIND_EXP_CAYLEY, KIND_IDENTITY):
-            raise ValueError(f"unknown catalog kind: {self.kind!r}")
-        if self.kind == KIND_SECTOR_POWER and not (0.0 < self.beta <= 2.0):
-            raise ValueError("sector power beta must lie in (0, 2]")
-        if self.kind != KIND_SECTOR_POWER and self.beta != 1.0:
-            raise ValueError(f"catalog kind {self.kind!r} takes no beta, got {self.beta!r}")
-
-    @property
-    def univalent(self) -> bool:
-        return self.kind != KIND_EXP_CAYLEY
-
-    def value(self, z: complex) -> complex:
-        z = complex(z)
-        if self.kind == KIND_IDENTITY:
-            return z
-        w = (1.0 + z) / (1.0 - z)
-        if self.kind == KIND_CAYLEY:
-            return w
-        if self.kind == KIND_SECTOR_POWER:
-            return w**self.beta
-        return _cexp(w)
-
-    def image_domain(self) -> Domain:
-        """The image as a plane domain, for univalent kinds only."""
-        if self.kind == KIND_CAYLEY:
-            return HalfPlane(basepoint=1.0 + 0.0j)
-        if self.kind == KIND_SECTOR_POWER:
-            return Sector(opening=self.beta * math.pi, basepoint=1.0 + 0.0j)
-        if self.kind == KIND_IDENTITY:
-            return Disk(radius=1.0, basepoint=0.0j)
-        raise UnsupportedImage("exp-cayley is not univalent; its image is not a plane domain")
-
-
-def _cexp(w: complex) -> complex:
-    try:
-        return cmath.exp(w)
-    except OverflowError:
-        return complex(math.inf, math.nan)
-
-
-def cayley() -> CatalogFunction:
-    return CatalogFunction(KIND_CAYLEY)
-
-
-def sector_power(beta: float) -> CatalogFunction:
-    return CatalogFunction(KIND_SECTOR_POWER, beta=beta)
-
-
-def exp_cayley() -> CatalogFunction:
-    return CatalogFunction(KIND_EXP_CAYLEY)
-
-
-def identity_map() -> CatalogFunction:
-    return CatalogFunction(KIND_IDENTITY)
 
 
 # ---------------------------------------------------------------------------
@@ -291,36 +211,19 @@ def _log_sum_exp(g: np.ndarray, w: np.ndarray, axis=-1) -> np.ndarray:
         return np.log(np.sum(g, axis=axis)) + np.squeeze(shift, axis=axis)
 
 
-def _log_moduli(f: CatalogFunction, s: np.ndarray, sin2: np.ndarray,
-                cos2: np.ndarray) -> np.ndarray:
-    """log|f| at z = (1-s) e^{i theta}, elementwise.
-
-    The angle enters as sin2 = sin^2(theta/2) and cos2 = cos^2(theta/2), so a
-    caller can mirror theta about pi/2 by swapping them without losing the
-    digits of |1+z| near theta = pi.
-    """
-    if f.kind == KIND_IDENTITY:
-        return np.broadcast_to(np.log(1.0 - s), sin2.shape)
-    base = 4.0 * (1.0 - s)
-    m_minus = s * s + base * sin2  # |1-z|^2
-    if f.kind == KIND_EXP_CAYLEY:
-        return s * (2.0 - s) / m_minus
-    # cayley is sector_power at beta = 1; log |1+z| - log |1-z|
-    return f.beta * (0.5 * np.log(s * s + base * cos2) - 0.5 * np.log(m_minus))
-
-
 class _Circles:
-    """log|f| on the theta nodes of the circles at radius 1 - s,
-    one row per gap in the 1-D array s.
+    """log|f| of the domain d's covering map on the theta nodes of the
+    circles at radius 1 - s, one row per gap in the 1-D array s.
 
-    All catalog kinds have real Taylor coefficients, so the integrand is
-    symmetric about theta = 0 and the circle integral is twice the [0, pi]
-    part. That half is split at pi/2 into two quarters, and each is graded at
-    scale s toward its end: toward theta = 0, where 1/|1-z| peaks, and toward
-    theta = pi, where |1+z| has its cusp. The quarters mirror each other
-    panel by panel, so they share their panel widths. The rows are graded
-    RADIAL_BLOCK at a time (_graded_edges), which fixes the node positions;
-    the HARDY_GAPS circles form one block.
+    Every closed-form map of geometry has real Taylor coefficients, so the
+    integrand is symmetric about theta = 0 and the circle integral is twice
+    the [0, pi] part. That half is split at pi/2 into two quarters, and each
+    is graded at scale s toward its end: toward theta = 0, where 1/|1-z|
+    peaks, and toward theta = pi, where |1+z| has its cusp. The quarters
+    mirror each other panel by panel, so they share their panel widths; on a
+    shape with odd_mirror, the mirror quarter's logs are the first quarter's
+    negated. The rows are graded RADIAL_BLOCK at a time (_graded_edges),
+    which fixes the node positions; the HARDY_GAPS circles form one block.
 
     The table is flat and relative to each row's maximum. Panel k of the
     table is a positive-width panel of width width[k]; log_f[0, k] holds
@@ -332,7 +235,7 @@ class _Circles:
     row_max 0.
     """
 
-    def __init__(self, f: CatalogFunction, s: np.ndarray) -> None:
+    def __init__(self, d: Domain, s: np.ndarray) -> None:
         rules = []
         for k in range(0, s.size, RADIAL_BLOCK):
             rows = s[k:k + RADIAL_BLOCK]
@@ -345,20 +248,17 @@ class _Circles:
         panels = int(self.row_count.sum())
         self.width = np.concatenate([width for _, _, width, _ in rules])
         self.log_f = np.empty((2, panels, GL_NODES))
-        # cayley and sector_power are b (log|1+z| - log|1-z|), which the
-        # mirror theta -> pi - theta negates exactly: it swaps the two moduli
-        mirrored = f.kind in (KIND_CAYLEY, KIND_SECTOR_POWER)
         at = 0
         for s_rows, start, width, count in rules:
             span = slice(at, at + width.size)
             t = start[:, None] + width[:, None] * _GL_T
             sin2, cos2 = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
             s_nodes = np.repeat(s_rows, count)[:, None]
-            self.log_f[0, span] = _log_moduli(f, s_nodes, sin2, cos2)
-            if mirrored:
+            self.log_f[0, span] = d._log_modulus(s_nodes, sin2, cos2)
+            if d.odd_mirror:
                 np.negative(self.log_f[0, span], out=self.log_f[1, span])
             else:
-                self.log_f[1, span] = _log_moduli(f, s_nodes, cos2, sin2)
+                self.log_f[1, span] = d._log_modulus(s_nodes, cos2, sin2)
             at = span.stop
         # reduceat over the flat nodes: reducing the 10-long node axis is ~10x slower
         start = self.row_start * GL_NODES
@@ -410,14 +310,14 @@ class _Band:
     _Circles holds the circles at every radial node.
     """
 
-    def __init__(self, f: CatalogFunction, s_lo: float, s_hi: float) -> None:
+    def __init__(self, d: Domain, s_lo: float, s_hi: float) -> None:
         half = 0.5 * (s_hi - s_lo)
         t_lo, width_lo = _graded_rule(np.array([[s_lo]]), half)
         t_hi, width_hi = (_graded_rule(np.array([[s_hi]]), half) if s_hi == 1.0
                           else _uniform_rule(half))
         self.s = np.concatenate([s_lo + t_lo[0], s_hi - t_hi[0]])
         self.w = np.concatenate([_gl_weights(width_lo)[0], _gl_weights(width_hi)[0]])
-        self.circles = _Circles(f, self.s)
+        self.circles = _Circles(d, self.s)
 
     def log_integral(self, p: float, alpha: float) -> float:
         """log of the band integral of M(s) (1-s) (s(2-s))^alpha ds, M(s) the circle
@@ -428,7 +328,7 @@ class _Band:
 
 
 class NodeTable:
-    """log|f| of one catalog function on the quadrature nodes of the growth
+    """log|f| of one domain's covering map on the quadrature nodes of the growth
     classifier: the circles at the radii 1 - HARDY_GAPS and the radial bands
     between consecutive BERGMAN_GAPS and from the largest to the center.
 
@@ -443,15 +343,17 @@ class NodeTable:
     1e-10, while every floored term adds at most exp(-600) ~ 3e-261 times a
     weight below 1; the at most ~800 terms of a row shift its sum by under
     1e-230 relative, far below one rounding, and the tests find the floored and
-    unfloored sums bit-identical on exp-cayley at P_MAX.
+    unfloored sums bit-identical on exp-cayley (the disk exterior's map) at
+    P_MAX.
 
     A table holds 539,640 logs (26,880 band panels and 102 circle panels),
-    4.6 MB in all: keep it while probing one function, not longer.
+    4.6 MB in all: keep it while probing one map, not longer.
     """
 
-    def __init__(self, f: CatalogFunction) -> None:
-        self._circles = _Circles(f, np.array(HARDY_GAPS))
-        self._bands = [_Band(f, *band) for band in _bands(BERGMAN_GAPS)]
+    def __init__(self, d: Domain) -> None:
+        d._log_modulus(0.5, 0.5, 0.5)  # a domain with no map raises before any node is built
+        self._circles = _Circles(d, np.array(HARDY_GAPS))
+        self._bands = [_Band(d, *band) for band in _bands(BERGMAN_GAPS)]
 
     def log_circle_means(self, p: float) -> np.ndarray:
         """log of the circle integral of |f|^p at each radius 1 - HARDY_GAPS."""
@@ -521,29 +423,28 @@ def check_growth_exponents(p: float, alpha: float = 0.0) -> None:
         raise ValueError(f"growth probes need an exponent p <= P_MAX = {P_MAX:g}, got {p!r}")
 
 
-def hardy_growth_profile(f: CatalogFunction | NodeTable, p: float) -> GrowthProfile:
+def hardy_growth_profile(d: Domain | NodeTable, p: float) -> GrowthProfile:
     """Circle means at the radii 1 - HARDY_GAPS; bounded means f is in H^p.
 
-    f is a catalog function or its NodeTable; a function gets a table of its
-    own, bands included, so probe one function several times through one
-    table.
+    d is a domain or its NodeTable; a domain gets a table of its own, bands
+    included, so probe one domain several times through one table.
     """
     check_growth_exponents(p)
-    table = f if isinstance(f, NodeTable) else NodeTable(f)
+    table = d if isinstance(d, NodeTable) else NodeTable(d)
     vals = [float(v) for v in table.log_circle_means(p)]
     return _classify_growth(HARDY_GAPS, vals, HARDY_SLOPE_TOL)
 
 
-def bergman_growth_profile(f: CatalogFunction | NodeTable, p: float,
+def bergman_growth_profile(d: Domain | NodeTable, p: float,
                            alpha: float = 0.0) -> GrowthProfile:
     """Truncated area integrals at the gaps BERGMAN_GAPS, computed incrementally:
     the annulus between consecutive gaps is integrated once and accumulated.
 
-    f is a catalog function or its NodeTable; a function gets a table of its
-    own, circles included.
+    d is a domain or its NodeTable; a domain gets a table of its own, circles
+    included.
     """
     check_growth_exponents(p, alpha)
-    table = f if isinstance(f, NodeTable) else NodeTable(f)
+    table = d if isinstance(d, NodeTable) else NodeTable(d)
     seg_logs = table.log_band_integrals(p, alpha)
     # the bands run inward from the smallest gap and BERGMAN_GAPS shrinks, so
     # the truncated integral at its k-th gap sums the last k + 1 bands
@@ -553,7 +454,7 @@ def bergman_growth_profile(f: CatalogFunction | NodeTable, p: float,
 
 @dataclass(frozen=True)
 class EmpiricalExponents:
-    """Empirical Hardy and Bergman numbers of a catalog function.
+    """Empirical Hardy and Bergman numbers of a domain's covering map.
 
     h_hat is the largest p (up to the probe cap) with bounded circle means,
     and b_hat is the analogous area-integral exponent divided by 2 (the
@@ -585,14 +486,13 @@ def _bisect_critical(classify, resolution: float) -> tuple[float, tuple[float, f
     return 0.5 * (lo + hi), (lo, hi)
 
 
-def empirical_hb(f: CatalogFunction | NodeTable) -> EmpiricalExponents:
+def empirical_hb(d: Domain | NodeTable) -> EmpiricalExponents:
     """Bisect the bounded/unbounded transition of circle means and area
     integrals; resolution 0.05 in the Hardy exponent and in b_hat = p/2.
 
-    f is a catalog function or its NodeTable; every probe reads that one
-    table.
+    d is a domain or its NodeTable; every probe reads that one table.
     """
-    table = f if isinstance(f, NodeTable) else NodeTable(f)
+    table = d if isinstance(d, NodeTable) else NodeTable(d)
     h_hat, h_bracket = _bisect_critical(
         lambda p: hardy_growth_profile(table, p).classification, HARDY_RESOLUTION
     )

@@ -32,6 +32,16 @@ All are exact, with no series truncation and no quadrature. The tail measure:
                  sector conformally onto the right half-plane and sends the
                  tail beyond r to the tail beyond r**(pi/opening)
     disk(s)      0 once r clears every boundary modulus, 1 below all of them
+
+The function side (function_norms) integrates a covering map f of the unit
+disk onto the domain, f(0) the basepoint. Four instances carry one in closed
+form, as log|f| (_log_modulus); every other instance raises UnsupportedShape:
+
+    HalfPlane()                      cayley (1+z)/(1-z)
+    Sector(opening)                  its power beta = opening/pi
+    Disk(1.0)                        the identity z
+    DiskExterior(1.0, basepoint=e)   exp-cayley exp((1+z)/(1-z)), a
+                                     covering map, not univalent
 """
 
 from __future__ import annotations
@@ -60,7 +70,6 @@ __all__ = [
     "dump_domain",
     "exact_hm",
     "exact_green",
-    "decay_exponent",
 ]
 
 _TWO_PI = 2 * math.pi
@@ -118,6 +127,20 @@ class Domain:
     def _green(self, z: np.ndarray) -> np.ndarray:
         raise UnsupportedShape(f"no closed-form Green's function for {self!r}")
 
+    # ---- covering map f of the unit disk, f(0) = basepoint --------------
+
+    # whether theta -> pi - theta, which swaps sin2 and cos2, negates log|f|
+    odd_mirror = False
+
+    def _log_modulus(self, s, sin2, cos2):
+        """log|f| at z = (1-s) e^{i theta}, elementwise.
+
+        The angle enters as sin2 = sin^2(theta/2) and cos2 = cos^2(theta/2),
+        so a caller can mirror theta about pi/2 by swapping them without
+        losing the digits of |1+z| near theta = pi.
+        """
+        raise UnsupportedShape(f"no closed-form covering map for {self!r}")
+
     def _check_basepoint(self) -> None:
         b = self.basepoint
         if not (math.isfinite(b.real) and math.isfinite(b.imag)):
@@ -163,6 +186,13 @@ class HalfPlane(Domain):
 
     def _green(self, z: np.ndarray) -> np.ndarray:
         return _halfplane_green(self.basepoint, z)
+
+    odd_mirror = True
+
+    def _log_modulus(self, s, sin2, cos2):
+        if self.basepoint != 1.0:
+            return super()._log_modulus(s, sin2, cos2)
+        return _cayley_log_modulus(s, sin2, cos2)
 
     def __repr__(self) -> str:
         return f"HalfPlane(basepoint={self.basepoint!r})"
@@ -231,6 +261,13 @@ class Sector(Domain):
     def _green(self, z: np.ndarray) -> np.ndarray:
         power = self.decay_exponent
         return np.where(self.contains(z), _halfplane_green(self.basepoint**power, z**power), 0.0)
+
+    odd_mirror = True
+
+    def _log_modulus(self, s, sin2, cos2):
+        if self.basepoint != 1.0:
+            return super()._log_modulus(s, sin2, cos2)
+        return self.opening / math.pi * _cayley_log_modulus(s, sin2, cos2)
 
     def __repr__(self) -> str:
         return f"Sector(opening={self.opening!r}, basepoint={self.basepoint!r})"
@@ -315,6 +352,11 @@ class Disk(_Round):
         val = np.log(np.abs(self.radius**2 - np.conj(a) * u) / (self.radius * np.abs(u - a)))
         return np.where(np.abs(u) < self.radius, np.maximum(val, 0.0), 0.0)
 
+    def _log_modulus(self, s, sin2, cos2):
+        if (self.radius, self.center, self.basepoint) != (1.0, 0.0, 0.0):
+            return super()._log_modulus(s, sin2, cos2)
+        return np.broadcast_to(np.log(1.0 - s), np.shape(sin2))
+
 
 class DiskExterior(_Round):
     """Exterior {|z - center| > radius}.
@@ -337,6 +379,12 @@ class DiskExterior(_Round):
 
     def distances(self, zs: np.ndarray) -> np.ndarray:
         return np.abs(zs - self.center) - self.radius
+
+    def _log_modulus(self, s, sin2, cos2):
+        if (self.radius, self.center, self.basepoint) != (1.0, 0.0, math.e):
+            return super()._log_modulus(s, sin2, cos2)
+        # log|exp(w)| = Re w, and Re (1+z)/(1-z) = s(2-s) / |1-z|^2
+        return s * (2.0 - s) / (s * s + 4.0 * (1.0 - s) * sin2)
 
 
 # ---- closed forms ----------------------------------------------------------
@@ -366,6 +414,13 @@ def _halfplane_green(a: complex, w: np.ndarray) -> np.ndarray:
     return np.where(w.real > 0.0, np.maximum(val, 0.0), 0.0)
 
 
+def _cayley_log_modulus(s, sin2, cos2):
+    # log|(1+z)/(1-z)| from the cancellation-free moduli at z = (1-s) e^{i theta}:
+    # |1 -+ z|^2 = s^2 + 4(1-s) sin^2(theta/2), resp. cos^2(theta/2)
+    base = 4.0 * (1.0 - s)
+    return 0.5 * np.log(s * s + base * cos2) - 0.5 * np.log(s * s + base * sin2)
+
+
 def exact_hm(d: Domain, r):
     """Harmonic measure of the boundary tail beyond modulus r, from the basepoint.
 
@@ -388,11 +443,6 @@ def exact_green(d: Domain, w):
     with np.errstate(divide="ignore", invalid="ignore"):
         green = d._green(np.asarray(w, dtype=complex))
     return green if np.ndim(w) else float(green)
-
-
-def decay_exponent(d: Domain) -> float:
-    """Exact power-law decay rate of exact_hm in r (inf for bounded tails)."""
-    return d.decay_exponent
 
 
 # ---- JSON interface ------------------------------------------------------

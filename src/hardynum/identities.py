@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DivergentCase
 from .function_norms import quad
-from .geometry import Domain, HalfPlane, decay_exponent, exact_green, exact_hm
+from .geometry import Domain, HalfPlane, exact_green, exact_hm
 
 __all__ = [
     "IdentityReport",
@@ -107,7 +107,7 @@ def _green_circle_integral(d: Domain, r, power: float = 1.0, points=None):
 
 def _tail_log_integral(d: Domain, r: float) -> float:
     """int_r^inf omega(a, E_t) dt/t with a power-law tail beyond r * 1e4."""
-    q = decay_exponent(d)
+    q = d.decay_exponent
     top = r * _TAIL_FACTOR
     pts = [math.log(b / r) for b in d.hm_breaks if r < b < top]
     val = quad(lambda u: exact_hm(d, r * np.exp(u)), 0.0, math.log(top / r), points=pts)[0]
@@ -165,7 +165,7 @@ def fubini_identity(d: Domain, p: float, omega_fn=None) -> IdentityReport:
     a_mod = abs(d.basepoint)
     if not (r_max > a_mod):
         raise ValueError("truncation radius must exceed |basepoint|")
-    q = decay_exponent(d)
+    q = d.decay_exponent
     if p >= q:
         raise DivergentCase(
             f"moment p={p} meets the decay exponent {q}; both sides are infinite"

@@ -24,19 +24,16 @@ from hardynum import (
     Sector,
     WosConfig,
     bergman_growth_profile,
-    cayley,
     classify_bergman,
     classify_hardy,
     default_grid,
     estimate_hardy_number,
     estimate_hm,
     estimate_profile,
-    exp_cayley,
     empirical_hb,
     fit_decay,
     oracle_profile,
     run_identity_suite,
-    sector_power,
 )
 from hardynum.cli import main as cli_main
 
@@ -119,14 +116,17 @@ def test_criterion_06_identity_suite_and_verify(tmp_path, capsys):
 
 
 def test_criterion_07_function_side_exponents_match_domain_side():
-    cay = empirical_hb(cayley())
+    # each side reads the same domain: the function side its covering map,
+    # the domain side its harmonic measure
+    cay = empirical_hb(HalfPlane())
     assert abs(cay.h_hat - 1.0) <= 0.05, cay
     assert abs(cay.b_hat - 1.0) <= 0.05, cay
     assert abs(cay.h_hat - cay.b_hat) <= 0.1
 
-    half = empirical_hb(sector_power(0.5))
+    quarter = Sector(math.pi / 2)
+    half = empirical_hb(quarter)
     assert abs(half.h_hat - 2.0) <= 0.1, half
-    domain_side = mc_estimate(Sector(math.pi / 2, 1.0)).value
+    domain_side = mc_estimate(quarter).value
     assert abs(half.h_hat - domain_side) <= 0.15
     print(f"criterion 07 PASS: cayley h={cay.h_hat:.4f} b={cay.b_hat:.4f}; "
           f"sqrt-map h={half.h_hat:.4f} vs domain-side {domain_side:.4f}")
@@ -135,7 +135,7 @@ def test_criterion_07_function_side_exponents_match_domain_side():
 def test_criterion_08_divergence_witness_blows_up():
     # the truncated integrals at the gaps BERGMAN_GAPS, each a hundredth of
     # the last, must grow by more than a factor 10 from one gap to the next
-    table = NodeTable(exp_cayley())
+    table = NodeTable(DiskExterior(1.0, basepoint=math.e))  # exp-cayley
     growth_floor = math.log(10.0)
     worst = math.inf
     for p in (0.5, 1.0, 2.0):

@@ -1,5 +1,7 @@
-"""Integral means, area integrals, and growth classification on the catalog."""
+"""Integral means, area integrals, and growth classification of the covering
+maps of the catalog domains."""
 
+import cmath
 import math
 import warnings
 
@@ -12,18 +14,18 @@ from scipy.special import beta as euler_beta
 from scipy.special import betainc, logsumexp
 
 from hardynum import (
+    Disk,
+    DiskExterior,
+    Domain,
     HalfPlane,
     Sector,
+    UnsupportedShape,
     bergman_growth_profile,
-    cayley,
     default_grid,
     empirical_hb,
     estimate_hardy_number,
-    exp_cayley,
     hardy_growth_profile,
-    identity_map,
     oracle_profile,
-    sector_power,
 )
 from hardynum import function_norms, identities
 from hardynum.function_norms import (
@@ -38,42 +40,58 @@ from hardynum.function_norms import (
     _Circles,
     _gl_weights,
     _graded_rule,
-    _log_moduli,
     _log_sum_exp,
 )
 
 TWO_PI = 2 * math.pi
-CATALOG = (cayley(), sector_power(0.5), exp_cayley(), identity_map())
+# the norms output names, each with the domain whose covering map it probes
+CATALOG = {
+    "cayley": HalfPlane(),
+    "sector_power_half": Sector(0.5 * math.pi),
+    "exp_cayley": DiskExterior(1.0, basepoint=math.e),
+    "identity": Disk(1.0),
+}
+CAYLEY, HALF, EXP_CAYLEY, IDENTITY = CATALOG.values()
+# each map in closed form, f(0) the domain's basepoint
+COVERING_MAPS = {
+    "cayley": lambda z: (1 + z) / (1 - z),
+    "sector_power_half": lambda z: cmath.sqrt((1 + z) / (1 - z)),
+    "exp_cayley": lambda z: cmath.exp((1 + z) / (1 - z)),
+    "identity": lambda z: z,
+}
 
 
-def log_modulus_f(f, s, theta):
-    """log |f((1-s) e^{i theta})| from the cancellation-free moduli."""
-    if f.kind == "identity":
+def log_modulus_f(name, s, theta):
+    """log |f((1-s) e^{i theta})| of the named map from the cancellation-free
+    moduli."""
+    if name == "identity":
         return math.log(1.0 - s)
     m_minus = s * s + 4.0 * (1.0 - s) * math.sin(0.5 * theta) ** 2
-    if f.kind == "exp_cayley":
+    if name == "exp_cayley":
         return s * (2.0 - s) / m_minus
     m_plus = s * s + 4.0 * (1.0 - s) * math.cos(0.5 * theta) ** 2
-    return 0.5 * f.beta * (math.log(m_plus) - math.log(m_minus))
+    beta = {"cayley": 1.0, "sector_power_half": 0.5}[name]
+    return 0.5 * beta * (math.log(m_plus) - math.log(m_minus))
 
 
-def one_circle_log_mean(f, p, r):
-    """log circle integral of |f|^p at radius r, by the rule the growth table
-    is built from, on its one circle."""
-    return float(_Circles(f, np.array([1.0 - r])).log_means(p)[0])
+def one_circle_log_mean(d, p, r):
+    """log circle integral of |f|^p at radius r, f the covering map of d, by
+    the rule the growth table is built from, on its one circle."""
+    return float(_Circles(d, np.array([1.0 - r])).log_means(p)[0])
 
 
-def one_band_log_integral(f, p, alpha, delta):
-    """log area integral of |f|^p (1-|z|^2)^alpha over |z| <= 1 - delta, by the
-    rule the growth table is built from, on its one band."""
-    return _Band(f, delta, 1.0).log_integral(p, alpha)
+def one_band_log_integral(d, p, alpha, delta):
+    """log area integral of |f|^p (1-|z|^2)^alpha over |z| <= 1 - delta, f the
+    covering map of d, by the rule the growth table is built from, on its one
+    band."""
+    return _Band(d, delta, 1.0).log_integral(p, alpha)
 
 
-def quad_log_mean(f, p, s):
-    """log circle integral of |f|^p by adaptive quadrature of exp(g - max g),
-    with breaks at the peak scales s * 10^k."""
+def quad_log_mean(name, p, s):
+    """log circle integral of |f|^p, f the named map, by adaptive quadrature
+    of exp(g - max g), with breaks at the peak scales s * 10^k."""
     breaks = sorted({min(s * 10.0**k, 0.5 * math.pi) for k in range(-6, 5)})
-    g = lambda t: p * log_modulus_f(f, s, t)
+    g = lambda t: p * log_modulus_f(name, s, t)
     shift = max(g(t) for t in [0.0, math.pi] + breaks)
     val = quad(lambda t: math.exp(g(t) - shift), 0.0, math.pi, points=breaks,
                epsrel=1e-9, epsabs=0.0, limit=500)[0]
@@ -118,47 +136,65 @@ def test_quad_abserr_bounds_the_error_at_endpoint_singularities():
     assert abs(value - 2.0) <= abserr
 
 
-# ---- catalog ---------------------------------------------------------------
+# ---- covering maps ------------------------------------------------------------
 
 
 def test_catalog_flags_and_values():
-    f = cayley()
-    assert f.univalent
-    assert f.value(0.0) == pytest.approx(1.0)
-
-    g = identity_map()
-    assert g.univalent
-    assert g.value(0.25j) == 0.25j
-
-    e = exp_cayley()
-    assert not e.univalent
-    assert abs(e.value(0.0)) == pytest.approx(math.e)
-
-    h = sector_power(0.5)
-    assert h.univalent
-    assert h.value(0.0) == pytest.approx(1.0)
+    # f(0) is the basepoint: log|f| at s = 1 is log|basepoint|, whatever theta
+    with np.errstate(divide="ignore"):  # the identity's log|f(0)| = log 0
+        for d in CATALOG.values():
+            for sin2 in (0.0, 0.3, 1.0):
+                got = d._log_modulus(np.array(1.0), np.array(sin2), np.array(1.0 - sin2))
+                assert got == np.log(abs(d.basepoint)), (d, sin2)
+    assert [d.odd_mirror for d in CATALOG.values()] == [True, True, False, False]
+    assert not Domain.odd_mirror
 
 
-@pytest.mark.parametrize("kind", ["cayley", "exp_cayley", "identity"])
-@pytest.mark.parametrize("beta", [2.0, math.nan])
-def test_catalog_rejects_beta_on_kinds_that_ignore_it(kind, beta):
-    # only sector_power reads beta; elsewhere it would reach log|f| alone
-    with pytest.raises(ValueError, match="takes no beta"):
-        function_norms.CatalogFunction(kind, beta=beta)
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_log_modulus_matches_the_closed_form(name):
+    d, f = CATALOG[name], COVERING_MAPS[name]
+    assert f(0.0) == d.basepoint
+    for s in (0.9, 0.5, 0.1, 1e-2):
+        for theta in np.linspace(0.0, math.pi, 13):
+            ref = math.log(abs(f(cmath.rect(1.0 - s, theta))))
+            sin2, cos2 = math.sin(0.5 * theta) ** 2, math.cos(0.5 * theta) ** 2
+            got = float(d._log_modulus(np.array(s), np.array(sin2), np.array(cos2)))
+            # relative, absolute below 1, where log|f| crosses 0
+            assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0), (name, s, theta)
+            if d.odd_mirror:
+                mirrored = d._log_modulus(np.array(s), np.array(cos2), np.array(sin2))
+                assert mirrored == -got, (name, s, theta)
 
 
 def test_image_domains():
-    assert isinstance(cayley().image_domain(), HalfPlane)
-    img = sector_power(0.5).image_domain()
-    assert isinstance(img, Sector)
-    assert img.opening == pytest.approx(math.pi / 2)
+    # the norms output names probe the maps onto these domains
+    from hardynum.cli import _CATALOG
+
+    assert [(name, repr(d)) for name, d in _CATALOG] == [
+        (name, repr(d)) for name, d in CATALOG.items()]
+    assert CATALOG["sector_power_half"].opening / math.pi == 0.5
+
+
+@pytest.mark.parametrize("d", [HalfPlane(2.0), Sector(math.pi, 2.0), Disk(2.0),
+                               Disk(1.0, center=0.5), DiskExterior(1.0)], ids=repr)
+def test_domains_without_a_closed_form_map_are_rejected(d, monkeypatch):
+    class NoCircles:
+        def __init__(self, *args):
+            raise AssertionError("a node was built for a domain with no covering map")
+
+    monkeypatch.setattr(function_norms, "_Circles", NoCircles)
+    with pytest.raises(UnsupportedShape, match="covering map"):
+        NodeTable(d)
+    with pytest.raises(UnsupportedShape, match="covering map"):
+        hardy_growth_profile(d, 1.0)
 
 
 def test_catalog_parameter_validation():
+    # the sector power's exponent beta = opening / pi lies in (0, 2]
     with pytest.raises(ValueError):
-        sector_power(0.0)
+        Sector(0.0)
     with pytest.raises(ValueError):
-        sector_power(3.0)
+        Sector(3.0 * math.pi)
 
 
 # ---- log-space sums and the node table --------------------------------------
@@ -192,7 +228,7 @@ def test_log_sum_exp_edge_cases():
 
 
 def test_one_table_serves_every_probe():
-    for f in CATALOG:
+    for f in CATALOG.values():
         growth = NodeTable(f)
         for p, alpha in ((2.5, 1.0), (0.5, 0.0), (2.5, 1.0)):  # the repeat catches a mutated table
             # each circle of the three-row table agrees with its own one-row
@@ -220,7 +256,7 @@ def _reference_log_means(f, s, p, block):
         rows = s[k:k + block, None]
         t, width = _graded_rule(rows, 0.5 * math.pi)
         sin2, cos2 = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
-        g = p * np.stack([_log_moduli(f, rows, sin2, cos2), _log_moduli(f, rows, cos2, sin2)],
+        g = p * np.stack([f._log_modulus(rows, sin2, cos2), f._log_modulus(rows, cos2, sin2)],
                          axis=1)
         w = _gl_weights(width)[:, None, :]
         out.append(math.log(2.0) + _log_sum_exp(g, w, axis=(1, 2)))
@@ -229,7 +265,7 @@ def _reference_log_means(f, s, p, block):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    f=st.sampled_from(CATALOG),
+    f=st.sampled_from(list(CATALOG.values())),
     p=st.floats(0.0, 8.0),
     alpha=st.floats(-1.0, 3.0, exclude_min=True),
     where=st.sampled_from(["circles", *_bands(BERGMAN_GAPS)]),
@@ -257,7 +293,7 @@ def test_exp_floor_changes_no_result(monkeypatch):
     # exp-cayley at the largest probe exponent: p log|f| spans ~1e12 within a
     # row, so most of its shifted terms lie below the floor; the table stores
     # log|f| relative to each row maximum, so p times it is the shifted term
-    table = NodeTable(exp_cayley())
+    table = NodeTable(EXP_CAYLEY)
     circles = [table._circles, *(band.circles for band in table._bands)]
     shifted = [P_MAX * c.log_f for c in circles]
     below = sum(np.count_nonzero(g < function_norms.EXP_FLOOR) for g in shifted)
@@ -271,7 +307,7 @@ def test_exp_floor_changes_no_result(monkeypatch):
 def test_circle_means_need_a_non_negative_exponent():
     # the table stores log|f| less each row maximum, which bounds p log|f| from
     # above only for p >= 0
-    table = NodeTable(exp_cayley())
+    table = NodeTable(EXP_CAYLEY)
     for circles in (table._circles, *(band.circles for band in table._bands)):
         with pytest.raises(ValueError, match="p >= 0"):
             circles.log_means(-0.5)
@@ -282,7 +318,7 @@ def test_growth_table_node_counts_are_pinned():
     # per table: 3 circles of 34 panels, and 3 bands whose radial nodes carry
     # 26,880 circle panels; the inner half of each band off the center is
     # INNER_PANELS uniform panels, 40 radial nodes where grading took 190
-    for f in CATALOG:
+    for f in CATALOG.values():
         table = NodeTable(f)
         bands = table._bands
         assert table._circles.width.size == 102
@@ -304,7 +340,7 @@ def _graded_band_rule(band):
 def test_uniform_inner_halves_match_the_graded_bands():
     # the half of a band toward an inner end s_hi < 1 holds nothing singular,
     # so its uniform panels agree with grading it toward s_hi as well
-    for f in CATALOG:
+    for f in CATALOG.values():
         table = NodeTable(f)
         for p in (0.5, 2.5, 7.9):
             graded = []
@@ -327,7 +363,7 @@ def test_cayley_second_mean_closed_form():
     # 2*pi*(1 + 4 r^2 / (1 - r^2))
     for r in (0.1, 0.5, 0.9, 0.999, 0.9999):
         expected = TWO_PI * (1.0 + 4.0 * r * r / (1.0 - r * r))
-        assert one_circle_log_mean(cayley(), 2.0, r) == pytest.approx(math.log(expected), abs=1e-10)
+        assert one_circle_log_mean(CAYLEY, 2.0, r) == pytest.approx(math.log(expected), abs=1e-10)
 
 
 def test_means_match_high_precision_references():
@@ -335,29 +371,29 @@ def test_means_match_high_precision_references():
     # last is exp-cayley's peak at gap 1e-10, about 2.5e-6 gaps wide, whose
     # log near 1.6e11 resolves only to one ulp (3e-5)
     cases = (
-        (one_circle_log_mean(exp_cayley(), 1 / 32, 1 - 1e-4), 613.11317670270873),
-        (hardy_growth_profile(cayley(), 1.5).log_values[-1], 14.209746761257510),
-        (hardy_growth_profile(exp_cayley(), 8.0).log_values[-1], 159999999956.64728836),
+        (one_circle_log_mean(EXP_CAYLEY, 1 / 32, 1 - 1e-4), 613.11317670270873),
+        (hardy_growth_profile(CAYLEY, 1.5).log_values[-1], 14.209746761257510),
+        (hardy_growth_profile(EXP_CAYLEY, 8.0).log_values[-1], 159999999956.64728836),
     )
     for got, ref in cases:
         assert abs(got - ref) <= 1e-8 + math.ulp(ref), ref
 
 
 def test_circle_means_match_adaptive_quadrature():
-    for f in CATALOG:
+    for name, d in CATALOG.items():
         for p in (0.5, 1.0, 2.0, 4.0):
             for gap in (1e-1, 1e-4, 1e-7):
                 r = 1.0 - gap
-                ref = quad_log_mean(f, p, 1.0 - r)
+                ref = quad_log_mean(name, p, 1.0 - r)
                 # a log value near 8e7 (exp-cayley at gap 1e-7) resolves only ~1.5e-8
                 tol = CIRCLE_REL_TOL + math.ulp(ref)
-                assert abs(one_circle_log_mean(f, p, r) - ref) <= tol, (f, p, gap)
+                assert abs(one_circle_log_mean(d, p, r) - ref) <= tol, (name, p, gap)
 
 
 def test_identity_means_exact():
     for p in (0.5, 1.0, 3.0):
         for r in (0.2, 0.8):
-            assert one_circle_log_mean(identity_map(), p, r) == pytest.approx(
+            assert one_circle_log_mean(IDENTITY, p, r) == pytest.approx(
                 math.log(TWO_PI) + p * math.log(r), abs=1e-10
             )
 
@@ -367,14 +403,14 @@ def test_sector_power_mean_is_cayley_power_mean():
     for beta in (0.5, 1.0, 2.0):
         for p in (1.0, 2.0):
             for r in (0.4, 0.9, 1.0 - 1e-7):
-                lhs = one_circle_log_mean(sector_power(beta), p, r)
-                rhs = one_circle_log_mean(cayley(), beta * p, r)
+                lhs = one_circle_log_mean(Sector(beta * math.pi), p, r)
+                rhs = one_circle_log_mean(CAYLEY, beta * p, r)
                 assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
 def test_means_monotone_in_radius():
     radii = [0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
-    for f in (cayley(), sector_power(0.5), identity_map(), exp_cayley()):
+    for f in (CAYLEY, HALF, IDENTITY, EXP_CAYLEY):
         for p in (0.5, 2.0):
             vals = [one_circle_log_mean(f, p, r) for r in radii]
             assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:])), (f, p)
@@ -389,25 +425,26 @@ def test_cayley_bergman_closed_form():
     for delta in (0.5, 0.2, 0.05, 1e-4):
         radius = 1.0 - delta
         expected = TWO_PI * (-1.5 * radius**2 - 2.0 * math.log(1.0 - radius**2))
-        got = one_band_log_integral(cayley(), 2.0, 0.0, delta)
+        got = one_band_log_integral(CAYLEY, 2.0, 0.0, delta)
         assert got == pytest.approx(math.log(expected), abs=1e-8)
 
 
 def test_area_band_matches_adaptive_quadrature():
     # exp-cayley's area integrand is a boundary layer of width ~delta^2 at |z| = 1 - delta
-    f, delta = exp_cayley(), 1e-3
-    log_h = lambda s: quad_log_mean(f, 1.0, s) + math.log(1.0 - s)
+    delta = 1e-3
+    log_h = lambda s: quad_log_mean("exp_cayley", 1.0, s) + math.log(1.0 - s)
     shift = log_h(delta)
     breaks = [delta + delta * 10.0**k for k in range(-6, 2)]
     val = quad(lambda s: math.exp(log_h(s) - shift), delta, 1.0, points=breaks,
                epsrel=1e-9, epsabs=0.0, limit=500)[0]
     ref = shift + math.log(val)
-    assert one_band_log_integral(f, 1.0, 0.0, delta) == pytest.approx(ref, abs=AREA_REL_TOL)
+    got = one_band_log_integral(EXP_CAYLEY, 1.0, 0.0, delta)
+    assert got == pytest.approx(ref, abs=AREA_REL_TOL)
 
 
 def test_identity_weighted_area_integral():
     # integral of |z| (1 - |z|^2) over the unit disk is 4 pi / 15
-    got = one_band_log_integral(identity_map(), 1.0, 1.0, 1e-8)
+    got = one_band_log_integral(IDENTITY, 1.0, 1.0, 1e-8)
     assert got == pytest.approx(math.log(4.0 * math.pi / 15.0), abs=1e-5)
 
 
@@ -420,14 +457,13 @@ def test_identity_area_integrals_match_the_incomplete_beta():
             for delta in (1e-3, 1e-7):
                 a, b = 0.5 * p + 1.0, alpha + 1.0
                 ref = math.log(math.pi * euler_beta(a, b) * betainc(a, b, (1.0 - delta) ** 2))
-                got = one_band_log_integral(identity_map(), p, alpha, delta)
+                got = one_band_log_integral(IDENTITY, p, alpha, delta)
                 assert abs(math.expm1(got - ref)) <= AREA_REL_TOL, (p, alpha, delta)
 
 
 def test_exp_cayley_truncations_blow_up():
     # the weighted area integral grows without bound as the rim is approached
-    f = exp_cayley()
-    levels = [one_band_log_integral(f, 1.0, 0.0, d) for d in (1e-1, 1e-2, 1e-3)]
+    levels = [one_band_log_integral(EXP_CAYLEY, 1.0, 0.0, d) for d in (1e-1, 1e-2, 1e-3)]
     assert levels[1] - levels[0] > math.log(10.0)
     assert levels[2] - levels[1] > math.log(10.0)
 
@@ -436,7 +472,7 @@ def test_exp_cayley_truncations_blow_up():
 
 
 def test_hardy_growth_classification_brackets_critical_exponent():
-    cay, half = NodeTable(cayley()), NodeTable(sector_power(0.5))
+    cay, half = NodeTable(CAYLEY), NodeTable(HALF)
     assert hardy_growth_profile(cay, 0.9).classification == "bounded"
     assert hardy_growth_profile(cay, 1.1).classification == "unbounded"
     assert hardy_growth_profile(half, 1.8).classification == "bounded"
@@ -444,7 +480,7 @@ def test_hardy_growth_classification_brackets_critical_exponent():
 
 
 def test_bergman_growth_classification_brackets_critical_exponent():
-    cay = NodeTable(cayley())
+    cay = NodeTable(CAYLEY)
     assert bergman_growth_profile(cay, 1.8, 0.0).classification == "bounded"
     assert bergman_growth_profile(cay, 2.2, 0.0).classification == "unbounded"
     # the weight shifts the critical exponent proportionally
@@ -453,21 +489,21 @@ def test_bergman_growth_classification_brackets_critical_exponent():
 
 
 def test_growth_profile_shape():
-    profile = hardy_growth_profile(cayley(), 0.9)
+    profile = hardy_growth_profile(CAYLEY, 0.9)
     assert len(profile.log_values) == len(profile.gaps)
     assert len(profile.slopes) == len(profile.gaps) - 1
     assert profile.classification in {"bounded", "unbounded", "inconclusive"}
 
 
 def test_bounded_function_bounded_at_every_exponent():
-    table = NodeTable(identity_map())
+    table = NodeTable(IDENTITY)
     for p in (0.5, 4.0):
         assert hardy_growth_profile(table, p).classification == "bounded"
         assert bergman_growth_profile(table, p, 0.0).classification == "bounded"
 
 
 def test_exp_cayley_unbounded_at_every_exponent():
-    table = NodeTable(exp_cayley())
+    table = NodeTable(EXP_CAYLEY)
     for p in (0.5, 2.0):
         assert hardy_growth_profile(table, p).classification == "unbounded"
         assert bergman_growth_profile(table, p, 0.0).classification == "unbounded"
@@ -477,41 +513,41 @@ def test_growth_probes_stop_at_p_max(monkeypatch):
     # the classifier is calibrated on the exponents empirical_hb bisects:
     # above P_MAX the identity map's slow approach to its limit read as
     # divergence, so a probe there fails before any table is built
-    table = NodeTable(identity_map())
+    table = NodeTable(IDENTITY)
     assert hardy_growth_profile(table, P_MAX).classification == "bounded"
     assert bergman_growth_profile(table, P_MAX, 1.0).classification == "bounded"
 
     class NoTable(NodeTable):
-        def __init__(self, f):
+        def __init__(self, d):
             raise AssertionError("a growth probe built a table before checking its exponent")
 
     monkeypatch.setattr(function_norms, "NodeTable", NoTable)
     for p in (P_MAX + 0.5, 1e5, 1e300):
         with pytest.raises(ValueError, match="P_MAX"):
-            hardy_growth_profile(identity_map(), p)
+            hardy_growth_profile(IDENTITY, p)
         with pytest.raises(ValueError, match="P_MAX"):
-            bergman_growth_profile(identity_map(), p, 1.0)
+            bergman_growth_profile(IDENTITY, p, 1.0)
 
 
 # ---- empirical exponents -------------------------------------------------------------
 
 
 def test_empirical_brackets_are_pinned():
-    # the brackets of every catalog function, as the per-probe quadrature gave them
+    # the brackets of every catalog map, as the per-probe quadrature gave them
     expected = {
         "cayley": ((0.96875, 1.0), (0.96875, 1.0)),
         "sector_power_half": ((1.96875, 2.0), (1.96875, 2.0)),
         "exp_cayley": ((0.0, 0.03125), (0.0, 0.03125)),
         "identity": ((8.0, math.inf), (4.0, math.inf)),
     }
-    for name, f in zip(expected, CATALOG):
-        for source in (f, NodeTable(f)):
+    for name, d in CATALOG.items():
+        for source in (d, NodeTable(d)):
             result = empirical_hb(source)
             assert (result.h_bracket, result.b_bracket) == expected[name], name
 
 
 def test_empirical_exponents_cayley():
-    result = empirical_hb(cayley())
+    result = empirical_hb(CAYLEY)
     assert result.h_hat == pytest.approx(1.0, abs=0.05)
     assert result.b_hat == pytest.approx(1.0, abs=0.05)
     assert result.h_hat <= result.b_hat + 0.05
@@ -521,19 +557,19 @@ def test_empirical_exponents_cayley():
 
 
 def test_empirical_exponents_bounded_function_infinite():
-    result = empirical_hb(identity_map())
+    result = empirical_hb(IDENTITY)
     assert result.h_hat == math.inf
     assert result.b_hat == math.inf
 
 
 def test_empirical_exponents_exp_cayley_zero():
-    result = empirical_hb(exp_cayley())
+    result = empirical_hb(EXP_CAYLEY)
     assert result.h_hat == 0.0
     assert result.b_hat == 0.0
 
 
 def test_empirical_exponent_matches_image_domain_estimate():
-    f = cayley()
-    d = f.image_domain()
+    # one object for both sides: the domain and its covering map
+    d = HalfPlane()
     domain_side = estimate_hardy_number(oracle_profile(d, default_grid(d))).value
-    assert abs(empirical_hb(f).h_hat - domain_side) <= 0.15
+    assert abs(empirical_hb(d).h_hat - domain_side) <= 0.15

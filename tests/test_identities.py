@@ -13,7 +13,6 @@ from hardynum import (
     HalfPlane,
     Sector,
     baernstein_identity,
-    decay_exponent,
     exact_green,
     exact_hm,
     fubini_identity,
@@ -56,7 +55,7 @@ def scipy_circle_integral(d, r, power=1.0, points=()):
 
 @pytest.mark.parametrize("d", SCIPY_DOMAINS, ids=repr)
 def test_circle_and_tail_integrals_match_adaptive_quadrature(d):
-    q = decay_exponent(d)
+    q = d.decay_exponent
     for r in SWEEP_RADII:
         for power in (1.0, *(alpha + 2.0 for alpha in SWEEP_ALPHAS)):
             ref = scipy_circle_integral(d, r, power)
@@ -141,14 +140,14 @@ def scipy_radial(fn, a_mod, p, breaks=()):
 
 # the three shapes with basepoint 1 at half their decay exponent, and the
 # disk with its pole at the center, whose circle means have a kink at r = 2
-MOMENT_CASES = [(d, 0.5 * decay_exponent(d), ()) for d in SCIPY_DOMAINS]
+MOMENT_CASES = [(d, 0.5 * d.decay_exponent, ()) for d in SCIPY_DOMAINS]
 MOMENT_CASES.append((Disk(2.0, basepoint=0.0), 0.5, (2.0,)))
 
 
 @pytest.mark.parametrize("d, p, breaks", MOMENT_CASES, ids=[repr(d) for d, _, _ in MOMENT_CASES])
 def test_moment_integrals_match_adaptive_quadrature(d, p, breaks):
     a_mod = abs(d.basepoint)
-    q = decay_exponent(d)
+    q = d.decay_exponent
     rhs = scipy_radial(lambda t: exact_hm(d, t) * (1.0 - (a_mod / t) ** p), a_mod, p, breaks)
     lhs = scipy_radial(lambda r: scipy_circle_integral(d, r, points=[0.0]), a_mod, p, breaks)
     if math.isfinite(q):

@@ -13,7 +13,6 @@ from hardynum import (
     HalfPlane,
     Sector,
     UnsupportedShape,
-    decay_exponent,
     exact_green,
     exact_hm,
 )
@@ -124,7 +123,10 @@ def test_generic_domain_has_no_oracle():
     with pytest.raises(UnsupportedShape):
         exact_hm(g, 2.0)
     with pytest.raises(UnsupportedShape):
-        decay_exponent(g)
+        g.decay_exponent
+    with pytest.raises(UnsupportedShape, match="covering map"):
+        g._log_modulus(0.5, 0.5, 0.5)
+    assert not g.odd_mirror
 
 
 # ---- Green's function -------------------------------------------------------
@@ -169,11 +171,11 @@ def test_green_zero_outside_domain():
 
 
 def test_decay_exponents():
-    assert decay_exponent(HalfPlane(1.0)) == 1.0
-    assert decay_exponent(Sector(math.pi / 2)) == 2.0
-    assert decay_exponent(Sector(2 * math.pi)) == 0.5
-    assert decay_exponent(Disk(1.0)) == math.inf
-    assert decay_exponent(DiskExterior(1.0)) == math.inf
+    assert HalfPlane(1.0).decay_exponent == 1.0
+    assert Sector(math.pi / 2).decay_exponent == 2.0
+    assert Sector(2 * math.pi).decay_exponent == 0.5
+    assert Disk(1.0).decay_exponent == math.inf
+    assert DiskExterior(1.0).decay_exponent == math.inf
 
 
 # ---- array path ---------------------------------------------------------------

@@ -149,11 +149,11 @@ def test_benchmark_tracer_sees_every_growth_probe(monkeypatch):
     # resolutions 0.05 and 0.1
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     tracing = importlib.import_module("tracing")
-    from hardynum import cayley, function_norms
+    from hardynum import HalfPlane, function_norms
 
     tracer = tracing.Tracer()
     with tracer.installed():
-        function_norms.empirical_hb(cayley())
+        function_norms.empirical_hb(HalfPlane())
     names = [s.name for s in tracer.spans if s.layer == "function_norms"]
     assert names.count("empirical_hb") == 1
     assert names.count("hardy_growth_profile") == 9
