@@ -27,9 +27,16 @@ _S31 = np.uint64(31)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> _S30)) * _M1
-    x = (x ^ (x >> _S27)) * _M2
-    return x ^ (x >> _S31)
+    """The splitmix64 finalizer, in place: x is overwritten and returned."""
+    s = x >> _S30
+    x ^= s
+    x *= _M1
+    np.right_shift(x, _S27, out=s)
+    x ^= s
+    x *= _M2
+    np.right_shift(x, _S31, out=s)
+    x ^= s
+    return x
 
 
 def stream_keys(seed: int, indices: np.ndarray) -> np.ndarray:
@@ -52,4 +59,5 @@ def uniforms(keys: np.ndarray, step) -> np.ndarray:
         counter = (step.astype(np.uint64) + _ONE) * np.uint64(_PHI)
     bits = _mix(keys + counter)
     # top 53 bits give a dyadic uniform in [0, 1)
-    return (bits >> _S11) * 2.0**-53
+    bits >>= _S11
+    return bits * 2.0**-53

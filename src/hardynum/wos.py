@@ -25,16 +25,31 @@ sample count no matter how the samples are batched or parallelized.
 
 Step blocks. When few walkers are left, as in the long tail of a
 disk-exterior run, numpy's per-call overhead and not arithmetic sets the
-cost of a step. So the kernel draws the uniforms, and takes their tan, for
-up to MAX_BLOCK_STEPS steps in one call, keeping a block to about
-BLOCK_DRAWS draws; a wide walker set gets one step per block, as it
+cost of a step. So the kernel draws the uniforms, and takes their tan and
+1 + t*t, for up to MAX_BLOCK_STEPS steps in one call, keeping a block to
+about BLOCK_DRAWS draws; a wide walker set gets one step per block, as it
 would without blocks. A block is drawn after the step's absorptions and
-never runs past max_steps; when walkers are absorbed mid-block, its
-columns are compacted with the same mask as the walkers. No bit changes:
-draw k of a stream depends only on (key, k), whatever call makes it, and
-tan and the step formula act elementwise. A block only costs the draws of
-its steps that an absorbed walker no longer needs, at most
-MAX_BLOCK_STEPS - 1 per walk.
+never runs past max_steps, and its width follows the row count (frozen rows
+included). No bit changes: draw k of a stream depends only on (key, k),
+whatever call makes it, and tan and the step formula act elementwise.
+
+Frozen rows. An absorbed walker's row stays in the arrays, frozen at a NaN
+position. Every shape's distance there is NaN, never below epsilon, so the
+row is never absorbed again and never writes its exit modulus again; its
+jumps keep it NaN. Only once frozen rows make up COMPACT_SHARE of the rows
+are the positions, sample indices, keys, distances and block columns
+compacted, all with one index array. Until then a frozen row costs its
+share of each step's arithmetic and draws; compacting at every absorbing
+step cost more. A block's unused draws are the columns it drops at a
+compaction or at the chunk's end, at most MAX_BLOCK_STEPS - 1 per walk.
+
+In-place steps. A step writes 2*dist, then its quotient by the block's
+1 + t*t, into one scratch row, then g - dist into the distance array, and
+adds g - dist and g*t to the position through its real and imaginary
+views: the same operations in the same order as
+g = 2*dist / (1 + t*t); z += (g - dist) + i*g*t, with no temporaries. A
+step that absorbs no walker makes eight numpy calls besides the distances:
+the hit test dist < eps and its count_nonzero, and six for the jump.
 """
 
 from __future__ import annotations
@@ -56,6 +71,11 @@ DEFAULT_CHUNK = 65536  # walks per batch; batching never changes a result
 # MAX_BLOCK_STEPS steps per block; blocking never changes a result either
 BLOCK_DRAWS = 4096
 MAX_BLOCK_STEPS = 64
+# frozen rows (see the module docstring) are compacted away once they are
+# this share of the rows; compaction never changes a result either
+COMPACT_SHARE = 0.25
+_FROZEN = complex(math.nan, math.nan)  # the position of an absorbed walker's row
+_TWO = np.array(2.0)  # a 0-d operand skips the per-call conversion of a Python float
 
 
 def absorption_epsilon(d: Domain) -> float:
@@ -96,17 +116,22 @@ def _exit_moduli(d: Domain, cfg: WosConfig) -> np.ndarray:
     return out
 
 
-def _block_steps(walkers: int, steps_left: int) -> int:
-    """Steps drawn in one block for this many live walkers (1 for wide sets)."""
-    return min(MAX_BLOCK_STEPS, steps_left, max(1, BLOCK_DRAWS // walkers))
+def _block_steps(rows: int, steps_left: int) -> int:
+    """Steps drawn in one block for this many rows (1 for wide sets)."""
+    return min(MAX_BLOCK_STEPS, steps_left, max(1, BLOCK_DRAWS // rows))
 
 
 def _walk_chunk(d: Domain, eps: float, max_steps: int, keys: np.ndarray) -> np.ndarray:
     m = len(keys)
     z = np.full(m, complex(d.basepoint), dtype=complex)
+    re, im = z.real, z.imag  # views: the jump writes through them
     out = np.full(m, np.nan)
     pos = np.arange(m)
-    block = None  # rows of tan(pi*u) for steps not yet taken, one column per walker
+    g = np.empty(m)  # the jump's scratch row
+    eps = np.array(eps)  # 0-d, like _TWO
+    frozen = []  # rows absorbed since the last compaction
+    n_frozen = 0
+    t = den = None  # the block: tan(pi*u) and 1 + t*t, one row per step
 
     # Walks in unbounded domains can wander past float range; the position
     # saturates to inf/nan, its distance is never below eps again, and the
@@ -114,44 +139,62 @@ def _walk_chunk(d: Domain, eps: float, max_steps: int, keys: np.ndarray) -> np.n
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(max_steps):
             dist = d.distances(z)
-            hit = dist < eps
+            hit = np.less(dist, eps)
             if np.count_nonzero(hit):
+                hit = np.flatnonzero(hit)
                 out[pos[hit]] = np.abs(d.projections(z[hit]))
-                keep = ~hit
-                z = z[keep]
-                pos = pos[keep]
-                keys = keys[keep]
-                dist = dist[keep]
-                if z.size == 0:
+                z[hit] = _FROZEN
+                frozen.append(hit)
+                n_frozen += hit.size
+                if n_frozen == z.size:
                     break
-                if block is not None:
-                    block = block[row:, keep]
-                    row = 0
-            if block is None:
-                block = _directions(keys, step, _block_steps(z.size, max_steps - step))
+                if n_frozen >= COMPACT_SHARE * z.size:
+                    alive = np.ones(z.size, dtype=bool)
+                    alive[np.concatenate(frozen)] = False
+                    keep = np.flatnonzero(alive)
+                    z, pos, keys, dist = z[keep], pos[keep], keys[keep], dist[keep]
+                    re, im, g = z.real, z.imag, g[:keep.size]
+                    if t is not None:
+                        t, den, row = t[row:, keep], den[row:, keep], 0
+                    frozen, n_frozen = [], 0
+            if t is None:
+                t, den = _directions(keys, step, _block_steps(z.size, max_steps - step))
                 row = 0
-            _jump(z, dist, block[row])
+            _jump(re, im, dist, t[row], den[row], g)
             row += 1
-            if row == len(block):
-                block = None  # a spent block kept to the next draw raises peak memory
+            if row == len(t):
+                t = den = None  # a spent block kept to the next draw raises peak memory
     return out
 
 
-def _directions(keys: np.ndarray, step: int, k: int) -> np.ndarray:
-    """tan(pi*u) for the draws of steps step..step+k-1, one row per step."""
+def _directions(keys: np.ndarray, step: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """t = tan(pi*u) for the draws of steps step..step+k-1, one row per step,
+    and 1 + t*t."""
     m = len(keys)
     if k == 1:  # the scalar step, with no per-draw step array on a wide set
-        return np.tan(np.pi * uniforms(keys, step))[None]
-    # one key per draw, so a caller counting keys counts draws
-    steps = np.repeat(np.arange(step, step + k, dtype=np.uint64), m)
-    return np.tan(np.pi * uniforms(np.tile(keys, k), steps)).reshape(k, m)
+        t = uniforms(keys, step)[None]
+    else:
+        # one key per draw, so a caller counting keys counts draws
+        steps = np.repeat(np.arange(step, step + k, dtype=np.uint64), m)
+        t = uniforms(np.tile(keys, k), steps).reshape(k, m)
+    np.multiply(t, np.pi, out=t)
+    np.tan(t, out=t)
+    den = t * t
+    den += 1.0
+    return t, den
 
 
-def _jump(z: np.ndarray, dist: np.ndarray, t: np.ndarray) -> None:
-    """Move each z, in place, by dist in the direction 2*pi*u, where t = tan(pi*u)."""
-    g = 2.0 * dist / (1.0 + t * t)
-    z.real += g - dist
-    z.imag += g * t
+def _jump(re: np.ndarray, im: np.ndarray, dist: np.ndarray, t: np.ndarray, den: np.ndarray,
+          g: np.ndarray) -> None:
+    """Move each walker (re, im), in place, by dist in the direction 2*pi*u,
+    where t = tan(pi*u) and den = 1 + t*t: g = 2*dist / den, then re += g - dist
+    and im += g*t. dist and the scratch row g are overwritten."""
+    np.multiply(dist, _TWO, out=g)
+    np.divide(g, den, out=g)
+    np.subtract(g, dist, out=dist)
+    np.add(re, dist, out=re)
+    np.multiply(g, t, out=g)
+    np.add(im, g, out=im)
 
 
 def _profile(d: Domain, grid: list[float], cfg: WosConfig) -> DecayProfile:

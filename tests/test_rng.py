@@ -129,3 +129,16 @@ def test_stream_bits_are_pinned():
         float.fromhex("0x1.d832d8ffdeb30p-2"),
         float.fromhex("0x1.baabfff5af434p-3"),
     ]
+
+
+def test_draws_leave_their_inputs_unchanged():
+    # the finalizer works in place, on a fresh sum and never on the caller's
+    # indices, keys or steps
+    idx = np.arange(100, dtype=np.uint64)
+    keys = stream_keys(5, idx)
+    steps = np.arange(100, dtype=np.uint64)
+    before = [a.copy() for a in (idx, keys, steps)]
+    stream_keys(5, idx)
+    uniforms(keys, 3)
+    uniforms(keys, steps)
+    assert all(np.array_equal(a, b) for a, b in zip((idx, keys, steps), before))

@@ -21,7 +21,14 @@ from hardynum import (
 )
 from hardynum import wos
 from hardynum.rng import stream_keys, uniforms
-from hardynum.wos import BLOCK_DRAWS, MAX_BLOCK_STEPS, _exit_moduli, _jump, absorption_epsilon
+from hardynum.wos import (
+    BLOCK_DRAWS,
+    COMPACT_SHARE,
+    MAX_BLOCK_STEPS,
+    _exit_moduli,
+    _jump,
+    absorption_epsilon,
+)
 
 
 def test_config_validation():
@@ -199,7 +206,8 @@ def test_jump_direction_matches_mpmath():
         np.arange(1, 8) / 8,
     ])
     z = np.zeros(u.size, dtype=complex)
-    _jump(z, np.ones(u.size), np.tan(np.pi * u))
+    t = np.tan(np.pi * u)
+    _jump(z.real, z.imag, np.ones(u.size), t, 1.0 + t * t, np.empty(u.size))
     with mpmath.workdps(40):
         for ui, zi in zip(u, z):
             theta = 2 * mpmath.pi * mpmath.mpf(float(ui))
@@ -214,7 +222,8 @@ def test_jump_moves_in_place_by_dist():
     start = z.copy()
     dist = np.array([0.5, 2.0, 1e-3])
     u = np.array([0.125, 0.5, 0.875])
-    _jump(z, dist, np.tan(np.pi * u))
+    t = np.tan(np.pi * u)
+    _jump(z.real, z.imag, dist.copy(), t, 1.0 + t * t, np.empty(3))
     assert np.allclose(z, start + dist * np.exp(2j * np.pi * u), rtol=0, atol=1e-15)
 
 
@@ -248,7 +257,9 @@ def test_exit_moduli_are_chunk_invariant(name, seed, n, data):
 
 
 def _reference_walk(d, eps, max_steps, keys):
-    """The per-step kernel: one uniforms call and one tan per step."""
+    """The per-step kernel: one uniforms call and one tan per step, absorbed
+    walkers removed at once. Returns the exit moduli and each walk's last
+    position (nan for an absorbed walk)."""
     m = len(keys)
     z = np.full(m, complex(d.basepoint), dtype=complex)
     out = np.full(m, np.nan)
@@ -267,14 +278,22 @@ def _reference_walk(d, eps, max_steps, keys):
             g = 2.0 * dist / (1.0 + t * t)
             z.real += g - dist
             z.imag += g * t
-    return out
+    last = np.full(m, complex(math.nan, math.nan))
+    last[pos] = z
+    return out, last
 
 
 BLOCK_DOMAINS = {**CHUNK_DOMAINS, "disk": Disk(1.0, basepoint=0.5 + 0.25j)}
 # walker counts at which the block width changes, and one on either side
 _WIDE = BLOCK_DRAWS // MAX_BLOCK_STEPS
-BLOCK_WALKERS = sorted({1, 2, 3, _WIDE - 1, _WIDE, _WIDE + 1, BLOCK_DRAWS // 2,
-                        BLOCK_DRAWS // 2 + 1, BLOCK_DRAWS, BLOCK_DRAWS + 1, 3000})
+# and counts around the first compaction: with 1/COMPACT_SHARE rows one
+# absorption compacts and with one more row it does not; 80 and 2731 rows
+# cross a block-width change (to 64 steps, and from 1 step to 2) when
+# their first compaction drops a quarter of them
+_SHARE_ROWS = round(1 / COMPACT_SHARE)
+BLOCK_WALKERS = sorted({1, 2, 3, _SHARE_ROWS, _SHARE_ROWS + 1, _WIDE - 1, _WIDE, _WIDE + 1, 80,
+                        BLOCK_DRAWS // 2, BLOCK_DRAWS // 2 + 1, 2731, BLOCK_DRAWS,
+                        BLOCK_DRAWS + 1, 3000})
 
 
 @settings(max_examples=60, deadline=None)
@@ -291,6 +310,34 @@ def test_step_blocks_change_no_bit(name, seed, n, max_steps):
     d = BLOCK_DOMAINS[name]
     cfg = WosConfig(n_samples=n, seed=seed, max_steps=max_steps)
     keys = stream_keys(seed, np.arange(n, dtype=np.uint64))
-    want = _reference_walk(d, absorption_epsilon(d), max_steps, keys)
+    want, _ = _reference_walk(d, absorption_epsilon(d), max_steps, keys)
     got = _exit_moduli(d, cfg)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_frozen_and_saturated_rows_change_no_bit():
+    # from a basepoint at 1e307 most walks overflow: their rows saturate to
+    # inf/nan and walk on beside the frozen rows of the absorbed walks, which
+    # stay below the compaction share here
+    d = DiskExterior(1.0, 1e307)
+    n, max_steps, seed = 3000, 300, 4
+    keys = stream_keys(seed, np.arange(n, dtype=np.uint64))
+    want, last = _reference_walk(d, absorption_epsilon(d), max_steps, keys)
+    got = _exit_moduli(d, WosConfig(n_samples=n, seed=seed, max_steps=max_steps))
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    running = np.isnan(want)
+    assert np.count_nonzero(~running) == 403 < COMPACT_SHARE * n
+    assert np.count_nonzero(~np.isfinite(last[running])) == 2572
+    assert np.count_nonzero(np.isfinite(last[running])) == 25
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_DOMAINS))
+def test_frozen_rows_are_never_absorbed_again(name):
+    # the kernel keeps an absorbed walker's row at a NaN position until the
+    # next compaction, and writes the jump into the distance array: every
+    # shape must return NaN there (never below eps) and an array of its own
+    d = BLOCK_DOMAINS[name]
+    zs = np.array([wos._FROZEN, d.basepoint])
+    dist = d.distances(zs)
+    assert np.isnan(dist[0]) and dist[1] > 0.0
+    assert not np.shares_memory(dist, zs)
