@@ -192,7 +192,7 @@ def _cmd_norms(args) -> int:
         write_text(out / f"norms_{name}_hardy.csv", growth_csv(hardy_gp))
         write_text(out / f"norms_{name}_bergman.csv", growth_csv(bergman_gp))
         exps = function_norms.empirical_hb(table)
-        del table  # 4.6 MB: free it before the next map's table is built
+        del table  # up to 4.8 MB: free it before the next map's table is built
         summary[name] = {
             "h_hat": exps.h_hat,
             "b_hat": exps.b_hat,

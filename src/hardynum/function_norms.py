@@ -8,11 +8,12 @@ goes through one rule: composite Gauss-Legendre on geometrically graded
 panels, summed in log space (max-shift, exp, weight, sum, log), so
 astronomically large integrands such as exp((1+z)/(1-z)) never overflow.
 Circle means grade their theta panels at the scale s of the boundary gap,
-toward theta = 0 and toward theta = pi; area integrals nest those circle
-means inside the same rule in s, graded toward the outer end of each radial
-band and, for the band that reaches the center, toward the center as well;
-a band's half toward an inner end holds nothing singular and takes
-INNER_PANELS uniform panels.
+toward theta = 0 and theta = pi where the domain lists them in
+singular_angles; area integrals nest those circle means inside the same rule
+in s, graded toward the outer end of each radial band and, for the band that
+reaches the center, toward the center as well. Other theta-quarters, and a
+band's half toward an inner end, hold nothing singular and take INNER_PANELS
+uniform panels.
 The rule has no tolerance parameter: its node count, panel density and
 grading floor are module constants, and its accuracy contract is
 CIRCLE_REL_TOL relative error on circle means and AREA_REL_TOL on area
@@ -30,15 +31,15 @@ bounded/unbounded growth classifier, whose circles (HARDY_GAPS) and bands
 once on all their nodes, and every probe of one map at any exponent is then a
 weighted log-space sum over that one table.
 
-A table keeps each set of circles flat: the logs of all its positive-width
-panels in one contiguous array, each stored less its row's largest log|f|,
-which is taken once at build, with each row's panel range. For p >= 0, p
-times a stored log is already the shifted term of a probe, whose largest per
-row is 0: a probe scales, floors, exponentiates and sums the whole set in a
-few fixed-size chunks, and adds p times each row maximum back to the row's
-log. The terms are floored at EXP_FLOOR before exp, which keeps exp off the
-subnormal and underflowing results that cost it one to two orders of
-magnitude more per value; NodeTable says why the floor changes no result.
+A table keeps each set of circles flat: the logs of the positive-width panels
+of both theta-quarters in one contiguous array, each stored less its row's
+largest log|f|, taken once at build. For p >= 0, p times a stored log is
+already the shifted term of a probe, whose largest per row is 0: a probe
+scales, floors, exponentiates and sums the whole set in a few fixed-size
+chunks, and adds p times each row maximum back to the row's log. The terms
+are floored at EXP_FLOOR before exp, which keeps exp off the subnormal and
+underflowing results that cost it one to two orders of magnitude more per
+value; NodeTable says why the floor changes no result.
 
 Radii are parametrized by the boundary gap s = 1 - r throughout, which keeps
 the integrand formulas cancellation-free down to s ~ 1e-12:
@@ -94,14 +95,12 @@ CLASS_INCONCLUSIVE = "inconclusive"
 GL_NODES = 10
 PANELS_PER_DECADE = 2
 GRADING_FLOOR = 1e-9
-# circles per grading block (_Circles): the circles of one block share a
-# panel count (see _graded_rule), so the block fixes where their nodes lie
-RADIAL_BLOCK = 16
-# uniform panels on the half of a band toward an inner end s_hi < 1 (_Band)
+# uniform panels on a theta-quarter or band half that holds nothing singular
 INNER_PANELS = 4
+# panels per log|f| evaluation of a table build (_Circles); it moves no node
+NODE_CHUNK = 512
 # a probe exponentiates p (log|f| - row max), floored at EXP_FLOOR,
-# PROBE_CHUNK panels of each quarter circle at a time; see NodeTable for why
-# the floor changes no result
+# PROBE_CHUNK panels at a time; NodeTable says why the floor changes no result
 EXP_FLOOR = -600.0
 PROBE_CHUNK = 4096
 
@@ -124,18 +123,21 @@ def _graded_edges(h: np.ndarray, length: float) -> np.ndarray:
     return edges
 
 
-def _graded_rule(h: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t on the panels of _graded_edges, one row per scale in the column
-    h, and the width of each panel (_gl_weights turns widths into weights);
-    the zero-width panels have weights exactly zero."""
-    edges = _graded_edges(h, length)
+def _uniform_edges(length: float) -> np.ndarray:
+    """Panel edges of INNER_PANELS equal panels on [0, length], as one row."""
+    return np.linspace(0.0, length, INNER_PANELS + 1)[None]
+
+
+def _rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t on the panels between consecutive edges, one row per row of
+    edges, and the panel widths (_gl_weights: zero on zero-width panels)."""
     width = np.diff(edges, axis=1)
-    t = (edges[:, :-1, None] + width[:, :, None] * _GL_T).reshape(len(h), -1)
+    t = (edges[:, :-1, None] + width[:, :, None] * _GL_T).reshape(len(edges), -1)
     return t, width
 
 
 def _gl_weights(width: np.ndarray) -> np.ndarray:
-    """The weights of the nodes of _graded_rule, from its panel widths."""
+    """The weights of the nodes of _rule, from its panel widths."""
     return (width[:, :, None] * _GL_W).reshape(len(width), -1)
 
 
@@ -147,9 +149,9 @@ _GL_TAIL = ((2 * GL_NODES - 1) * _GL_W
 
 
 def _capped_widths(length: float) -> np.ndarray:
-    """Panel widths of _graded_rule on [0, length] at scale length, with each
+    """Panel widths of _graded_edges on [0, length] at scale length, with each
     panel wider than QUAD_PANEL_CAP split into equal panels no wider."""
-    width = _graded_rule(np.array([[length]]), length)[1][0]
+    width = np.diff(_graded_edges(np.array([[length]]), length))[0]
     k = np.ceil(width / QUAD_PANEL_CAP)
     return np.repeat(width / k, k.astype(int))
 
@@ -211,61 +213,61 @@ def _log_sum_exp(g: np.ndarray, w: np.ndarray, axis=-1) -> np.ndarray:
         return np.log(np.sum(g, axis=axis)) + np.squeeze(shift, axis=axis)
 
 
+def _quarter_rule(s: np.ndarray, graded: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start and width of the positive-width panels of [0, pi/2] on each circle
+    at gap s, graded toward 0 at scale s or uniform, and each row's count."""
+    edges = (_graded_edges(s[:, None], 0.5 * math.pi) if graded
+             else np.repeat(_uniform_edges(0.5 * math.pi), s.size, axis=0))
+    width = np.diff(edges, axis=1)
+    keep = width > 0.0  # the zero-width panels carry no weight
+    return edges[:, :-1][keep], width[keep], keep.sum(axis=1)
+
+
 class _Circles:
     """log|f| of the domain d's covering map on the theta nodes of the
     circles at radius 1 - s, one row per gap in the 1-D array s.
 
     Every closed-form map of geometry has real Taylor coefficients, so the
-    integrand is symmetric about theta = 0 and the circle integral is twice
-    the [0, pi] part. That half is split at pi/2 into two quarters, and each
-    is graded at scale s toward its end: toward theta = 0, where 1/|1-z|
-    peaks, and toward theta = pi, where |1+z| has its cusp. The quarters
-    mirror each other panel by panel, so they share their panel widths; on a
-    shape with odd_mirror, the mirror quarter's logs are the first quarter's
-    negated. The rows are graded RADIAL_BLOCK at a time (_graded_edges),
-    which fixes the node positions; the HARDY_GAPS circles form one block.
+    circle integral is twice the [0, pi] part, split at pi/2 into two
+    quarters. A quarter whose end, theta = 0 or pi, is in d.singular_angles
+    is graded toward it at scale s, any other is uniform (_quarter_rule);
+    log|f| is evaluated NODE_CHUNK panels at a time. On an odd_mirror shape
+    the quarter toward pi holds the first quarter's logs negated.
 
-    The table is flat and relative to each row's maximum. Panel k of the
-    table is a positive-width panel of width width[k]; log_f[0, k] holds
-    log|f| - row_max at its GL_NODES nodes in the quarter toward theta = 0,
-    and log_f[1, k] at their mirror images in the quarter toward theta = pi.
-    Row i owns the row_count[i] panels from row_start[i] on, and row_max[i]
-    is the largest log|f| over them, so every stored log is at most 0; a
-    row whose largest log|f| is not finite is stored unshifted, with
-    row_max 0.
+    The table is flat and relative to each row's maximum: log_f[k] holds
+    log|f| - row_max at the GL_NODES nodes of a positive-width panel of width
+    width[k]. Segment i < rows is row i's quarter toward 0 and segment
+    rows + i its quarter toward pi, at the mirror images pi - t of the nodes
+    t; segment j owns the seg_count[j] panels from seg_start[j] on. row_max[i]
+    is the largest log|f| over row i, so every stored log is at most 0; a row
+    whose largest log|f| is not finite is stored unshifted, with row_max 0.
     """
 
     def __init__(self, d: Domain, s: np.ndarray) -> None:
-        rules = []
-        for k in range(0, s.size, RADIAL_BLOCK):
-            rows = s[k:k + RADIAL_BLOCK]
-            edges = _graded_edges(rows[:, None], 0.5 * math.pi)
-            width = np.diff(edges, axis=1)
-            keep = width > 0.0  # the zero-width panels carry no weight
-            rules.append((rows, edges[:, :-1][keep], width[keep], keep.sum(axis=1)))
-        self.row_count = np.concatenate([count for *_, count in rules])
-        self.row_start = np.cumsum(self.row_count) - self.row_count
-        panels = int(self.row_count.sum())
-        self.width = np.concatenate([width for _, _, width, _ in rules])
-        self.log_f = np.empty((2, panels, GL_NODES))
-        at = 0
-        for s_rows, start, width, count in rules:
-            span = slice(at, at + width.size)
-            t = start[:, None] + width[:, None] * _GL_T
-            sin2, cos2 = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
-            s_nodes = np.repeat(s_rows, count)[:, None]
-            self.log_f[0, span] = d._log_modulus(s_nodes, sin2, cos2)
-            if d.odd_mirror:
-                np.negative(self.log_f[0, span], out=self.log_f[1, span])
-            else:
-                self.log_f[1, span] = d._log_modulus(s_nodes, cos2, sin2)
-            at = span.stop
+        graded = [end in d.singular_angles for end in (0.0, math.pi)]
+        rules = {g: _quarter_rule(s, g) for g in set(graded)}  # quarters alike share one
+        quarters = [rules[g] for g in graded]
+        self.seg_count = np.concatenate([count for *_, count in quarters])
+        self.seg_start = np.cumsum(self.seg_count) - self.seg_count
+        self.width = np.concatenate([width for _, width, _ in quarters])
+        self.log_f = np.empty((self.width.size, GL_NODES))
+        for mirror, (start, width, count) in enumerate(quarters):
+            out = self.log_f[-width.size:] if mirror else self.log_f[:width.size]
+            if mirror and d.odd_mirror:
+                np.negative(self.log_f[:width.size], out=out)
+                continue
+            s_panels = np.repeat(s, count)
+            for lo in range(0, width.size, NODE_CHUNK):
+                span = slice(lo, lo + NODE_CHUNK)
+                t = start[span, None] + width[span, None] * _GL_T
+                sin2, cos2 = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
+                sin2, cos2 = (cos2, sin2) if mirror else (sin2, cos2)  # at pi - t
+                out[span] = d._log_modulus(s_panels[span, None], sin2, cos2)
         # reduceat over the flat nodes: reducing the 10-long node axis is ~10x slower
-        start = self.row_start * GL_NODES
-        row_max = np.maximum(np.maximum.reduceat(self.log_f[0].ravel(), start),
-                             np.maximum.reduceat(self.log_f[1].ravel(), start))
+        row_max = np.maximum.reduceat(self.log_f.ravel(), self.seg_start * GL_NODES)
+        row_max = row_max.reshape(2, -1).max(axis=0)
         self.row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-        self.log_f -= np.repeat(self.row_max, self.row_count)[:, None]
+        self.log_f -= np.repeat(np.tile(self.row_max, 2), self.seg_count)[:, None]
 
     def log_means(self, p: float) -> np.ndarray:
         """log of the circle integral of |f|^p, one per row, for p >= 0."""
@@ -273,27 +275,18 @@ class _Circles:
             raise ValueError(f"circle means need an exponent p >= 0, got {p!r}")
         # p times a stored log is p log|f| less p row_max; each row stores its
         # largest log as exactly 0, so its largest term is exp(0) = 1
-        panels = self.width.size
-        sums = np.empty(panels)
-        buf = np.empty((2, min(PROBE_CHUNK, panels), GL_NODES))
-        for lo in range(0, panels, PROBE_CHUNK):
-            hi = min(lo + PROBE_CHUNK, panels)
-            chunk = np.multiply(self.log_f[:, lo:hi], p, out=buf[:, :hi - lo])
+        sums = np.empty(self.width.size)
+        buf = np.empty((min(PROBE_CHUNK, sums.size), GL_NODES))
+        for lo in range(0, sums.size, PROBE_CHUNK):
+            span = slice(lo, lo + PROBE_CHUNK)
+            chunk = np.multiply(self.log_f[span], p, out=buf[:sums[span].size])
             np.maximum(chunk, EXP_FLOOR, out=chunk)
             np.exp(chunk, out=chunk)
-            quarters = chunk @ _GL_W
-            np.add(quarters[0], quarters[1], out=sums[lo:hi])
+            np.matmul(chunk, _GL_W, out=sums[span])
         sums *= self.width
+        quarters = np.add.reduceat(sums, self.seg_start).reshape(2, -1)
         with np.errstate(divide="ignore"):
-            return math.log(2.0) + np.log(np.add.reduceat(sums, self.row_start)) + p * self.row_max
-
-
-def _uniform_rule(length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t and panel widths, as _graded_rule gives them for one row, of
-    INNER_PANELS equal panels on [0, length]."""
-    width = np.full((1, INNER_PANELS), length / INNER_PANELS)
-    t = ((np.arange(INNER_PANELS)[:, None] + _GL_T) * width[0, 0]).reshape(1, -1)
-    return t, width
+            return math.log(2.0) + np.log(quarters[0] + quarters[1]) + p * self.row_max
 
 
 class _Band:
@@ -312,9 +305,9 @@ class _Band:
 
     def __init__(self, d: Domain, s_lo: float, s_hi: float) -> None:
         half = 0.5 * (s_hi - s_lo)
-        t_lo, width_lo = _graded_rule(np.array([[s_lo]]), half)
-        t_hi, width_hi = (_graded_rule(np.array([[s_hi]]), half) if s_hi == 1.0
-                          else _uniform_rule(half))
+        t_lo, width_lo = _rule(_graded_edges(np.array([[s_lo]]), half))
+        t_hi, width_hi = _rule(_graded_edges(np.array([[s_hi]]), half) if s_hi == 1.0
+                               else _uniform_edges(half))
         self.s = np.concatenate([s_lo + t_lo[0], s_hi - t_hi[0]])
         self.w = np.concatenate([_gl_weights(width_lo)[0], _gl_weights(width_hi)[0]])
         self.circles = _Circles(d, self.s)
@@ -333,21 +326,21 @@ class NodeTable:
     between consecutive BERGMAN_GAPS and from the largest to the center.
 
     The logs are evaluated once here, each set of circles in one flat table
-    stored less each row's largest log|f| (see _Circles). A probe at p >= 0
-    scales the stored logs by p, floors, exponentiates, weights and sums, and
-    adds p times the row maximum back.
+    (_Circles) less each row's largest log|f|; a probe at p >= 0 scales them
+    by p, floors, exponentiates, weights, sums and adds p times it back.
 
     Before exp, each term p (log|f| - row max) is floored at EXP_FLOOR = -600.
     The largest term of a row is exp(0) = 1 at a weight of at least
     GRADING_FLOOR * gap * min(GL weight), about 3e-21 at the smallest gap
-    1e-10, while every floored term adds at most exp(-600) ~ 3e-261 times a
-    weight below 1; the at most ~800 terms of a row shift its sum by under
-    1e-230 relative, far below one rounding, and the tests find the floored and
-    unfloored sums bit-identical on exp-cayley (the disk exterior's map) at
-    P_MAX.
+    1e-10, on a graded panel, and 0.013 on a uniform quarter's panel, while
+    every floored term adds at most exp(-600) ~ 3e-261 times a weight below 1;
+    the at most ~800 terms of a row shift its sum by under 1e-230 relative,
+    far below one rounding, and the tests find the floored and unfloored sums
+    bit-identical on exp-cayley (the disk exterior's map) at P_MAX.
 
-    A table holds 539,640 logs (26,880 band panels and 102 circle panels),
-    4.6 MB in all: keep it while probing one map, not longer.
+    A table holds 539,640 logs (4.8 MB) on the half-plane and the sector,
+    309,140 (2.7 MB) on exp-cayley and 78,640 (0.7 MB) on the identity: keep
+    it while probing one map, not longer.
     """
 
     def __init__(self, d: Domain) -> None:

@@ -35,13 +35,15 @@ All are exact, with no series truncation and no quadrature. The tail measure:
 
 The function side (function_norms) integrates a covering map f of the unit
 disk onto the domain, f(0) the basepoint. Four instances carry one in closed
-form, as log|f| (_log_modulus); every other instance raises UnsupportedShape:
+form, as log|f| (_log_modulus); every other instance raises UnsupportedShape.
+A shape with a map also declares odd_mirror, and singular_angles: where in
+[0, pi] |f| turns singular at the rim, both ends or neither if odd_mirror:
 
-    HalfPlane()                      cayley (1+z)/(1-z)
-    Sector(opening)                  its power beta = opening/pi
-    Disk(1.0)                        the identity z
-    DiskExterior(1.0, basepoint=e)   exp-cayley exp((1+z)/(1-z)), a
-                                     covering map, not univalent
+    HalfPlane()                      cayley (1+z)/(1-z)            0, pi
+    Sector(opening)                  its power beta = opening/pi   0, pi
+    Disk(1.0)                        the identity z                none
+    DiskExterior(1.0, basepoint=e)   exp-cayley exp((1+z)/(1-z)),  0
+                                     a covering map, not univalent
 """
 
 from __future__ import annotations
@@ -131,6 +133,7 @@ class Domain:
 
     # whether theta -> pi - theta, which swaps sin2 and cos2, negates log|f|
     odd_mirror = False
+    singular_angles: tuple[float, ...]  # see the module docstring
 
     def _log_modulus(self, s, sin2, cos2):
         """log|f| at z = (1-s) e^{i theta}, elementwise.
@@ -188,6 +191,7 @@ class HalfPlane(Domain):
         return _halfplane_green(self.basepoint, z)
 
     odd_mirror = True
+    singular_angles = (0.0, math.pi)  # the pole and the zero of (1+z)/(1-z)
 
     def _log_modulus(self, s, sin2, cos2):
         if self.basepoint != 1.0:
@@ -263,6 +267,7 @@ class Sector(Domain):
         return np.where(self.contains(z), _halfplane_green(self.basepoint**power, z**power), 0.0)
 
     odd_mirror = True
+    singular_angles = (0.0, math.pi)  # the pole and the zero of (1+z)/(1-z)
 
     def _log_modulus(self, s, sin2, cos2):
         if self.basepoint != 1.0:
@@ -336,6 +341,7 @@ class Disk(_Round):
     regular = True
     bounded = True
     simply_connected = True
+    singular_angles = ()  # the identity's |z| is constant on every circle
 
     def __init__(self, radius: float, basepoint: complex = 0.0, center: complex = 0.0) -> None:
         super().__init__(radius, basepoint, center)
@@ -370,6 +376,7 @@ class DiskExterior(_Round):
     regular = False
     bounded = False
     simply_connected = False
+    singular_angles = (0.0,)  # the essential singularity of exp((1+z)/(1-z))
 
     def __init__(self, radius: float, basepoint: complex = 2.0, center: complex = 0.0) -> None:
         super().__init__(radius, basepoint, center)
