@@ -185,14 +185,19 @@ def _cmd_norms(args) -> int:
     function_norms.check_growth_exponents(args.p, args.alpha)  # before any table is built
     out = Path(args.out)
     summary = {}
+    shared = None  # the table of the last map's base, shared by the powers of that base
     for name, domain in _CATALOG:
-        table = function_norms.NodeTable(domain)
+        base, beta = domain._map_power
+        if shared is None or repr(shared.base) != repr(base):
+            shared = None  # up to 4.5 MB: free it before the next base's table is built
+            shared = function_norms.NodeTable(base)
+        table = shared.power(beta)
         hardy_gp = function_norms.hardy_growth_profile(table, args.p)
         bergman_gp = function_norms.bergman_growth_profile(table, args.p, args.alpha)
         write_text(out / f"norms_{name}_hardy.csv", growth_csv(hardy_gp))
         write_text(out / f"norms_{name}_bergman.csv", growth_csv(bergman_gp))
         exps = function_norms.empirical_hb(table)
-        del table  # up to 4.8 MB: free it before the next map's table is built
+        del table  # a view of shared: shared = None alone would not free the logs
         summary[name] = {
             "h_hat": exps.h_hat,
             "b_hat": exps.b_hat,

@@ -29,7 +29,11 @@ never on p or alpha. Critical exponents are located by bisection on a
 bounded/unbounded growth classifier, whose circles (HARDY_GAPS) and bands
 (BERGMAN_GAPS) are fixed; NodeTable(d) evaluates the log|f| of the domain d
 once on all their nodes, and every probe of one map at any exponent is then a
-weighted log-space sum over that one table.
+weighted log-space sum over that one table. A map that is a power of
+another's, f = g^beta (the sector's, of the half-plane's Cayley map), shares
+g's table and reads it at beta p, and a table keeps the circle means of each
+exponent it has summed, so a probe that another probe or another power has
+already made costs nothing.
 
 A table keeps each set of circles flat: the logs of the positive-width panels
 of both theta-quarters in one contiguous array, each stored less its row's
@@ -236,11 +240,13 @@ class _Circles:
 
     The table is flat and relative to each row's maximum: log_f[k] holds
     log|f| - row_max at the GL_NODES nodes of a positive-width panel of width
-    width[k]. Segment i < rows is row i's quarter toward 0 and segment
-    rows + i its quarter toward pi, at the mirror images pi - t of the nodes
-    t; segment j owns the seg_count[j] panels from seg_start[j] on. row_max[i]
-    is the largest log|f| over row i, so every stored log is at most 0; a row
-    whose largest log|f| is not finite is stored unshifted, with row_max 0.
+    width[k % width.size]. Segment i < rows is row i's quarter toward 0 and
+    segment rows + i its quarter toward pi, at the mirror images pi - t of the
+    nodes t; segment j owns the seg_count[j] panels from seg_start[j] on.
+    width holds each distinct quarter rule's widths once: both quarters' in
+    order, or one quarter's when the two share a rule. row_max[i] is the
+    largest log|f| over row i, so every stored log is at most 0; a row whose
+    largest log|f| is not finite is stored unshifted, with row_max 0.
     """
 
     def __init__(self, d: Domain, s: np.ndarray) -> None:
@@ -249,8 +255,8 @@ class _Circles:
         quarters = [rules[g] for g in graded]
         self.seg_count = np.concatenate([count for *_, count in quarters])
         self.seg_start = np.cumsum(self.seg_count) - self.seg_count
-        self.width = np.concatenate([width for _, width, _ in quarters])
-        self.log_f = np.empty((self.width.size, GL_NODES))
+        self.width = np.concatenate([rules[g][1] for g in dict.fromkeys(graded)])
+        self.log_f = np.empty((self.seg_count.sum(), GL_NODES))
         for mirror, (start, width, count) in enumerate(quarters):
             out = self.log_f[-width.size:] if mirror else self.log_f[:width.size]
             if mirror and d.odd_mirror:
@@ -268,14 +274,26 @@ class _Circles:
         row_max = row_max.reshape(2, -1).max(axis=0)
         self.row_max = np.where(np.isfinite(row_max), row_max, 0.0)
         self.log_f -= np.repeat(np.tile(self.row_max, 2), self.seg_count)[:, None]
+        self._memo: dict[float, np.ndarray] = {}
 
     def log_means(self, p: float) -> np.ndarray:
-        """log of the circle integral of |f|^p, one per row, for p >= 0."""
+        """log of the circle integral of |f|^p, one per row, for p >= 0.
+
+        Each p's means are computed once and kept, read-only, as long as the
+        circles are: a repeated p returns the kept array.
+        """
         if not p >= 0.0:
             raise ValueError(f"circle means need an exponent p >= 0, got {p!r}")
+        if p not in self._memo:
+            means = self._log_means(p)
+            means.flags.writeable = False
+            self._memo[p] = means
+        return self._memo[p]
+
+    def _log_means(self, p: float) -> np.ndarray:
         # p times a stored log is p log|f| less p row_max; each row stores its
         # largest log as exactly 0, so its largest term is exp(0) = 1
-        sums = np.empty(self.width.size)
+        sums = np.empty(len(self.log_f))
         buf = np.empty((min(PROBE_CHUNK, sums.size), GL_NODES))
         for lo in range(0, sums.size, PROBE_CHUNK):
             span = slice(lo, lo + PROBE_CHUNK)
@@ -283,7 +301,8 @@ class _Circles:
             np.maximum(chunk, EXP_FLOOR, out=chunk)
             np.exp(chunk, out=chunk)
             np.matmul(chunk, _GL_W, out=sums[span])
-        sums *= self.width
+        by_width = sums.reshape(-1, self.width.size)  # one row per copy of width
+        by_width *= self.width
         quarters = np.add.reduceat(sums, self.seg_start).reshape(2, -1)
         with np.errstate(divide="ignore"):
             return math.log(2.0) + np.log(quarters[0] + quarters[1]) + p * self.row_max
@@ -325,9 +344,21 @@ class NodeTable:
     classifier: the circles at the radii 1 - HARDY_GAPS and the radial bands
     between consecutive BERGMAN_GAPS and from the largest to the center.
 
+    The table holds the logs of the map's base g and its power beta, f = g^beta
+    (geometry's _map_power): |f|^p = |g|^(beta p), so a probe at p reads the
+    base's sums at beta p. power(beta) gives the table of another power of the
+    same base without building one: the sector's table is the half-plane's.
+    When beta is a power of two, as for the right-angle sector (1/2) and the
+    slit (2), every result is bit for bit that of a table of f's own logs;
+    another beta moves it at rounding level.
+
     The logs are evaluated once here, each set of circles in one flat table
     (_Circles) less each row's largest log|f|; a probe at p >= 0 scales them
-    by p, floors, exponentiates, weights, sums and adds p times it back.
+    by p, floors, exponentiates, weights, sums and adds p times it back. Each
+    set of circles keeps its means at every exponent it has been probed at,
+    read-only, for the table's lifetime: a repeated exponent, from a Hardy
+    probe, a Bergman probe at any alpha or another power's probe, costs no
+    second exp pass.
 
     Before exp, each term p (log|f| - row max) is floored at EXP_FLOOR = -600.
     The largest term of a row is exp(0) = 1 at a weight of at least
@@ -338,24 +369,34 @@ class NodeTable:
     far below one rounding, and the tests find the floored and unfloored sums
     bit-identical on exp-cayley (the disk exterior's map) at P_MAX.
 
-    A table holds 539,640 logs (4.8 MB) on the half-plane and the sector,
-    309,140 (2.7 MB) on exp-cayley and 78,640 (0.7 MB) on the identity: keep
-    it while probing one map, not longer.
+    With its panel widths, a table holds 539,640 logs (4.5 MB) on the
+    half-plane, which the sector shares, 309,140 (2.7 MB) on exp-cayley and
+    78,640 (0.7 MB) on the identity, and its means take a few kB per
+    exponent: keep it while probing the powers of one base map, not longer.
     """
 
     def __init__(self, d: Domain) -> None:
-        d._log_modulus(0.5, 0.5, 0.5)  # a domain with no map raises before any node is built
-        self._circles = _Circles(d, np.array(HARDY_GAPS))
-        self._bands = [_Band(d, *band) for band in _bands(BERGMAN_GAPS)]
+        self.base, self.beta = d._map_power
+        self.base._log_modulus(0.5, 0.5, 0.5)  # a domain with no map raises before any node is built
+        self._circles = _Circles(self.base, np.array(HARDY_GAPS))
+        self._bands = [_Band(self.base, *band) for band in _bands(BERGMAN_GAPS)]
+
+    def power(self, beta: float) -> NodeTable:
+        """The table of this table's map to the power beta: the same logs and
+        means, read at beta times each probe's exponent."""
+        view = object.__new__(type(self))
+        view.__dict__.update(self.__dict__, beta=self.beta * beta)
+        return view
 
     def log_circle_means(self, p: float) -> np.ndarray:
-        """log of the circle integral of |f|^p at each radius 1 - HARDY_GAPS."""
-        return self._circles.log_means(p)
+        """log of the circle integral of |f|^p at each radius 1 - HARDY_GAPS;
+        read-only."""
+        return self._circles.log_means(self.beta * p)
 
     def log_band_integrals(self, p: float, alpha: float) -> list[float]:
         """log of the area integral of |f|^p (1-|z|^2)^alpha over each band,
         in _bands order: the annuli of gaps s = 1 - |z| in the band."""
-        return [band.log_integral(p, alpha) for band in self._bands]
+        return [band.log_integral(self.beta * p, alpha) for band in self._bands]
 
 
 def _bands(gaps) -> list[tuple[float, float]]:

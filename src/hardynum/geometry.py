@@ -40,10 +40,17 @@ A shape with a map also declares odd_mirror, and singular_angles: where in
 [0, pi] |f| turns singular at the rim, both ends or neither if odd_mirror:
 
     HalfPlane()                      cayley (1+z)/(1-z)            0, pi
-    Sector(opening)                  its power beta = opening/pi   0, pi
+    Sector(opening)                  cayley^beta, beta=opening/pi  0, pi
     Disk(1.0)                        the identity z                none
     DiskExterior(1.0, basepoint=e)   exp-cayley exp((1+z)/(1-z)),  0
                                      a covering map, not univalent
+
+A shape whose map is another shape's map to a power declares it once, as
+_map_power = (base, beta), and inherits log|f| = beta log|g| from it, g the
+base's map: the sector's base is HalfPlane() and beta = opening/pi, since
+|cayley^beta|^p = |cayley|^(beta p). Every other map is its own base, with
+beta 1. A growth table is built on the base's map and reads it at beta p
+(function_norms.NodeTable).
 """
 
 from __future__ import annotations
@@ -135,14 +142,24 @@ class Domain:
     odd_mirror = False
     singular_angles: tuple[float, ...]  # see the module docstring
 
+    @property
+    def _map_power(self) -> tuple[Domain, float]:
+        """(base, beta): the covering map is the base's map to the power beta.
+        A map is its own base unless its shape declares another."""
+        return self, 1.0
+
     def _log_modulus(self, s, sin2, cos2):
         """log|f| at z = (1-s) e^{i theta}, elementwise.
 
         The angle enters as sin2 = sin^2(theta/2) and cos2 = cos^2(theta/2),
         so a caller can mirror theta about pi/2 by swapping them without
-        losing the digits of |1+z| near theta = pi.
+        losing the digits of |1+z| near theta = pi. Here it is beta times the
+        base's log|f| (_map_power), for a shape that declares a base.
         """
-        raise UnsupportedShape(f"no closed-form covering map for {self!r}")
+        base, beta = self._map_power
+        if base is self:
+            raise UnsupportedShape(f"no closed-form covering map for {self!r}")
+        return beta * base._log_modulus(s, sin2, cos2)
 
     def _check_basepoint(self) -> None:
         b = self.basepoint
@@ -230,15 +247,24 @@ class Sector(Domain):
         # upper ray for the folded point (x, |y|); in that ray's frame
         # `along` is the coordinate along the ray, `perp` the distance from
         # its line. Behind the vertex (along < 0) the nearest point is 0.
+        # along = x c + y s and perp = |y c - x s|, each operation as written
+        # and in that order, in place on three new arrays
         c, s = self._cos_half, self._sin_half
         x, y = zs.real, np.abs(zs.imag)
-        along = x * c + y * s
-        perp = np.abs(y * c - x * s)
-        return along, perp
+        scratch = np.multiply(y, s)
+        along = np.multiply(x, c)
+        along += scratch
+        np.multiply(x, s, out=scratch)
+        y *= c
+        y -= scratch
+        return along, np.abs(y, out=y)
 
     def distances(self, zs: np.ndarray) -> np.ndarray:
         along, perp = self._frame(zs)
-        return np.where(along >= 0.0, perp, np.abs(zs))
+        behind = np.flatnonzero(along < 0.0)  # NaN rows are not: their perp is NaN
+        del along  # freed before the gather
+        perp[behind] = np.abs(zs[behind])
+        return perp
 
     def projections(self, zs: np.ndarray) -> np.ndarray:
         along, _ = self._frame(zs)
@@ -269,10 +295,12 @@ class Sector(Domain):
     odd_mirror = True
     singular_angles = (0.0, math.pi)  # the pole and the zero of (1+z)/(1-z)
 
-    def _log_modulus(self, s, sin2, cos2):
+    @property
+    def _map_power(self) -> tuple[Domain, float]:
+        # cayley^beta maps the disk onto the sector and 0 to 1
         if self.basepoint != 1.0:
-            return super()._log_modulus(s, sin2, cos2)
-        return self.opening / math.pi * _cayley_log_modulus(s, sin2, cos2)
+            return super()._map_power
+        return HalfPlane(), self.opening / math.pi
 
     def __repr__(self) -> str:
         return f"Sector(opening={self.opening!r}, basepoint={self.basepoint!r})"

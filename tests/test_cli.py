@@ -4,10 +4,11 @@ import argparse
 import functools
 import json
 import math
+import weakref
 
 import pytest
 
-from hardynum import HalfPlane, Sector, WosConfig, dump_domain
+from hardynum import Disk, DiskExterior, HalfPlane, Sector, WosConfig, dump_domain
 from hardynum import cli, function_norms, wos
 from hardynum.cli import main
 
@@ -200,6 +201,23 @@ def test_norms_writes_catalog_profiles(tmp_path):
     csv = (out / "norms_cayley_hardy.csv").read_text().splitlines()
     assert csv[0] == "gap,log_value,slope"
     assert len(csv) > 2
+
+
+def test_norms_builds_one_table_per_base_map(tmp_path, monkeypatch):
+    # the sector's map is the half-plane's to a power, so the four maps take
+    # three tables, and each is freed before the next one is built
+    built = []
+    init = function_norms.NodeTable.__init__
+
+    def counted_init(table, d):
+        assert all(logs() is None for _, logs in built), "a table outlived its maps"
+        init(table, d)
+        built.append((repr(d), weakref.ref(table._circles)))
+
+    monkeypatch.setattr(function_norms.NodeTable, "__init__", counted_init)
+    assert main(["norms", "--out", str(tmp_path / "out")]) == 0
+    assert [name for name, _ in built] == [
+        repr(HalfPlane()), repr(DiskExterior(1.0, basepoint=math.e)), repr(Disk(1.0))]
 
 
 @pytest.mark.parametrize("flags, named", [

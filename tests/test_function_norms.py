@@ -153,6 +153,11 @@ def test_catalog_flags_and_values():
     # both ends or at neither
     assert [d.singular_angles for d in CATALOG.values()] == [
         (0.0, math.pi), (0.0, math.pi), (0.0,), ()]
+    # the sector's map is the half-plane's to the power beta = opening / pi;
+    # every other map is its own base
+    assert [(repr(base), beta) for base, beta in (d._map_power for d in CATALOG.values())] == [
+        (repr(CAYLEY), 1.0), (repr(CAYLEY), 0.5), (repr(EXP_CAYLEY), 1.0), (repr(IDENTITY), 1.0)]
+    assert all(d._map_power[0] is d for d in (CAYLEY, EXP_CAYLEY, IDENTITY))
 
 
 @pytest.mark.parametrize("name", list(CATALOG))
@@ -303,6 +308,7 @@ def test_exp_floor_changes_no_result(monkeypatch):
     floored = [c.log_means(P_MAX) for c in circles]
     monkeypatch.setattr(function_norms, "EXP_FLOOR", -math.inf)
     for c, got in zip(circles, floored):
+        c._memo.clear()  # sum again, unfloored
         np.testing.assert_array_equal(got, c.log_means(P_MAX))
 
 
@@ -321,21 +327,78 @@ def test_growth_table_node_counts_are_pinned():
     # of each band off the center is INNER_PANELS uniform panels, 40 radial
     # nodes where grading took 190. A graded theta-quarter has 34 panels on
     # the circles and 26,880 over the bands' circles; a uniform one has
-    # INNER_PANELS per circle: 12 and 3,920
-    counts = {  # circle panels, band circle panels, stored logs
-        "cayley": (204, 53_760, 539_640),
-        "sector_power_half": (204, 53_760, 539_640),
-        "exp_cayley": (114, 30_800, 309_140),
-        "identity": (24, 7_840, 78_640),
+    # INNER_PANELS per circle: 12 and 3,920. Quarters that share a rule
+    # share its widths, so cayley and the identity store half their widths
+    counts = {  # circle panels, band circle panels, stored logs, stored widths
+        "cayley": (204, 53_760, 539_640, 26_982),
+        "exp_cayley": (114, 30_800, 309_140, 30_914),
+        "identity": (24, 7_840, 78_640, 3_932),
     }
-    for name, f in CATALOG.items():
-        table = NodeTable(f)
+    tables = {}
+    for name, count in counts.items():
+        table = tables[name] = NodeTable(CATALOG[name])
         bands = table._bands
         circles = (table._circles, *(b.circles for b in bands))
         assert sum(band.s.size for band in bands) == 980
-        assert (table._circles.width.size, sum(b.circles.width.size for b in bands),
-                sum(c.log_f.size for c in circles)) == counts[name], name
+        assert (table._circles.seg_count.sum(), sum(b.circles.seg_count.sum() for b in bands),
+                sum(c.log_f.size for c in circles), sum(c.width.size for c in circles)) == count, name
         assert all(np.all(c.log_f <= 0.0) for c in circles)
+    # the sector holds no logs of its own: its table is built on the
+    # half-plane's map, and a power of the half-plane's table shares its logs
+    own = NodeTable(HALF)
+    assert (repr(own.base), own.beta) == (repr(CAYLEY), 0.5)
+    np.testing.assert_array_equal(own._circles.log_f, tables["cayley"]._circles.log_f)
+    view = tables["cayley"].power(0.5)
+    assert view.beta == 0.5 and tables["cayley"].beta == 1.0
+    assert view._circles is tables["cayley"]._circles
+    assert all(a is b for a, b in zip(view._bands, tables["cayley"]._bands))
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0, 1.5])
+def test_shared_table_matches_the_sectors_own_logs(beta):
+    # the sector's own logs, beta log|cayley| through the generic path, and
+    # the half-plane's table read at beta p agree bit for bit when beta is a
+    # power of two, since (beta p) L and p (beta L) then round alike; another
+    # beta agrees to rounding
+    sector = Sector(beta * math.pi)
+    own_circles = _Circles(sector, np.array(HARDY_GAPS))
+    own_bands = [_Band(sector, *band) for band in _bands(BERGMAN_GAPS)]
+    built, view = NodeTable(sector), NodeTable(CAYLEY).power(beta)
+    exact = beta in (0.5, 2.0)
+    worst = 0.0
+    for p in (0.5, 1.5, 2.5, 7.9):
+        own = [*own_circles.log_means(p)]
+        for alpha in (0.0, 1.0):
+            own += [band.log_integral(p, alpha) for band in own_bands]
+        for table in (built, view):
+            got = [*table.log_circle_means(p)]
+            for alpha in (0.0, 1.0):
+                got += table.log_band_integrals(p, alpha)
+            if exact:
+                assert got == own, (beta, p)
+            else:
+                rel = np.abs(np.subtract(got, own)) / np.abs(own)
+                worst = max(worst, float(rel.max()))
+    assert worst <= 1e-14, worst
+
+
+def test_repeated_exponents_take_no_second_exp_pass(monkeypatch):
+    table = NodeTable(CAYLEY)
+    first = table.log_circle_means(1.5)
+    with pytest.raises(ValueError):
+        first[0] = 0.0  # the kept means are read-only
+    band_means = [band.circles.log_means(1.5) for band in table._bands]
+    assert not any(means.flags.writeable for means in band_means)
+    exp = np.exp
+    calls = []
+    monkeypatch.setattr(np, "exp", lambda *args, **kwargs: calls.append(args) or exp(*args, **kwargs))
+    again = table.log_circle_means(1.5)
+    # the sector's probe at 3 is the half-plane's at 1.5
+    sector = table.power(0.5).log_circle_means(3.0)
+    assert not calls
+    for means in (again, sector):
+        assert means is first
+    np.testing.assert_array_equal(first, NodeTable(CAYLEY).log_circle_means(1.5))
 
 
 def test_uniform_quarters_match_the_graded_reference():

@@ -163,6 +163,39 @@ def test_sector_distances_and_projections_match_brute_force(opening):
     assert np.all(on_ray <= 1e-12 * scale)
 
 
+def _two_branch_sector_frame(d, zs):
+    """The sector's distances and projections as the package computed them
+    before its in-place frame: every row's |z|, selected by np.where."""
+    c, s = d._cos_half, d._sin_half
+    x, y = zs.real, np.abs(zs.imag)
+    along = x * c + y * s
+    perp = np.abs(y * c - x * s)
+    ray = c + 1j * np.copysign(s, zs.imag)
+    return along, np.where(along >= 0.0, perp, np.abs(zs)), np.maximum(along, 0.0) * ray
+
+
+@pytest.mark.parametrize("rows", [26, 65_536])
+@pytest.mark.parametrize("opening", [0.5 * math.pi, math.pi, 1.5 * math.pi, 2 * math.pi])
+def test_sector_distances_match_the_two_branch_formula_bit_for_bit(opening, rows):
+    d = Sector(opening)
+    rng = np.random.default_rng(rows)
+    zs = (rng.standard_normal(rows) + 1j * rng.standard_normal(rows)) * 10.0 ** rng.uniform(-3, 3, rows)
+    # on the real axis behind and ahead of the vertex with either signed zero,
+    # at the vertex, and NaN rows (an absorbed walker's frozen position)
+    nan = math.nan
+    zs[:10] = [complex(-2.0, 0.0), complex(-2.0, -0.0), complex(3.0, 0.0), complex(3.0, -0.0),
+               0j, complex(-0.0, -0.0), complex(nan, nan), complex(nan, 0.0),
+               complex(0.0, nan), complex(-1.0, nan)]
+    along, ref, ref_proj = _two_branch_sector_frame(d, zs)
+    assert np.count_nonzero(along < 0.0) >= 2  # rows behind the vertex are covered
+    got = d.distances(zs)
+    frozen = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), frozen) and frozen[6:10].all()
+    assert np.array_equal(got[~frozen].view(np.uint64), ref[~frozen].view(np.uint64))
+    proj = d.projections(zs)
+    assert np.array_equal(proj[~frozen].view(np.uint64), ref_proj[~frozen].view(np.uint64))
+
+
 def test_halfplane_distance_is_real_part():
     d = HalfPlane(1.0)
     zs = np.array([1.0 + 5j, 0.25 - 3j, 7.0 + 0j])
