@@ -5,7 +5,8 @@ Commands:
   hardy   profile plus the Hardy number estimate, write profile.csv + hardy.json
   member  fit the decay and classify H^p / A^p_alpha membership, write member.json
   norms   catalog growth profiles and empirical exponents, write norms_*.csv + norms.json
-  verify  identity suite plus Monte Carlo vs oracle spot checks, write verify.json
+  verify  11 identity entries (circle average at 10 radii, moment exchange) and
+          2 Monte Carlo vs oracle spot checks, write verify.json
   report  profile.csv plus a gnuplot script of 1/omega against r with the fitted slope
 
 Exit codes: 0 success, 1 verification failure, 2 usage error. Numerical

@@ -267,7 +267,11 @@ class Sector(Domain):
         return perp
 
     def projections(self, zs: np.ndarray) -> np.ndarray:
-        along, _ = self._frame(zs)
+        # _frame's `along` alone, the same operations in the same order
+        scratch = np.abs(zs.imag)
+        scratch *= self._sin_half
+        along = np.multiply(zs.real, self._cos_half)
+        along += scratch
         # copysign, not sign: y = +-0.0 must still land on a ray
         ray = self._cos_half + 1j * np.copysign(self._sin_half, zs.imag)
         return np.maximum(along, 0.0) * ray

@@ -14,10 +14,13 @@ boundary outside radius t:
   moment exchange    int_|a|^R r^(p-1) (int g d theta) dr
                         = (2pi/p) int_|a|^R omega(a, E_t) t^(p-1)
                                   (1 - |a|^p / t^p) dt            (p < q)
-  power-mean bound   ((1/2pi) int g d theta)^(alpha+2)
-                        <= (1/2pi) int g^(alpha+2) d theta
-  doubling bound     int g(a, r e^{i theta}) d theta
-                        >= 2pi log(2) omega(a, E_{2r})
+
+Each tolerance is 100 times the worst relative error measured on the shapes
+the tests require to pass, rounded up: the half-plane (r = 2..1024 and 1e6,
+p = 0.5), the suite on Sector(pi), Sector(pi/2) (r = 2, 8, 64) and Disk(2)
+(r = 1). The circle average's worst is 5.85e-11 (half-plane, r = 1e6), the
+moment exchange's 2.24e-11 (half-plane), so a closed form off by 1e-8 fails
+both.
 
 Every integral goes through function_norms.quad, the package's one rule:
 composite Gauss-Legendre on panels graded toward both ends of each piece
@@ -48,17 +51,13 @@ __all__ = [
     "IdentityReport",
     "baernstein_identity",
     "fubini_identity",
-    "jensen_check",
-    "tail_lower_bound",
     "run_identity_suite",
 ]
 
 SWEEP_RADII = tuple(float(2**k) for k in range(1, 11))
-SWEEP_ALPHAS = (-0.5, 0.0, 1.0, 3.0)
 
-BAERNSTEIN_TOL = 1e-3
-FUBINI_TOL = 1e-2
-INEQUALITY_SLACK = 1e-9
+BAERNSTEIN_TOL = 6e-9  # 100 x 5.85e-11, the half-plane at r = 1e6
+FUBINI_TOL = 2.3e-9  # 100 x 2.24e-11, the half-plane at p = 0.5
 
 _TAIL_FACTOR = 1e4  # truncation radius multiple for dt/t integrals
 _MOMENT_R_MAX = 1e4  # truncation radius of the moment exchange
@@ -83,8 +82,8 @@ def _rel_error(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / scale
 
 
-def _green_circle_integral(d: Domain, r, power: float = 1.0, points=None):
-    """int_{-pi}^{pi} g(a, r e^{i theta})^power d theta (unnormalized).
+def _green_circle_integral(d: Domain, r, points=None):
+    """int_{-pi}^{pi} g(a, r e^{i theta}) d theta (unnormalized).
 
     r is a radius, or a column of radii for one integral per row; points
     defaults to d.circle_breaks(r) and must suit every row. g is 0 off the
@@ -100,8 +99,7 @@ def _green_circle_integral(d: Domain, r, power: float = 1.0, points=None):
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = cmath.exp(0.5j * (lo + hi))
         if np.any(d.contains(np.ravel(r) * mid)):
-            total = total + quad(lambda theta: exact_green(d, r * np.exp(1j * theta)) ** power,
-                                 lo, hi)[0]
+            total = total + quad(lambda theta: exact_green(d, r * np.exp(1j * theta)), lo, hi)[0]
     return float(total) if np.ndim(r) == 0 else total
 
 
@@ -206,64 +204,19 @@ def fubini_identity(d: Domain, p: float, omega_fn=None) -> IdentityReport:
     )
 
 
-def jensen_check(d: Domain, r: float, alpha: float, green_fn=None) -> IdentityReport:
-    """Power-mean inequality for the Green circle average, exponent alpha + 2.
-
-    relative_error stores the signed gap (rhs - lhs)/rhs; passed requires
-    lhs <= rhs up to a 1e-9 slack. green_fn(theta) overrides the oracle so
-    the constant-function equality case is testable.
-    """
-    if not (alpha > -1.0):
-        raise ValueError("weight alpha must be > -1")
-    power = alpha + 2.0
-    if green_fn is None:
-        mean = _green_circle_integral(d, r) / (2.0 * math.pi)
-        power_mean = _green_circle_integral(d, r, power) / (2.0 * math.pi)
-    else:
-        mean = quad(green_fn, -math.pi, math.pi)[0] / (2.0 * math.pi)
-        power_mean = quad(lambda t: green_fn(t) ** power, -math.pi, math.pi)[0] / (2.0 * math.pi)
-    lhs = mean**power
-    rhs = power_mean
-    gap = 0.0 if rhs < _REL_FLOOR else (rhs - lhs) / rhs
-    return IdentityReport(
-        name="green_power_mean",
-        lhs=lhs,
-        rhs=rhs,
-        relative_error=gap,
-        tolerance=INEQUALITY_SLACK,
-        passed=lhs <= rhs * (1.0 + INEQUALITY_SLACK),
-    )
-
-
-def tail_lower_bound(d: Domain, r: float) -> IdentityReport:
-    """Doubling bound: the Green circle integral at r dominates
-    2pi log(2) omega(a, E_{2r}); tight when omega is flat on [r, 2r]."""
-    lhs = _green_circle_integral(d, r)
-    rhs = 2.0 * math.pi * math.log(2.0) * exact_hm(d, 2.0 * r)
-    gap = 0.0 if lhs < _REL_FLOOR else (lhs - rhs) / lhs
-    return IdentityReport(
-        name="tail_doubling_bound",
-        lhs=lhs,
-        rhs=rhs,
-        relative_error=gap,
-        tolerance=INEQUALITY_SLACK,
-        passed=rhs <= lhs * (1.0 + INEQUALITY_SLACK),
-    )
-
-
 def run_identity_suite(d: Domain | None = None) -> list[IdentityReport]:
-    """Full sweep on one oracle domain: circle-average identity and both
-    inequalities at r in {2, 4, ..., 1024} (alpha sweep for the power mean),
-    plus the moment exchange at p = 0.5."""
+    """The circle-average identity at r in {2, 4, ..., 1024} and the moment
+    exchange at p = 0.5 on one oracle domain, the half-plane by default.
+
+    On shapes with a small decay exponent the power-law tail taken beyond
+    the truncation radii (_TAIL_FACTOR * r and _MOMENT_R_MAX) errs by more
+    than the tolerances. On Sector(1.5 pi) the moment exchange errs by 7.4e-8
+    and fails. On the slit, Sector(2 pi), the circle average errs by 1.2e-7
+    at r = 2, halving with each doubling of r, and p = 0.5 meets q, so the
+    moment exchange raises DivergentCase.
+    """
     if d is None:
         d = HalfPlane(basepoint=1.0 + 0.0j)
-    reports = []
-    for r in SWEEP_RADII:
-        reports.append(baernstein_identity(d, r))
+    reports = [baernstein_identity(d, r) for r in SWEEP_RADII]
     reports.append(fubini_identity(d, p=0.5))
-    for r in SWEEP_RADII:
-        for alpha in SWEEP_ALPHAS:
-            reports.append(jensen_check(d, r, alpha))
-    for r in SWEEP_RADII:
-        reports.append(tail_lower_bound(d, r))
     return reports

@@ -283,9 +283,9 @@ def test_verify_runs_all_checks(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["verify", "--samples", "20000", "--out", str(out)])
     assert rc == 0
-    assert "verification passed: 63 checks" in capsys.readouterr().out
+    assert "verification passed: 13 checks" in capsys.readouterr().out
     payload = read_json(out / "verify.json")
-    assert len(payload) == 63
+    assert len(payload) == 13
     assert all(entry["passed"] for entry in payload)
     kinds = {entry["name"] for entry in payload}
     assert "mc_vs_oracle_half_plane" in kinds
