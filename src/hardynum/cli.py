@@ -190,7 +190,7 @@ def _cmd_norms(args) -> int:
     for name, domain in _CATALOG:
         base, beta = domain._map_power
         if shared is None or repr(shared.base) != repr(base):
-            shared = None  # up to 4.5 MB: free it before the next base's table is built
+            shared = None  # up to 2.7 MB: free it before the next base's table is built
             shared = function_norms.NodeTable(base)
         table = shared.power(beta)
         hardy_gp = function_norms.hardy_growth_profile(table, args.p)

@@ -13,15 +13,18 @@ singular_angles; area integrals nest those circle means inside the same rule
 in s, graded toward the outer end of each radial band and, for the band that
 reaches the center, toward the center as well. Other theta-quarters, and a
 band's half toward an inner end, hold nothing singular and take INNER_PANELS
-uniform panels.
-The rule has no tolerance parameter: its node count, panel density and
-grading floor are module constants, and its accuracy contract is
-CIRCLE_REL_TOL relative error on circle means and AREA_REL_TOL on area
-integrals, which the tests check against closed forms and against adaptive
-quadrature.
+uniform panels. Each map's graded panels reach down to its own
+grading_floor times their scale (see geometry): 1e-2 for cayley, 1e-4 for
+the identity and 1e-9 for exp-cayley, whose peak is far narrower than the gap.
+The rule has no tolerance parameter: its node count and panel density are
+module constants and its grading floor a constant of each map, and its
+accuracy contract is CIRCLE_REL_TOL relative error on circle means and
+AREA_REL_TOL on area integrals, which the tests check against closed forms
+and against adaptive quadrature.
 
-quad is the same rule for a real integral over an interval: the package's
-other integrals (the identity suite) go through it.
+quad is the same rule for a real integral over an interval, graded to
+GRADING_FLOOR: the package's other integrals (the identity suite) go through
+it.
 
 Every integrand is exp(p log|f|), times the area weight
 (1-|z|^2)^alpha on bands, and the nodes depend only on the circles and bands,
@@ -98,7 +101,8 @@ CLASS_INCONCLUSIVE = "inconclusive"
 
 GL_NODES = 10
 PANELS_PER_DECADE = 2
-GRADING_FLOOR = 1e-9
+# quad's; a growth table grades to its own map's grading_floor
+GRADING_FLOOR = Domain.grading_floor
 # uniform panels on a theta-quarter or band half that holds nothing singular
 INNER_PANELS = 4
 # panels per log|f| evaluation of a table build (_Circles); it moves no node
@@ -112,16 +116,16 @@ _GL_T, _GL_W = np.polynomial.legendre.leggauss(GL_NODES)
 _GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W  # moved to [0, 1]
 
 
-def _graded_edges(h: np.ndarray, length: float) -> np.ndarray:
+def _graded_edges(h: np.ndarray, length: float, floor: float) -> np.ndarray:
     """Panel edges on [0, length], one row per scale in the column h.
 
-    The panels are [0, GRADING_FLOOR * h] and then geometric panels,
+    The panels are [0, floor * h] and then geometric panels,
     PANELS_PER_DECADE per decade, up to length. All rows share the panel count
     of the smallest scale; edges beyond length are clipped to it, so rows with
     a larger scale end in zero-width panels.
     """
-    n = math.ceil(PANELS_PER_DECADE * math.log10(length / (GRADING_FLOOR * h.min())))
-    edges = np.minimum(GRADING_FLOOR * h * 10.0 ** (np.arange(n + 1) / PANELS_PER_DECADE), length)
+    n = math.ceil(PANELS_PER_DECADE * math.log10(length / (floor * h.min())))
+    edges = np.minimum(floor * h * 10.0 ** (np.arange(n + 1) / PANELS_PER_DECADE), length)
     edges = np.concatenate([np.zeros_like(h), edges], axis=1)
     edges[:, -1] = length
     return edges
@@ -155,7 +159,7 @@ _GL_TAIL = ((2 * GL_NODES - 1) * _GL_W
 def _capped_widths(length: float) -> np.ndarray:
     """Panel widths of _graded_edges on [0, length] at scale length, with each
     panel wider than QUAD_PANEL_CAP split into equal panels no wider."""
-    width = np.diff(_graded_edges(np.array([[length]]), length))[0]
+    width = np.diff(_graded_edges(np.array([[length]]), length, GRADING_FLOOR))[0]
     k = np.ceil(width / QUAD_PANEL_CAP)
     return np.repeat(width / k, k.astype(int))
 
@@ -217,10 +221,11 @@ def _log_sum_exp(g: np.ndarray, w: np.ndarray, axis=-1) -> np.ndarray:
         return np.log(np.sum(g, axis=axis)) + np.squeeze(shift, axis=axis)
 
 
-def _quarter_rule(s: np.ndarray, graded: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _quarter_rule(s: np.ndarray, floor: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Start and width of the positive-width panels of [0, pi/2] on each circle
-    at gap s, graded toward 0 at scale s or uniform, and each row's count."""
-    edges = (_graded_edges(s[:, None], 0.5 * math.pi) if graded
+    at gap s, graded toward 0 at scale s down to floor * s, or uniform when
+    floor is None, and each row's count."""
+    edges = (_graded_edges(s[:, None], 0.5 * math.pi, floor) if floor is not None
              else np.repeat(_uniform_edges(0.5 * math.pi), s.size, axis=0))
     width = np.diff(edges, axis=1)
     keep = width > 0.0  # the zero-width panels carry no weight
@@ -234,9 +239,10 @@ class _Circles:
     Every closed-form map of geometry has real Taylor coefficients, so the
     circle integral is twice the [0, pi] part, split at pi/2 into two
     quarters. A quarter whose end, theta = 0 or pi, is in d.singular_angles
-    is graded toward it at scale s, any other is uniform (_quarter_rule);
-    log|f| is evaluated NODE_CHUNK panels at a time. On an odd_mirror shape
-    the quarter toward pi holds the first quarter's logs negated.
+    is graded toward it at scale s down to d.grading_floor * s, any other is
+    uniform (_quarter_rule); log|f| is evaluated NODE_CHUNK panels at a
+    time. On an odd_mirror shape the quarter toward pi holds the first
+    quarter's logs negated.
 
     The table is flat and relative to each row's maximum: log_f[k] holds
     log|f| - row_max at the GL_NODES nodes of a positive-width panel of width
@@ -250,12 +256,12 @@ class _Circles:
     """
 
     def __init__(self, d: Domain, s: np.ndarray) -> None:
-        graded = [end in d.singular_angles for end in (0.0, math.pi)]
-        rules = {g: _quarter_rule(s, g) for g in set(graded)}  # quarters alike share one
-        quarters = [rules[g] for g in graded]
+        floors = [d.grading_floor if end in d.singular_angles else None for end in (0.0, math.pi)]
+        rules = {f: _quarter_rule(s, f) for f in set(floors)}  # quarters alike share one
+        quarters = [rules[f] for f in floors]
         self.seg_count = np.concatenate([count for *_, count in quarters])
         self.seg_start = np.cumsum(self.seg_count) - self.seg_count
-        self.width = np.concatenate([rules[g][1] for g in dict.fromkeys(graded)])
+        self.width = np.concatenate([rules[f][1] for f in dict.fromkeys(floors)])
         self.log_f = np.empty((self.seg_count.sum(), GL_NODES))
         for mirror, (start, width, count) in enumerate(quarters):
             out = self.log_f[-width.size:] if mirror else self.log_f[:width.size]
@@ -318,15 +324,16 @@ class _Band:
     (and on s_lo^2 for exponentially large means). Nothing singular lies at
     an inner end s_hi < 1, so the half toward it is INNER_PANELS uniform
     panels. At s_hi = 1, the center of the disk, |f|^p (1-s) has a kink for
-    a map with f(0) = 0, so there the half stays graded toward s_hi. One
+    a map with f(0) = 0, so there the half stays graded toward s_hi. Both
+    graded halves reach down to d.grading_floor times their scale. One
     _Circles holds the circles at every radial node.
     """
 
     def __init__(self, d: Domain, s_lo: float, s_hi: float) -> None:
         half = 0.5 * (s_hi - s_lo)
-        t_lo, width_lo = _rule(_graded_edges(np.array([[s_lo]]), half))
-        t_hi, width_hi = _rule(_graded_edges(np.array([[s_hi]]), half) if s_hi == 1.0
-                               else _uniform_edges(half))
+        t_lo, width_lo = _rule(_graded_edges(np.array([[s_lo]]), half, d.grading_floor))
+        t_hi, width_hi = _rule(_graded_edges(np.array([[s_hi]]), half, d.grading_floor)
+                               if s_hi == 1.0 else _uniform_edges(half))
         self.s = np.concatenate([s_lo + t_lo[0], s_hi - t_hi[0]])
         self.w = np.concatenate([_gl_weights(width_lo)[0], _gl_weights(width_hi)[0]])
         self.circles = _Circles(d, self.s)
@@ -362,16 +369,17 @@ class NodeTable:
 
     Before exp, each term p (log|f| - row max) is floored at EXP_FLOOR = -600.
     The largest term of a row is exp(0) = 1 at a weight of at least
-    GRADING_FLOOR * gap * min(GL weight), about 3e-21 at the smallest gap
-    1e-10, on a graded panel, and 0.013 on a uniform quarter's panel, while
-    every floored term adds at most exp(-600) ~ 3e-261 times a weight below 1;
-    the at most ~800 terms of a row shift its sum by under 1e-230 relative,
-    far below one rounding, and the tests find the floored and unfloored sums
-    bit-identical on exp-cayley (the disk exterior's map) at P_MAX.
+    grading_floor * gap * min(GL weight) on a graded panel, the map's own
+    grading_floor: about 3e-21 on exp-cayley (the disk exterior's map, 1e-9)
+    at the smallest gap 1e-10, 3e-14 on cayley (1e-2); and 0.013 on a uniform
+    quarter's panel. Every floored term adds at most exp(-600) ~ 3e-261
+    times a weight below 1; the at most ~800 terms of a row shift its sum by
+    under 1e-230 relative, far below one rounding, and the tests find the
+    floored and unfloored sums bit-identical on exp-cayley at P_MAX.
 
-    With its panel widths, a table holds 539,640 logs (4.5 MB) on the
+    With its panel widths, a table holds 113,200 logs (0.95 MB) on the
     half-plane, which the sector shares, 309,140 (2.7 MB) on exp-cayley and
-    78,640 (0.7 MB) on the identity, and its means take a few kB per
+    46,640 (0.39 MB) on the identity, and its means take a few kB per
     exponent: keep it while probing the powers of one base map, not longer.
     """
 

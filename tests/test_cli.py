@@ -244,6 +244,34 @@ def test_norms_rejects_invalid_exponents(tmp_path, capsys, monkeypatch, flags, n
     assert not (out / "norms.json").exists()
 
 
+# the known Hardy and Bergman numbers (h, b) of each catalog map
+CATALOG_EXPONENTS = {
+    "cayley": (1.0, 1.0),
+    "sector_power_half": (2.0, 2.0),
+    "exp_cayley": (0.0, 0.0),
+    "identity": (math.inf, math.inf),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("p", [0.5, 1.5, 2.5])
+def test_norms_classifies_the_catalog(tmp_path, p, alpha):
+    # each p lies at least 0.5 from every critical exponent: the Hardy profile
+    # is bounded iff p < h and the Bergman profile iff p < b (alpha + 2)
+    out = tmp_path / "out"
+    assert main(["norms", "--p", str(p), "--alpha", str(alpha), "--out", str(out)]) == 0
+    funcs = read_json(out / "norms.json")["functions"]
+    assert set(funcs) == set(CATALOG_EXPONENTS)
+    bounded = lambda below: "bounded" if below else "unbounded"
+    for name, (h, b) in CATALOG_EXPONENTS.items():
+        entry = funcs[name]
+        assert entry["hardy_classification"] == bounded(p < h), name
+        assert entry["bergman_classification"] == bounded(p < b * (alpha + 2.0)), name
+        for kind, exact in (("h", h), ("b", b)):
+            lo, hi = map(float, entry[f"{kind}_bracket"])
+            assert lo <= exact <= hi, (name, kind)
+
+
 def test_norms_probes_up_to_p_max(tmp_path):
     out = tmp_path / "out"
     assert main(["norms", "--p", "8", "--out", str(out)]) == 0

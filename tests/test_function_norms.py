@@ -32,6 +32,7 @@ from hardynum.function_norms import (
     AREA_REL_TOL,
     BERGMAN_GAPS,
     CIRCLE_REL_TOL,
+    GRADING_FLOOR,
     HARDY_GAPS,
     P_MAX,
     NodeTable,
@@ -263,7 +264,7 @@ def _reference_log_means(f, s, p):
     one 2-D node array whose zero-width nodes are masked out of a max-shifted
     log-sum-exp that nothing floors."""
     rows = s[:, None]
-    t, width = _rule(_graded_edges(rows, 0.5 * math.pi))
+    t, width = _rule(_graded_edges(rows, 0.5 * math.pi, GRADING_FLOOR))
     sin2, cos2 = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
     g = p * np.stack([f._log_modulus(rows, sin2, cos2), f._log_modulus(rows, cos2, sin2)], axis=1)
     w = _gl_weights(width)[:, None, :]
@@ -323,24 +324,29 @@ def test_circle_means_need_a_non_negative_exponent():
 
 
 def test_growth_table_node_counts_are_pinned():
-    # per table: 3 circles, and 3 bands with 980 radial nodes; the inner half
-    # of each band off the center is INNER_PANELS uniform panels, 40 radial
-    # nodes where grading took 190. A graded theta-quarter has 34 panels on
-    # the circles and 26,880 over the bands' circles; a uniform one has
-    # INNER_PANELS per circle: 12 and 3,920. Quarters that share a rule
-    # share its widths, so cayley and the identity store half their widths
-    counts = {  # circle panels, band circle panels, stored logs, stored widths
-        "cayley": (204, 53_760, 539_640, 26_982),
-        "exp_cayley": (114, 30_800, 309_140, 30_914),
-        "identity": (24, 7_840, 78_640, 3_932),
+    # per table: 3 circles, and 3 bands. A graded panel rule on [0, L] at
+    # scale h and floor F has ceil(2 log10(L / (F h))) geometric panels after
+    # [0, F h]; the inner half of a band off the center is INNER_PANELS
+    # uniform panels. At F = 1e-2 (cayley) a theta-quarter graded at the gaps
+    # 1e-4, 1e-7, 1e-10 has 14, 20 and 26 panels, and the bands 130, 130 and
+    # 160 radial nodes; at 1e-9 (exp-cayley), 28, 34 and 40 panels and 270,
+    # 270 and 440 nodes; at 1e-4 (the identity, whose theta-quarters are all
+    # uniform), 170, 170 and 240 nodes. A uniform quarter has INNER_PANELS
+    # panels per circle. Stored logs are GL_NODES per panel; quarters that
+    # share a rule share its widths, so cayley and the identity store half
+    # their widths
+    counts = {  # radial nodes, circle panels, band circle panels, stored logs, stored widths
+        "cayley": (420, 120, 11_200, 113_200, 5_660),
+        "exp_cayley": (980, 114, 30_800, 309_140, 30_914),
+        "identity": (580, 24, 4_640, 46_640, 2_332),
     }
     tables = {}
     for name, count in counts.items():
         table = tables[name] = NodeTable(CATALOG[name])
         bands = table._bands
         circles = (table._circles, *(b.circles for b in bands))
-        assert sum(band.s.size for band in bands) == 980
-        assert (table._circles.seg_count.sum(), sum(b.circles.seg_count.sum() for b in bands),
+        assert (sum(band.s.size for band in bands), table._circles.seg_count.sum(),
+                sum(b.circles.seg_count.sum() for b in bands),
                 sum(c.log_f.size for c in circles), sum(c.width.size for c in circles)) == count, name
         assert all(np.all(c.log_f <= 0.0) for c in circles)
     # the sector holds no logs of its own: its table is built on the
@@ -352,6 +358,40 @@ def test_growth_table_node_counts_are_pinned():
     assert view.beta == 0.5 and tables["cayley"].beta == 1.0
     assert view._circles is tables["cayley"]._circles
     assert all(a is b for a, b in zip(view._bands, tables["cayley"]._bands))
+
+
+def test_shallow_grading_changes_no_mean(monkeypatch):
+    # cayley's pole varies on the scale of the gap and the identity has no
+    # singular end on the rim, so their tables grade only to their own
+    # grading_floor; the tables graded to GRADING_FLOOR, as exp-cayley's peak
+    # needs, give every circle mean and band integral to 1e-12 relative,
+    # which is 1e-12 on their logs
+    def values(table):
+        out = []
+        for p in np.arange(1, 4 * P_MAX + 1) / 4:
+            out += [*table.log_circle_means(p)]
+            for alpha in (-0.5, 0.0, 1.0):
+                out += table.log_band_integrals(p, alpha)
+        return np.array(out)
+
+    for d in (CAYLEY, IDENTITY):
+        assert d.grading_floor > GRADING_FLOOR
+        shallow = values(NodeTable(d))
+        monkeypatch.setattr(type(d), "grading_floor", GRADING_FLOOR)
+        deep = values(NodeTable(d))
+        monkeypatch.undo()
+        assert np.all(np.isfinite(deep)), d
+        assert np.max(np.abs(shallow - deep)) <= 1e-12, d
+
+
+def test_exp_cayley_needs_the_deep_floor(monkeypatch):
+    # exp-cayley's peak at gap 1e-10 is about 2.5e-6 gaps wide: graded only
+    # to cayley's floor, its P_MAX circle mean misses the 40-digit reference
+    # of test_means_match_high_precision_references by far more than its tolerance
+    assert DiskExterior.grading_floor == GRADING_FLOOR
+    monkeypatch.setattr(DiskExterior, "grading_floor", HalfPlane.grading_floor)
+    got = hardy_growth_profile(EXP_CAYLEY, P_MAX).log_values[-1]
+    assert abs(got - EXP_CAYLEY_P_MAX_LOG_MEAN) > 1.0
 
 
 @pytest.mark.parametrize("beta", [0.5, 2.0, 1.5])
@@ -434,8 +474,8 @@ def _graded_band_rule(band):
     """Radial nodes and weights of a band graded toward both of its ends."""
     s_lo, s_hi = band
     half = 0.5 * (s_hi - s_lo)
-    t_lo, width_lo = _rule(_graded_edges(np.array([[s_lo]]), half))
-    t_hi, width_hi = _rule(_graded_edges(np.array([[s_hi]]), half))
+    t_lo, width_lo = _rule(_graded_edges(np.array([[s_lo]]), half, GRADING_FLOOR))
+    t_hi, width_hi = _rule(_graded_edges(np.array([[s_hi]]), half, GRADING_FLOOR))
     s = np.concatenate([s_lo + t_lo[0], s_hi - t_hi[0]])
     return s, np.concatenate([_gl_weights(width_lo)[0], _gl_weights(width_hi)[0]])
 
@@ -469,6 +509,10 @@ def test_cayley_second_mean_closed_form():
         assert one_circle_log_mean(CAYLEY, 2.0, r) == pytest.approx(math.log(expected), abs=1e-10)
 
 
+# exp-cayley's log circle mean at gap 1e-10 and p = P_MAX = 8, to 40 digits
+EXP_CAYLEY_P_MAX_LOG_MEAN = 159999999956.64728836
+
+
 def test_means_match_high_precision_references():
     # 40-digit mpmath integrals of the same cancellation-free integrands; the
     # last is exp-cayley's peak at gap 1e-10, about 2.5e-6 gaps wide, whose
@@ -476,7 +520,7 @@ def test_means_match_high_precision_references():
     cases = (
         (one_circle_log_mean(EXP_CAYLEY, 1 / 32, 1 - 1e-4), 613.11317670270873),
         (hardy_growth_profile(CAYLEY, 1.5).log_values[-1], 14.209746761257510),
-        (hardy_growth_profile(EXP_CAYLEY, 8.0).log_values[-1], 159999999956.64728836),
+        (hardy_growth_profile(EXP_CAYLEY, 8.0).log_values[-1], EXP_CAYLEY_P_MAX_LOG_MEAN),
     )
     for got, ref in cases:
         assert abs(got - ref) <= 1e-8 + math.ulp(ref), ref
