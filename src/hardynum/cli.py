@@ -199,14 +199,8 @@ def _cmd_norms(args) -> int:
         write_text(out / f"norms_{name}_bergman.csv", growth_csv(bergman_gp))
         exps = function_norms.empirical_hb(table)
         del table  # a view of shared: shared = None alone would not free the logs
-        summary[name] = {
-            "h_hat": exps.h_hat,
-            "b_hat": exps.b_hat,
-            "h_bracket": list(exps.h_bracket),
-            "b_bracket": list(exps.b_bracket),
-            "hardy_classification": hardy_gp.classification,
-            "bergman_classification": bergman_gp.classification,
-        }
+        summary[name] = {**asdict(exps), "hardy_classification": hardy_gp.classification,
+                         "bergman_classification": bergman_gp.classification}
     write_text(out / "norms.json", json_dumps({"p": args.p, "alpha": args.alpha,
                                                "functions": summary}))
     return 0

@@ -14,7 +14,7 @@ in s, graded toward the outer end of each radial band and, for the band that
 reaches the center, toward the center as well. Other theta-quarters, and a
 band's half toward an inner end, hold nothing singular and take INNER_PANELS
 uniform panels. Each map's graded panels reach down to its own
-grading_floor times their scale (see geometry): 1e-2 for cayley, 1e-4 for
+grading_floor times their scale (see geometry): 1e-1 for cayley, 1e-4 for
 the identity and 1e-9 for exp-cayley, whose peak is far narrower than the gap.
 The rule has no tolerance parameter: its node count and panel density are
 module constants and its grading floor a constant of each map, and its
@@ -28,10 +28,10 @@ it.
 
 Every integrand is exp(p log|f|), times the area weight
 (1-|z|^2)^alpha on bands, and the nodes depend only on the circles and bands,
-never on p or alpha. Critical exponents are located by bisection on a
-bounded/unbounded growth classifier, whose circles (HARDY_GAPS) and bands
-(BERGMAN_GAPS) are fixed; NodeTable(d) evaluates the log|f| of the domain d
-once on all their nodes, and every probe of one map at any exponent is then a
+never on p or alpha. Critical exponents are read off the growth slopes of
+the circle means at the gaps HARDY_GAPS and of the area integrals at
+BERGMAN_GAPS (empirical_hb); NodeTable(d) evaluates the log|f| of the domain
+d once on all their nodes, and every probe of one map at any exponent is then a
 weighted log-space sum over that one table. A map that is a power of
 another's, f = g^beta (the sector's, of the half-plane's Cayley map), shares
 g's table and reads it at beta p, and a table keeps the circle means of each
@@ -88,8 +88,10 @@ HARDY_SLOPE_TOL = 0.045
 BERGMAN_SLOPE_TOL = 0.075
 
 P_MAX = 8.0
-HARDY_RESOLUTION = 0.05
-BERGMAN_RESOLUTION = 0.1
+# empirical_hb reads an exponent only off probes whose last slope exceeds
+# this: nearer the critical exponent the integral's bounded part, and at it
+# a log divergence (slope ~0.05), bend the slope off the line p/h - 1
+LINE_SLOPE_MIN = 0.2
 
 CLASS_BOUNDED = "bounded"
 CLASS_UNBOUNDED = "unbounded"
@@ -232,6 +234,15 @@ def _quarter_rule(s: np.ndarray, floor: float | None) -> tuple[np.ndarray, np.nd
     return edges[:, :-1][keep], width[keep], keep.sum(axis=1)
 
 
+def _half_angle_squares(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin^2(t/2) and cos^2(t/2) for 0 <= t <= pi/2 from one tan, which costs
+    numpy a fraction of a sin and a cos: with tau = tan(t/4), they are
+    4 tau^2 / (1 + tau^2)^2 and ((1 - tau^2) / (1 + tau^2))^2."""
+    tau2 = np.tan(0.25 * t) ** 2
+    inv = 1.0 / (1.0 + tau2)
+    return 4.0 * tau2 * inv * inv, ((1.0 - tau2) * inv) ** 2
+
+
 class _Circles:
     """log|f| of the domain d's covering map on the theta nodes of the
     circles at radius 1 - s, one row per gap in the 1-D array s.
@@ -241,8 +252,9 @@ class _Circles:
     quarters. A quarter whose end, theta = 0 or pi, is in d.singular_angles
     is graded toward it at scale s down to d.grading_floor * s, any other is
     uniform (_quarter_rule); log|f| is evaluated NODE_CHUNK panels at a
-    time. On an odd_mirror shape the quarter toward pi holds the first
-    quarter's logs negated.
+    time, node-major so each ufunc runs along a chunk (_half_angle_squares
+    gives the angles). On an odd_mirror shape the quarter toward pi holds the
+    first quarter's logs negated.
 
     The table is flat and relative to each row's maximum: log_f[k] holds
     log|f| - row_max at the GL_NODES nodes of a positive-width panel of width
@@ -271,10 +283,9 @@ class _Circles:
             s_panels = np.repeat(s, count)
             for lo in range(0, width.size, NODE_CHUNK):
                 span = slice(lo, lo + NODE_CHUNK)
-                t = start[span, None] + width[span, None] * _GL_T
-                sin2, cos2 = np.sin(0.5 * t) ** 2, np.cos(0.5 * t) ** 2
+                sin2, cos2 = _half_angle_squares(start[span] + width[span] * _GL_T[:, None])
                 sin2, cos2 = (cos2, sin2) if mirror else (sin2, cos2)  # at pi - t
-                out[span] = d._log_modulus(s_panels[span, None], sin2, cos2)
+                out[span] = d._log_modulus(s_panels[span], sin2, cos2).T
         # reduceat over the flat nodes: reducing the 10-long node axis is ~10x slower
         row_max = np.maximum.reduceat(self.log_f.ravel(), self.seg_start * GL_NODES)
         row_max = row_max.reshape(2, -1).max(axis=0)
@@ -371,13 +382,13 @@ class NodeTable:
     The largest term of a row is exp(0) = 1 at a weight of at least
     grading_floor * gap * min(GL weight) on a graded panel, the map's own
     grading_floor: about 3e-21 on exp-cayley (the disk exterior's map, 1e-9)
-    at the smallest gap 1e-10, 3e-14 on cayley (1e-2); and 0.013 on a uniform
+    at the smallest gap 1e-10, 3e-13 on cayley (1e-1); and 0.013 on a uniform
     quarter's panel. Every floored term adds at most exp(-600) ~ 3e-261
     times a weight below 1; the at most ~800 terms of a row shift its sum by
     under 1e-230 relative, far below one rounding, and the tests find the
     floored and unfloored sums bit-identical on exp-cayley at P_MAX.
 
-    With its panel widths, a table holds 113,200 logs (0.95 MB) on the
+    With its panel widths, a table holds 77,880 logs (0.65 MB) on the
     half-plane, which the sector shares, 309,140 (2.7 MB) on exp-cayley and
     46,640 (0.39 MB) on the identity, and its means take a few kB per
     exponent: keep it while probing the powers of one base map, not longer.
@@ -434,10 +445,8 @@ class GrowthProfile:
 
 
 def _classify_growth(gaps, log_values, slope_tol) -> GrowthProfile:
-    slopes = []
-    for k in range(1, len(gaps)):
-        dx = math.log(gaps[k - 1] / gaps[k])
-        slopes.append((log_values[k] - log_values[k - 1]) / dx)
+    slopes = [(v1 - v0) / math.log(g0 / g1)
+              for g0, g1, v0, v1 in zip(gaps, gaps[1:], log_values, log_values[1:])]
     if any(not math.isfinite(v) for v in log_values):
         cls = CLASS_UNBOUNDED if log_values[-1] == math.inf else CLASS_INCONCLUSIVE
     else:
@@ -456,9 +465,9 @@ def check_exponents(p: float, alpha: float = 0.0) -> None:
 def check_growth_exponents(p: float, alpha: float = 0.0) -> None:
     """Raise ValueError unless 0 < p <= P_MAX and -1 < alpha < inf.
 
-    The growth classifier is calibrated on the exponents that empirical_hb
-    bisects only; above P_MAX a bounded function's slow approach to its
-    limit reads as divergence.
+    The growth classifier is calibrated on the exponents up to P_MAX, the
+    largest that empirical_hb probes; above it a bounded function's slow
+    approach to its limit reads as divergence.
     """
     check_exponents(p, alpha)
     if p > P_MAX:
@@ -498,10 +507,10 @@ def bergman_growth_profile(d: Domain | NodeTable, p: float,
 class EmpiricalExponents:
     """Empirical Hardy and Bergman numbers of a domain's covering map.
 
-    h_hat is the largest p (up to the probe cap) with bounded circle means,
-    and b_hat is the analogous area-integral exponent divided by 2 (the
-    unweighted Bergman number). Brackets record the final bisection interval;
-    inf means every probe up to the cap was bounded, 0 means none was.
+    h_hat is read off the circle means' growth slopes and b_hat, the
+    unweighted Bergman number, off the area integrals'; each bracket is the
+    estimate less and plus its error (_read_slope_line). inf means the P_MAX
+    probe was bounded, 0 an estimate within its error of 0.
     """
 
     h_hat: float
@@ -510,37 +519,33 @@ class EmpiricalExponents:
     b_bracket: tuple[float, float]
 
 
-def _bisect_critical(classify, resolution: float) -> tuple[float, tuple[float, float]]:
-    if classify(P_MAX) == CLASS_BOUNDED:
-        return math.inf, (P_MAX, math.inf)
-    lo, hi = 0.0, P_MAX
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        cls = classify(mid)
-        if cls == CLASS_BOUNDED:
-            lo = mid
-        elif cls == CLASS_UNBOUNDED:
-            hi = mid
-        else:
-            break  # inconclusive probe: stop refining, keep the wide bracket
-    if lo == 0.0:
-        return 0.0, (lo, hi)
-    return 0.5 * (lo + hi), (lo, hi)
+def _read_slope_line(probe, offset: float) -> tuple[float, tuple[float, float]]:
+    """The mean c of p / (offset + last slope) over probe(p) at p = P_MAX and
+    P_MAX/2 where that slope exceeds LINE_SLOPE_MIN, and its bracket c -+ error:
+    the largest change from a reading at the previous gap, plus the readings'
+    spread. A c within its error of 0 reads 0. Bounded at P_MAX, c >= P_MAX/offset;
+    read at no probe, c is between P_MAX/(offset + LINE_SLOPE_MIN) and P_MAX/offset."""
+    top = probe(P_MAX)
+    if top.classification == CLASS_BOUNDED:
+        return math.inf, (P_MAX / offset, math.inf)
+    readings = [(p / (offset + g.slopes[-1]), p / (offset + g.slopes[-2]))
+                for p, g in ((P_MAX, top), (0.5 * P_MAX, probe(0.5 * P_MAX)))
+                if g.slopes[-1] > LINE_SLOPE_MIN]
+    if not readings:
+        lo, hi = P_MAX / (offset + LINE_SLOPE_MIN), P_MAX / offset
+        return 0.5 * (lo + hi), (lo, hi)
+    values = [last for last, _ in readings]
+    c = sum(values) / len(values)
+    error = max(abs(last - prev) for last, prev in readings) + max(values) - min(values)
+    return (0.0, (0.0, c + error)) if c <= error else (c, (c - error, c + error))
 
 
 def empirical_hb(d: Domain | NodeTable) -> EmpiricalExponents:
-    """Bisect the bounded/unbounded transition of circle means and area
-    integrals; resolution 0.05 in the Hardy exponent and in b_hat = p/2.
-
-    d is a domain or its NodeTable; every probe reads that one table.
-    """
+    """h and b off the growth slopes: above the critical exponent, for boundary
+    growth |1 - z|^(-1/h), the last log-log slopes of circle means and area
+    integrals are p/h - 1 and p/b - 2. d is a domain or its NodeTable; every
+    probe reads that one table."""
     table = d if isinstance(d, NodeTable) else NodeTable(d)
-    h_hat, h_bracket = _bisect_critical(
-        lambda p: hardy_growth_profile(table, p).classification, HARDY_RESOLUTION
-    )
-    b_crit, b_bracket = _bisect_critical(
-        lambda p: bergman_growth_profile(table, p).classification, BERGMAN_RESOLUTION
-    )
-    b_hat = b_crit / 2.0 if math.isfinite(b_crit) else b_crit
-    b_bracket = tuple(x / 2.0 if math.isfinite(x) else x for x in b_bracket)
+    h_hat, h_bracket = _read_slope_line(lambda p: hardy_growth_profile(table, p), 1.0)
+    b_hat, b_bracket = _read_slope_line(lambda p: bergman_growth_profile(table, p), 2.0)
     return EmpiricalExponents(h_hat, b_hat, h_bracket, b_bracket)

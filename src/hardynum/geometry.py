@@ -45,8 +45,8 @@ Domain's 1e-9 resolves exp-cayley's peak, about gap**1.5 wide; a map that
 varies on the scale of the gap takes a shallower floor, at which every mean
 of its table agrees with the 1e-9 table's to 1e-12 relative:
 
-    HalfPlane()                      cayley (1+z)/(1-z)            0, pi   1e-2
-    Sector(opening)                  cayley^beta, beta=opening/pi  0, pi   1e-2
+    HalfPlane()                      cayley (1+z)/(1-z)            0, pi   1e-1
+    Sector(opening)                  cayley^beta, beta=opening/pi  0, pi   1e-1
     Disk(1.0)                        the identity z                none    1e-4
     DiskExterior(1.0, basepoint=e)   exp-cayley exp((1+z)/(1-z)),  0       1e-9
                                      a covering map, not univalent
@@ -216,7 +216,7 @@ class HalfPlane(Domain):
 
     odd_mirror = True
     singular_angles = (0.0, math.pi)  # the pole and the zero of (1+z)/(1-z)
-    grading_floor = 1e-2  # the pole varies on the scale of the gap
+    grading_floor = 1e-1  # the pole varies on the scale of the gap
 
     def _log_modulus(self, s, sin2, cos2):
         if self.basepoint != 1.0:

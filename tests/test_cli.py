@@ -220,6 +220,28 @@ def test_norms_builds_one_table_per_base_map(tmp_path, monkeypatch):
         repr(HalfPlane()), repr(DiskExterior(1.0, basepoint=math.e)), repr(Disk(1.0))]
 
 
+def test_norms_work_is_pinned(tmp_path, monkeypatch):
+    # one norms call at the default p: the 8 growth CSVs, and empirical_hb's
+    # two probes per side at P_MAX and P_MAX/2 (one on the identity, bounded
+    # at P_MAX), 22 growth profiles; each new exponent of a set of circles
+    # costs one exp pass, 40 in all, the sector's partly from the memo
+    calls = {"profiles": 0, "exp_passes": 0}
+
+    def counted(fn, key):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("hardy_growth_profile", "bergman_growth_profile"):
+        monkeypatch.setattr(function_norms, name, counted(getattr(function_norms, name), "profiles"))
+    monkeypatch.setattr(function_norms._Circles, "_log_means",
+                        counted(function_norms._Circles._log_means, "exp_passes"))
+    assert main(["norms", "--out", str(tmp_path / "out")]) == 0
+    assert calls["profiles"] <= 22 and calls["exp_passes"] <= 40, calls
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--alpha", "-2"], "weight alpha"),
     (["--alpha", "-1"], "weight alpha"),

@@ -327,16 +327,16 @@ def test_growth_table_node_counts_are_pinned():
     # per table: 3 circles, and 3 bands. A graded panel rule on [0, L] at
     # scale h and floor F has ceil(2 log10(L / (F h))) geometric panels after
     # [0, F h]; the inner half of a band off the center is INNER_PANELS
-    # uniform panels. At F = 1e-2 (cayley) a theta-quarter graded at the gaps
-    # 1e-4, 1e-7, 1e-10 has 14, 20 and 26 panels, and the bands 130, 130 and
-    # 160 radial nodes; at 1e-9 (exp-cayley), 28, 34 and 40 panels and 270,
+    # uniform panels. At F = 1e-1 (cayley) a theta-quarter graded at the gaps
+    # 1e-4, 1e-7, 1e-10 has 12, 18 and 24 panels, and the bands 110, 110 and
+    # 120 radial nodes; at 1e-9 (exp-cayley), 28, 34 and 40 panels and 270,
     # 270 and 440 nodes; at 1e-4 (the identity, whose theta-quarters are all
     # uniform), 170, 170 and 240 nodes. A uniform quarter has INNER_PANELS
     # panels per circle. Stored logs are GL_NODES per panel; quarters that
     # share a rule share its widths, so cayley and the identity store half
     # their widths
     counts = {  # radial nodes, circle panels, band circle panels, stored logs, stored widths
-        "cayley": (420, 120, 11_200, 113_200, 5_660),
+        "cayley": (340, 108, 7_680, 77_880, 3_894),
         "exp_cayley": (980, 114, 30_800, 309_140, 30_914),
         "identity": (580, 24, 4_640, 46_640, 2_332),
     }
@@ -468,6 +468,30 @@ def test_node_chunk_changes_no_bit(monkeypatch):
         for a, b in zip(default, single):
             for field in ("log_f", "width", "row_max", "seg_count"):
                 np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
+
+
+def test_half_angle_squares_match_sin_and_cos():
+    # the table takes sin^2(t/2) and cos^2(t/2) from one tan per node; they
+    # agree with numpy's sin and cos to 1e-15 relative at every angle of a
+    # quarter, down to 1e-19, below exp-cayley's first node at gap 1e-10
+    rng = np.random.default_rng(0)
+    t = np.concatenate([np.geomspace(1e-19, 0.5 * math.pi, 20_001),
+                        rng.uniform(0.0, 0.5 * math.pi, 20_000)])
+    sin2, cos2 = function_norms._half_angle_squares(t)
+    np.testing.assert_allclose(sin2, np.sin(0.5 * t) ** 2, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(cos2, np.cos(0.5 * t) ** 2, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [CAYLEY, HALF], ids=["cayley", "sector_power_half"])
+def test_mirrored_quarters_are_exact_negations(d, monkeypatch):
+    # an odd_mirror map fills its quarter toward pi by negating the first;
+    # evaluated at pi - t, by swapping the two squares, it is that bit for bit
+    s = np.array([*HARDY_GAPS, *BERGMAN_GAPS])
+    mirrored = _Circles(d, s)
+    monkeypatch.setattr(type(d), "odd_mirror", False)
+    evaluated = _Circles(d, s)
+    for field in ("log_f", "row_max"):
+        np.testing.assert_array_equal(getattr(evaluated, field), getattr(mirrored, field))
 
 
 def _graded_band_rule(band):
@@ -666,7 +690,7 @@ def test_exp_cayley_unbounded_at_every_exponent():
 
 
 def test_growth_probes_stop_at_p_max(monkeypatch):
-    # the classifier is calibrated on the exponents empirical_hb bisects:
+    # the classifier is calibrated on the exponents up to P_MAX, which empirical_hb probes:
     # above P_MAX the identity map's slow approach to its limit read as
     # divergence, so a probe there fails before any table is built
     table = NodeTable(IDENTITY)
@@ -688,18 +712,58 @@ def test_growth_probes_stop_at_p_max(monkeypatch):
 # ---- empirical exponents -------------------------------------------------------------
 
 
-def test_empirical_brackets_are_pinned():
-    # the brackets of every catalog map, as the per-probe quadrature gave them
-    expected = {
-        "cayley": ((0.96875, 1.0), (0.96875, 1.0)),
-        "sector_power_half": ((1.96875, 2.0), (1.96875, 2.0)),
-        "exp_cayley": ((0.0, 0.03125), (0.0, 0.03125)),
-        "identity": ((8.0, math.inf), (4.0, math.inf)),
-    }
-    for name, d in CATALOG.items():
-        for source in (d, NodeTable(d)):
-            result = empirical_hb(source)
-            assert (result.h_bracket, result.b_bracket) == expected[name], name
+# the exact (h, b) of the power-type maps, whose boundary growth is |1 - z|^(-1/h)
+SLOPE_LINE_MAPS = {
+    "cayley": (CAYLEY, 1.0),
+    "sector_power_half": (HALF, 2.0),
+    "sector_1.5pi": (Sector(1.5 * math.pi), 2.0 / 3.0),
+    "slit": (Sector(TWO_PI), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", SLOPE_LINE_MAPS)
+def test_empirical_exponents_read_the_slope_line(name):
+    # above the critical exponent the last slopes are p/h - 1 and p/b - 2: h
+    # is read to 1e-3 and b to 1e-2, each with an error at most that which
+    # covers the exact value, from the domain or its table alike
+    d, exact = SLOPE_LINE_MAPS[name]
+    for source in (d, NodeTable(d)):
+        result = empirical_hb(source)
+        for value, (lo, hi), tol in ((result.h_hat, result.h_bracket, 1e-3),
+                                     (result.b_hat, result.b_bracket, 1e-2)):
+            assert abs(value - exact) <= tol, (value, exact)
+            assert lo <= exact <= hi and lo < value < hi, (lo, value, hi)
+            assert hi - value == pytest.approx(value - lo) and hi - lo <= 2.0 * tol
+
+
+def test_empirical_exponents_at_the_ends():
+    # exp-cayley's slopes are huge at every probe, so its readings are within
+    # their errors of 0: it reads exactly 0, in brackets from 0; the identity
+    # is bounded at P_MAX on both sides
+    for source in (EXP_CAYLEY, NodeTable(EXP_CAYLEY)):
+        result = empirical_hb(source)
+        assert result.h_hat == result.b_hat == 0.0
+        assert result.h_bracket[0] == result.b_bracket[0] == 0.0
+        assert 0.0 < result.h_bracket[1] <= 1e-3 and 0.0 < result.b_bracket[1] <= 1e-2
+    for source in (IDENTITY, NodeTable(IDENTITY)):
+        result = empirical_hb(source)
+        assert result.h_hat == result.b_hat == math.inf
+        assert (result.h_bracket, result.b_bracket) == ((P_MAX, math.inf), (P_MAX / 2, math.inf))
+
+
+def test_slopes_too_near_critical_give_a_bracket():
+    # a sector of opening pi/h has h = b = h. At h = 7.5 the Hardy slope at
+    # P_MAX is unbounded but under LINE_SLOPE_MIN, and at h = 3.8 so is the
+    # Bergman one: no probe is read, and the exponent is bracketed by
+    # P_MAX / (offset + LINE_SLOPE_MIN) and P_MAX / offset, offset 1 or 2
+    result = empirical_hb(Sector(math.pi / 7.5))
+    assert result.h_bracket == (P_MAX / (1.0 + function_norms.LINE_SLOPE_MIN), P_MAX)
+    assert result.h_bracket[0] < 7.5 < result.h_bracket[1]
+    assert (result.b_hat, result.b_bracket) == (math.inf, (P_MAX / 2, math.inf))
+    result = empirical_hb(Sector(math.pi / 3.8))
+    assert abs(result.h_hat - 3.8) <= 1e-3
+    assert result.b_bracket == (P_MAX / (2.0 + function_norms.LINE_SLOPE_MIN), P_MAX / 2)
+    assert result.b_bracket[0] < 3.8 < result.b_bracket[1]
 
 
 def test_empirical_exponents_cayley():

@@ -145,8 +145,7 @@ def test_benchmark_tracer_counts_every_draw(monkeypatch):
 def test_benchmark_tracer_sees_every_growth_probe(monkeypatch):
     # the tracer counts probes through the module names hardy_growth_profile
     # and bergman_growth_profile; a probe path that bypassed them would read
-    # as zero probes. 9 and 8 are the bisection counts at P_MAX = 8 and the
-    # resolutions 0.05 and 0.1
+    # as zero probes. empirical_hb probes each side at P_MAX and P_MAX/2
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     tracing = importlib.import_module("tracing")
     from hardynum import HalfPlane, function_norms
@@ -156,5 +155,5 @@ def test_benchmark_tracer_sees_every_growth_probe(monkeypatch):
         function_norms.empirical_hb(HalfPlane())
     names = [s.name for s in tracer.spans if s.layer == "function_norms"]
     assert names.count("empirical_hb") == 1
-    assert names.count("hardy_growth_profile") == 9
-    assert names.count("bergman_growth_profile") == 8
+    assert names.count("hardy_growth_profile") == 2
+    assert names.count("bergman_growth_profile") == 2
