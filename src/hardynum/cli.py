@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
         p.add_argument("--chunk", type=int, default=DEFAULT_CHUNK,
-                       help="walk batch size (no effect on results)")
+                       help="walkers stepped together (no effect on results)")
         p.add_argument("--out", default=".", help="output directory")
 
     def add_profile(p: argparse.ArgumentParser, fits: bool) -> None:

@@ -326,6 +326,7 @@ class _Round(Domain):
         if not (math.isfinite(radius) and radius > 0.0):
             raise DegenerateDomain(f"{self.shape} radius must be positive, got {radius!r}")
         self.radius = float(radius)
+        self._radius = np.array(self.radius)  # 0-d, for the per-call distances
         self.center = complex(center)
         self.basepoint = complex(basepoint)
         self._check_basepoint()
@@ -393,7 +394,7 @@ class Disk(_Round):
 
     def distances(self, zs: np.ndarray) -> np.ndarray:
         dist = np.abs(zs - self.center if self.center else zs)
-        return np.subtract(self.radius, dist, out=dist)
+        return np.subtract(self._radius, dist, out=dist)
 
     def _green(self, z: np.ndarray) -> np.ndarray:
         a = self.basepoint - self.center
@@ -429,7 +430,7 @@ class DiskExterior(_Round):
 
     def distances(self, zs: np.ndarray) -> np.ndarray:
         dist = np.abs(zs - self.center if self.center else zs)
-        dist -= self.radius
+        dist -= self._radius
         return dist
 
     def _log_modulus(self, s, sin2, cos2):

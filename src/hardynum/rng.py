@@ -7,6 +7,10 @@ over a Weyl sequence, applied twice: once to derive the per-sample key from
 (seed, sample index), once per draw. Since a draw depends on nothing but
 its (key, step) pair, one call can draw many steps of many streams at once.
 
+A key can be moved along its stream: ``advance(keys, k)`` adds k times the
+Weyl increment, so ``uniforms(advance(keys, k), s) == uniforms(keys, s + k)``
+bit for bit, for any integers k and s (negative k rewinds the stream).
+
 All arithmetic is on uint64 arrays, which wrap modulo 2**64 without a
 warning, so no call needs an ``np.errstate``.
 """
@@ -41,9 +45,15 @@ def _mix(x: np.ndarray) -> np.ndarray:
 
 def stream_keys(seed: int, indices: np.ndarray) -> np.ndarray:
     """64-bit key per global sample index (``indices`` is an array)."""
-    base = np.uint64(seed & _MASK)
-    offsets = (indices.astype(np.uint64) + _ONE) * np.uint64(_PHI)
-    return _mix(base + offsets)
+    x = indices.astype(np.uint64, copy=False) * np.uint64(_PHI)  # i*PHI, then
+    x += np.uint64((seed + _PHI) & _MASK)  # PHI + seed in place: (i + 1)*PHI + seed
+    return _mix(x)
+
+
+def advance(keys: np.ndarray, k: int) -> np.ndarray:
+    """Move each key k draws along its stream, in place; returns keys."""
+    keys += np.uint64((_PHI * k) & _MASK)
+    return keys
 
 
 def uniforms(keys: np.ndarray, step) -> np.ndarray:
@@ -56,7 +66,8 @@ def uniforms(keys: np.ndarray, step) -> np.ndarray:
     if np.ndim(step) == 0:
         counter = np.uint64((_PHI * (int(step) + 1)) & _MASK)
     else:
-        counter = (step.astype(np.uint64) + _ONE) * np.uint64(_PHI)
+        counter = step.astype(np.uint64, copy=False) + _ONE
+        counter *= np.uint64(_PHI)
     bits = _mix(keys + counter)
     # top 53 bits give a dyadic uniform in [0, 1)
     bits >>= _S11

@@ -21,27 +21,35 @@ transcendental, the tan, where cos and sin cost two.
 
 Randomness comes from counter-based per-sample streams keyed by
 (seed, sample index), so estimates are bit-identical for a fixed seed and
-sample count no matter how the samples are batched or parallelized.
+sample count no matter which row a walk runs in or how many step together.
 
-Step blocks. When few walkers are left, as in the long tail of a
-disk-exterior run, numpy's per-call overhead and not arithmetic sets the
-cost of a step. So the kernel draws the uniforms, and takes their tan and
-1 + t*t, for up to MAX_BLOCK_STEPS steps in one call, keeping a block to
-about BLOCK_DRAWS draws; a wide walker set gets one step per block, as it
-would without blocks. A block is drawn after the step's absorptions and
-never runs past max_steps, and its width follows the row count (frozen rows
-included). No bit changes: draw k of a stream depends only on (key, k),
-whatever call makes it, and tan and the step formula act elementwise.
+The walker pool. The kernel steps min(chunk_size, n) rows, each with a
+position, a sample index and a cursor: the walk's key rewound (rng.advance)
+by the step at which the walk entered, so draw `step` of the cursor is the
+walk's own next draw. While walks wait to enter, a row whose walk is
+absorbed or takes the last jump of its max_steps budget takes the next
+sample index at the basepoint after the jump; the next hit test is that
+walk's step 0. So no row is frozen until the step that starts the last walk;
+from there the pool drains, with the frozen rows below.
 
-Frozen rows. An absorbed walker's row stays in the arrays, frozen at a NaN
-position. Every shape's distance there is NaN, never below epsilon, so the
-row is never absorbed again and never writes its exit modulus again; its
-jumps keep it NaN. Only once frozen rows make up COMPACT_SHARE of the rows
-are the positions, sample indices, keys, distances and block columns
-compacted, all with one index array. Until then a frozen row costs its
-share of each step's arithmetic and draws; compacting at every absorbing
-step cost more. A block's unused draws are the columns it drops at a
-compaction or at the chunk's end, at most MAX_BLOCK_STEPS - 1 per walk.
+Step blocks. When few walkers step together, as in the drain's long tail,
+numpy's per-call overhead and not arithmetic sets the cost of a step. So the
+kernel draws the uniforms, and takes their tan and 1 + t*t, for up to
+MAX_BLOCK_STEPS steps in one call, keeping a block to about BLOCK_DRAWS
+draws: a wide pool gets one step per block. A block is drawn after the
+step's absorptions and never runs past the last walk's budget, and its width
+follows the row count (frozen rows included); a row that takes a new walk
+gets the rest of the block drawn from its new cursor. No bit changes: draw k
+of a stream depends only on (key, k), and tan and the step formula act
+elementwise.
+
+Frozen rows. In the drain, an ended walk's row stays in the arrays, frozen
+at a NaN position. Every shape's distance there is NaN, never below epsilon,
+so the row is never absorbed again; its jumps keep it NaN. Only once frozen
+rows make up COMPACT_SHARE of the rows are the per-row arrays and block
+columns compacted, with one index array; compacting at every absorbing step
+cost more. A block's unused draws are the columns it drops at a refill, a
+compaction or the end, at most MAX_BLOCK_STEPS - 1 per walk.
 
 In-place steps. A step writes 2*dist, then its quotient by the block's
 1 + t*t, into one scratch row, then g - dist into the distance array, and
@@ -54,6 +62,7 @@ the hit test dist < eps and its count_nonzero, and six for the jump.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,11 +71,11 @@ import numpy as np
 from .errors import DegenerateDomain
 from .geometry import Domain
 from .hardy_estimator import DecayProfile, ProfileEntry
-from .rng import stream_keys, uniforms
+from .rng import advance, stream_keys, uniforms
 
 __all__ = ["WosConfig", "estimate_hm", "estimate_profile"]
 
-DEFAULT_CHUNK = 65536  # walks per batch; batching never changes a result
+DEFAULT_CHUNK = 16384  # the walker pool width; the width never changes a result
 # step blocks (see the module docstring): up to BLOCK_DRAWS draws and
 # MAX_BLOCK_STEPS steps per block; blocking never changes a result either
 BLOCK_DRAWS = 4096
@@ -75,6 +84,7 @@ MAX_BLOCK_STEPS = 64
 # this share of the rows; compaction never changes a result either
 COMPACT_SHARE = 0.25
 _FROZEN = complex(math.nan, math.nan)  # the position of an absorbed walker's row
+_NEVER = np.iinfo(np.int64).max  # the entry step of an ended walk's row: never late
 _TWO = np.array(2.0)  # a 0-d operand skips the per-call conversion of a Python float
 
 
@@ -107,64 +117,71 @@ def _exit_moduli(d: Domain, cfg: WosConfig) -> np.ndarray:
     Every built-in constructor checks that the basepoint is inside the
     domain, so its boundary distance is positive and finite.
     """
-    eps = absorption_epsilon(d)
-    out = np.full(cfg.n_samples, np.nan)
-    for lo in range(0, cfg.n_samples, cfg.chunk_size):
-        hi = min(lo + cfg.chunk_size, cfg.n_samples)
-        keys = stream_keys(cfg.seed, np.arange(lo, hi, dtype=np.uint64))
-        out[lo:hi] = _walk_chunk(d, eps, cfg.max_steps, keys)
-    return out
-
-
-def _block_steps(rows: int, steps_left: int) -> int:
-    """Steps drawn in one block for this many rows (1 for wide sets)."""
-    return min(MAX_BLOCK_STEPS, steps_left, max(1, BLOCK_DRAWS // rows))
-
-
-def _walk_chunk(d: Domain, eps: float, max_steps: int, keys: np.ndarray) -> np.ndarray:
-    m = len(keys)
+    n, max_steps = cfg.n_samples, cfg.max_steps
+    m = min(cfg.chunk_size, n)  # the pool width
+    keys = stream_keys(cfg.seed, np.arange(n, dtype=np.uint64))
+    out = np.full(n, np.nan)
     z = np.full(m, complex(d.basepoint), dtype=complex)
     re, im = z.real, z.imag  # views: the jump writes through them
-    out = np.full(m, np.nan)
-    pos = np.arange(m)
+    pos, cur, born = np.arange(m), keys[:m], np.zeros(m, dtype=np.int64)
     g = np.empty(m)  # the jump's scratch row
-    eps = np.array(eps)  # 0-d, like _TWO
-    frozen = []  # rows absorbed since the last compaction
-    n_frozen = 0
+    eps = np.array(absorption_epsilon(d))  # 0-d, like _TWO
+    queued = m  # the sample index of the next walk to enter the pool
+    oldest = last = 0  # a lower and an upper bound on the running walks' entry steps
+    frozen, n_frozen = [], 0  # rows frozen since the last compaction
+    new = pos[:0]  # rows that take the next walks after this step's jump
     t = den = None  # the block: tan(pi*u) and 1 + t*t, one row per step
 
     # Walks in unbounded domains can wander past float range; the position
     # saturates to inf/nan, its distance is never below eps again, and the
     # walk is counted as unterminated. Suppress the harmless overflow signal.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(max_steps):
+        for step in itertools.count():
             dist = d.distances(z)
-            hit = np.less(dist, eps)
-            if np.count_nonzero(hit):
-                hit = np.flatnonzero(hit)
-                out[pos[hit]] = np.abs(d.projections(z[hit]))
-                z[hit] = _FROZEN
-                frozen.append(hit)
-                n_frozen += hit.size
-                if n_frozen == z.size:
-                    break
-                if n_frozen >= COMPACT_SHARE * z.size:
-                    alive = np.ones(z.size, dtype=bool)
-                    alive[np.concatenate(frozen)] = False
-                    keep = np.flatnonzero(alive)
-                    z, pos, keys, dist = z[keep], pos[keep], keys[keep], dist[keep]
-                    re, im, g = z.real, z.imag, g[:keep.size]
-                    if t is not None:
-                        t, den, row = t[row:, keep], den[row:, keep], 0
-                    frozen, n_frozen = [], 0
+            done = np.less(dist, eps)
+            if np.count_nonzero(done) or step + 1 - max_steps >= oldest:
+                done = np.flatnonzero(done)
+                out[pos[done]] = np.abs(d.projections(z[done]))
+                if step + 1 - max_steps >= oldest:  # a walk may take its last jump now
+                    born[np.concatenate([done, *frozen])] = _NEVER  # ended walks are not late
+                    done = np.concatenate([done, np.flatnonzero(born <= step + 1 - max_steps)])
+                    oldest = min(int(born.min()), step + 1)
+                new, done = done[:n - queued], done[n - queued:]
+                if done.size:
+                    z[done] = _FROZEN
+                    frozen.append(done)
+                    n_frozen += done.size
+                    if n_frozen == z.size:
+                        break
+                    if n_frozen >= COMPACT_SHARE * z.size:
+                        alive = np.ones(z.size, dtype=bool)
+                        alive[np.concatenate(frozen)] = False
+                        keep = np.flatnonzero(alive)
+                        z, pos, cur, born = z[keep], pos[keep], cur[keep], born[keep]
+                        re, im, g, dist = z.real, z.imag, g[:keep.size], dist[keep]
+                        if t is not None:
+                            t, den, row = t[row:, keep], den[row:, keep], 0
+                        frozen, n_frozen, new = [], 0, np.searchsorted(keep, new)
             if t is None:
-                t, den = _directions(keys, step, _block_steps(z.size, max_steps - step))
+                t, den = _directions(cur, step, _block_steps(z.size, last + max_steps - step))
                 row = 0
             _jump(re, im, dist, t[row], den[row], g)
             row += 1
             if row == len(t):
                 t = den = None  # a spent block kept to the next draw raises peak memory
+            if new.size:
+                last, end = step + 1, queued + new.size
+                z[new], pos[new], born[new] = d.basepoint, np.arange(queued, end), last
+                cur[new] = advance(keys[queued:end], -last)
+                if t is not None:  # the rest of the block, for the new walks
+                    t[row:, new], den[row:, new] = _directions(cur[new], last, len(t) - row)
+                queued, new = end, new[:0]
     return out
+
+
+def _block_steps(rows: int, steps_left: int) -> int:
+    """Steps drawn in one block for this many rows (1 for wide sets)."""
+    return min(MAX_BLOCK_STEPS, steps_left, max(1, BLOCK_DRAWS // rows))
 
 
 def _directions(keys: np.ndarray, step: int, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -130,16 +130,20 @@ def test_benchmark_tracer_counts_every_draw(monkeypatch):
     from hardynum import DiskExterior, WosConfig, wos
 
     walks = 200
-    tracer = tracing.Tracer()
-    with tracer.installed():
-        wos.estimate_hm(DiskExterior(1.0), 2.0, WosConfig(n_samples=walks, max_steps=20_000))
+    # one pool of all the walks, and a pool narrower than the walk count, whose
+    # rows take new walks as theirs end
+    for chunk in (wos.DEFAULT_CHUNK, 64):
+        tracer = tracing.Tracer()
+        cfg = WosConfig(n_samples=walks, max_steps=20_000, chunk_size=chunk)
+        with tracer.installed():
+            wos.estimate_hm(DiskExterior(1.0), 2.0, cfg)
 
-    def work(layer, name):
-        return sum(s.work for s in tracer.spans if s.layer == layer and s.name == name)
+        def work(layer, name):
+            return sum(s.work for s in tracer.spans if s.layer == layer and s.name == name)
 
-    jumps = work("geometry", "distances") - work("geometry", "projections")
-    draws = work("rng", "uniforms")
-    assert jumps <= draws <= jumps + (wos.MAX_BLOCK_STEPS - 1) * walks
+        jumps = work("geometry", "distances") - work("geometry", "projections")
+        draws = work("rng", "uniforms")
+        assert jumps <= draws <= jumps + (wos.MAX_BLOCK_STEPS - 1) * walks, chunk
 
 
 def test_benchmark_tracer_sees_every_growth_probe(monkeypatch):

@@ -1,8 +1,9 @@
 """Counter-based random streams: determinism, chunk invariance, uniformity."""
 
 import numpy as np
+import pytest
 
-from hardynum.rng import stream_keys, uniforms
+from hardynum.rng import advance, stream_keys, uniforms
 
 
 def test_streams_are_deterministic():
@@ -142,3 +143,24 @@ def test_draws_leave_their_inputs_unchanged():
     uniforms(keys, 3)
     uniforms(keys, steps)
     assert all(np.array_equal(a, b) for a, b in zip((idx, keys, steps), before))
+
+
+@pytest.mark.parametrize("k", [0, 1, 63, 2**32])
+def test_advance_moves_a_key_along_its_stream(k):
+    # uniforms(advance(keys, k), s) == uniforms(keys, s + k), bit for bit,
+    # on random keys and keys that wrap modulo 2**64, at scalar and array s
+    rng = np.random.default_rng(k)
+    key_list = [int(x) for x in rng.integers(0, 2**64, size=40, dtype=np.uint64)]
+    key_list += WRAPPING_KEYS + [2**64 - 1 - j for j in range(8)]
+    keys = np.array(key_list, dtype=np.uint64)
+    moved = advance(keys.copy(), k)
+    assert [int(x) for x in moved] == [(x + k * PHI) & MASK for x in key_list]
+    for s in (0, 1, 64, 10**6):
+        assert uniforms(moved, s).tolist() == uniforms(keys, s + k).tolist()
+        assert uniforms(moved, s).tolist() == [_ref_uniform(x, s + k) for x in key_list]
+    steps = rng.integers(0, 2**20, size=keys.size).astype(np.uint64)
+    assert uniforms(moved, steps).tolist() == uniforms(keys, steps + np.uint64(k)).tolist()
+    # a rewind undoes the move, in place
+    buf = moved.copy()
+    assert advance(buf, -k) is buf
+    assert buf.tolist() == keys.tolist()

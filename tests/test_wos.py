@@ -341,3 +341,30 @@ def test_frozen_rows_are_never_absorbed_again(name):
     dist = d.distances(zs)
     assert np.isnan(dist[0]) and dist[1] > 0.0
     assert not np.shares_memory(dist, zs)
+
+
+# ---- the walker pool: refills against the per-step kernel ----------------------
+
+# pool widths below n, so finished walks hand their rows to new ones, at
+# narrow widths too: one walk short of, one past, and three widths past a pool
+POOL_CASES = [(c, n) for c in (1, 5, 64, 1000) for n in (c - 1, c + 1, 3 * c + 5) if n >= 1]
+POOL_DOMAINS = {**BLOCK_DOMAINS, "inside_shell": HalfPlane(1e-7)}
+
+
+@pytest.mark.parametrize("max_steps", [1, 2, MAX_BLOCK_STEPS + 1, 130])
+@pytest.mark.parametrize("name", sorted(POOL_DOMAINS))
+def test_pool_refills_change_no_bit(name, max_steps):
+    # budgets that end while walks still wait to enter, so rows are handed on
+    # both at an absorption and at the end of a walk's step budget
+    d = POOL_DOMAINS[name]
+    eps = absorption_epsilon(d)
+    for chunk, n in POOL_CASES:
+        seed = 2**64 - 3 if chunk % 2 else chunk
+        want, _ = _reference_walk(d, eps, max_steps, stream_keys(seed, np.arange(n, dtype=np.uint64)))
+        cfg = WosConfig(n_samples=n, seed=seed, max_steps=max_steps, chunk_size=chunk)
+        got = _exit_moduli(d, cfg)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), (chunk, n)
+        if name == "inside_shell":
+            # the basepoint is absorbed at once: every walk, refilled ones
+            # included, exits at step 0 on the projection 0
+            assert got.tolist() == [0.0] * n
