@@ -5,8 +5,9 @@ Commands:
   hardy   profile plus the Hardy number estimate, write profile.csv + hardy.json
   member  fit the decay and classify H^p / A^p_alpha membership, write member.json
   norms   catalog growth profiles and empirical exponents, write norms_*.csv + norms.json
-  verify  11 identity entries (circle average at 10 radii, moment exchange) and
-          2 Monte Carlo vs oracle spot checks, write verify.json
+  verify  22 identity entries (circle average at 10 radii and moment exchange on
+          the half-plane and the slit) and 2 Monte Carlo vs oracle spot checks,
+          write verify.json
   report  profile.csv plus a gnuplot script of 1/omega against r with the fitted slope
 
 Exit codes: 0 success, 1 verification failure, 2 usage error. Numerical
@@ -229,7 +230,7 @@ def _mc_agreement_checks(cfg: WosConfig) -> list[dict]:
 def _cmd_verify(args) -> int:
     # built first, so that a bad seed or sample count fails before the identity suite runs
     cfg = WosConfig(n_samples=args.samples, seed=args.seed, chunk_size=args.chunk)
-    reports = identities.run_identity_suite()
+    reports = identities.run_identity_suite() + identities.run_identity_suite(Sector(2.0 * math.pi))
     entries = [asdict(rep) for rep in reports]
     entries.extend(_mc_agreement_checks(cfg))
     write_text(Path(args.out) / "verify.json", json_dumps(entries))

@@ -291,23 +291,11 @@ class _Circles:
         row_max = row_max.reshape(2, -1).max(axis=0)
         self.row_max = np.where(np.isfinite(row_max), row_max, 0.0)
         self.log_f -= np.repeat(np.tile(self.row_max, 2), self.seg_count)[:, None]
-        self._memo: dict[float, np.ndarray] = {}
 
     def log_means(self, p: float) -> np.ndarray:
-        """log of the circle integral of |f|^p, one per row, for p >= 0.
-
-        Each p's means are computed once and kept, read-only, as long as the
-        circles are: a repeated p returns the kept array.
-        """
+        """log of the circle integral of |f|^p, one per row, for p >= 0."""
         if not p >= 0.0:
             raise ValueError(f"circle means need an exponent p >= 0, got {p!r}")
-        if p not in self._memo:
-            means = self._log_means(p)
-            means.flags.writeable = False
-            self._memo[p] = means
-        return self._memo[p]
-
-    def _log_means(self, p: float) -> np.ndarray:
         # p times a stored log is p log|f| less p row_max; each row stores its
         # largest log as exactly 0, so its largest term is exp(0) = 1
         sums = np.empty(len(self.log_f))
@@ -372,11 +360,8 @@ class NodeTable:
 
     The logs are evaluated once here, each set of circles in one flat table
     (_Circles) less each row's largest log|f|; a probe at p >= 0 scales them
-    by p, floors, exponentiates, weights, sums and adds p times it back. Each
-    set of circles keeps its means at every exponent it has been probed at,
-    read-only, for the table's lifetime: a repeated exponent, from a Hardy
-    probe, a Bergman probe at any alpha or another power's probe, costs no
-    second exp pass.
+    by p, floors, exponentiates, weights, sums and adds p times it back, one
+    exp pass per probe.
 
     Before exp, each term p (log|f| - row max) is floored at EXP_FLOOR = -600.
     The largest term of a row is exp(0) = 1 at a weight of at least
@@ -390,8 +375,8 @@ class NodeTable:
 
     With its panel widths, a table holds 77,880 logs (0.65 MB) on the
     half-plane, which the sector shares, 309,140 (2.7 MB) on exp-cayley and
-    46,640 (0.39 MB) on the identity, and its means take a few kB per
-    exponent: keep it while probing the powers of one base map, not longer.
+    46,640 (0.39 MB) on the identity: keep it while probing the powers of one
+    base map, not longer.
     """
 
     def __init__(self, d: Domain) -> None:
@@ -408,8 +393,7 @@ class NodeTable:
         return view
 
     def log_circle_means(self, p: float) -> np.ndarray:
-        """log of the circle integral of |f|^p at each radius 1 - HARDY_GAPS;
-        read-only."""
+        """log of the circle integral of |f|^p at each radius 1 - HARDY_GAPS."""
         return self._circles.log_means(self.beta * p)
 
     def log_band_integrals(self, p: float, alpha: float) -> list[float]:

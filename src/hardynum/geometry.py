@@ -463,8 +463,11 @@ def _halfplane_tail(a: complex, r):
 
 
 def _halfplane_green(a: complex, w: np.ndarray) -> np.ndarray:
-    val = np.log(np.abs((w + np.conj(a)) / (w - a)))
-    return np.where(w.real > 0.0, np.maximum(val, 0.0), 0.0)
+    # log|(w + conj a)/(w - a)| without the log of a ratio near 1, since
+    # |w + conj a|^2 - |w - a|^2 = 4 Re a Re w
+    gap = w - a
+    val = 0.5 * np.log1p(4.0 * a.real * w.real / (gap.real * gap.real + gap.imag * gap.imag))
+    return np.where(w.real > 0.0, val, 0.0)
 
 
 def _cayley_log_modulus(s, sin2, cos2):

@@ -224,7 +224,7 @@ def test_norms_work_is_pinned(tmp_path, monkeypatch):
     # one norms call at the default p: the 8 growth CSVs, and empirical_hb's
     # two probes per side at P_MAX and P_MAX/2 (one on the identity, bounded
     # at P_MAX), 22 growth profiles; each new exponent of a set of circles
-    # costs one exp pass, 40 in all, the sector's partly from the memo
+    # costs one exp pass, 44 in all
     calls = {"profiles": 0, "exp_passes": 0}
 
     def counted(fn, key):
@@ -236,10 +236,10 @@ def test_norms_work_is_pinned(tmp_path, monkeypatch):
 
     for name in ("hardy_growth_profile", "bergman_growth_profile"):
         monkeypatch.setattr(function_norms, name, counted(getattr(function_norms, name), "profiles"))
-    monkeypatch.setattr(function_norms._Circles, "_log_means",
-                        counted(function_norms._Circles._log_means, "exp_passes"))
+    monkeypatch.setattr(function_norms._Circles, "log_means",
+                        counted(function_norms._Circles.log_means, "exp_passes"))
     assert main(["norms", "--out", str(tmp_path / "out")]) == 0
-    assert calls["profiles"] <= 22 and calls["exp_passes"] <= 40, calls
+    assert calls["profiles"] <= 22 and calls["exp_passes"] <= 44, calls
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -333,9 +333,9 @@ def test_verify_runs_all_checks(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["verify", "--samples", "20000", "--out", str(out)])
     assert rc == 0
-    assert "verification passed: 13 checks" in capsys.readouterr().out
+    assert "verification passed: 24 checks" in capsys.readouterr().out
     payload = read_json(out / "verify.json")
-    assert len(payload) == 13
+    assert len(payload) == 24
     assert all(entry["passed"] for entry in payload)
     kinds = {entry["name"] for entry in payload}
     assert "mc_vs_oracle_half_plane" in kinds

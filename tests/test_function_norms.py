@@ -309,7 +309,6 @@ def test_exp_floor_changes_no_result(monkeypatch):
     floored = [c.log_means(P_MAX) for c in circles]
     monkeypatch.setattr(function_norms, "EXP_FLOOR", -math.inf)
     for c, got in zip(circles, floored):
-        c._memo.clear()  # sum again, unfloored
         np.testing.assert_array_equal(got, c.log_means(P_MAX))
 
 
@@ -420,25 +419,6 @@ def test_shared_table_matches_the_sectors_own_logs(beta):
                 rel = np.abs(np.subtract(got, own)) / np.abs(own)
                 worst = max(worst, float(rel.max()))
     assert worst <= 1e-14, worst
-
-
-def test_repeated_exponents_take_no_second_exp_pass(monkeypatch):
-    table = NodeTable(CAYLEY)
-    first = table.log_circle_means(1.5)
-    with pytest.raises(ValueError):
-        first[0] = 0.0  # the kept means are read-only
-    band_means = [band.circles.log_means(1.5) for band in table._bands]
-    assert not any(means.flags.writeable for means in band_means)
-    exp = np.exp
-    calls = []
-    monkeypatch.setattr(np, "exp", lambda *args, **kwargs: calls.append(args) or exp(*args, **kwargs))
-    again = table.log_circle_means(1.5)
-    # the sector's probe at 3 is the half-plane's at 1.5
-    sector = table.power(0.5).log_circle_means(3.0)
-    assert not calls
-    for means in (again, sector):
-        assert means is first
-    np.testing.assert_array_equal(first, NodeTable(CAYLEY).log_circle_means(1.5))
 
 
 def test_uniform_quarters_match_the_graded_reference():

@@ -19,17 +19,15 @@ from hardynum import (
     run_identity_suite,
 )
 from hardynum import function_norms, identities
-from hardynum.identities import SWEEP_RADII, _green_circle_integral, _tail_log_integral
+from hardynum.identities import SWEEP_RADII, _green_circle_integral
 
 SCIPY_DOMAINS = (HalfPlane(1.0), Sector(math.pi / 2, 1.0), Sector(2 * math.pi, 1.0))
-R_MAX = 1e4  # the truncation radius of the tail and moment integrals
 
 
 def scipy_quad(fn, a, b, points=()):
-    # At large radii the oracles lose digits to cancellation (a log near 0,
-    # 1 minus arctans near pi/2), and quad reports that it cannot reach 1e-12;
-    # its own error estimate must still stay below a quarter of the 1e-8
-    # compared (the worst, the right sector's tail at r = 1024, is 2.1e-9).
+    # b may be inf, which scipy takes as a whole range of its own, with no
+    # points; quad may report that it cannot reach 1e-12, but its own error
+    # estimate must stay below a quarter of the 1e-8 compared
     val, err, _info, *message = quad(fn, a, b, points=sorted(points) or None, epsrel=1e-12,
                                      epsabs=0.0, limit=1000, full_output=1)
     assert err <= 2.5e-9 * abs(val), message
@@ -47,13 +45,11 @@ def scipy_circle_integral(d, r, points=()):
 
 @pytest.mark.parametrize("d", SCIPY_DOMAINS, ids=repr)
 def test_circle_and_tail_integrals_match_adaptive_quadrature(d):
-    q = d.decay_exponent
     for r in SWEEP_RADII:
         ref = scipy_circle_integral(d, r)
         assert _green_circle_integral(d, r) == pytest.approx(ref, rel=1e-8), r
-        ref = scipy_quad(lambda u: exact_hm(d, r * math.exp(u)), 0.0, math.log(R_MAX))
-        ref += exact_hm(d, r * R_MAX) / q
-        assert _tail_log_integral(d, r) == pytest.approx(ref, rel=1e-8), r
+        ref = scipy_quad(lambda t: exact_hm(d, t) / t, r, math.inf)
+        assert baernstein_identity(d, r).lhs == pytest.approx(ref, rel=1e-8), r
 
 
 def _record_green(monkeypatch):
@@ -71,11 +67,13 @@ def _record_green(monkeypatch):
 @pytest.mark.parametrize("d", (*SCIPY_DOMAINS, Disk(2.0, basepoint=0.0)), ids=repr)
 def test_circle_integrals_skip_the_arcs_off_the_domain(d, monkeypatch):
     # g is 0 off the domain: the arcs there take no node, and the arcs inside
-    # keep theirs, so the whole-circle rule gives the same integral
+    # keep theirs, so the whole-circle rule on the same breaks, the boundary
+    # crossings and arg(a), gives the same integral
     values = _record_green(monkeypatch)
     for r in (1.5, 4.0, 64.0):
+        breaks = [*d.circle_breaks(r), cmath.phase(d.basepoint)]
         whole = function_norms.quad(lambda t: exact_green(d, r * np.exp(1j * t)),
-                                    -math.pi, math.pi, points=d.circle_breaks(r))[0]
+                                    -math.pi, math.pi, points=breaks)[0]
         assert _green_circle_integral(d, r) == pytest.approx(whole, rel=1e-13, abs=0.0), r
     assert all(np.all(v > 0.0) for v in values)
 
@@ -118,15 +116,12 @@ def test_identity_suite_evaluates_no_green_off_the_domain(monkeypatch):
 
 
 def scipy_radial(fn, a_mod, p, breaks=()):
-    # int r^(p-1) fn(r) dr over (a_mod, R_MAX): in u = log r above
-    # max(a_mod, 1), and in r below, where quad's extrapolation copes with the
+    # int r^(p-1) fn(r) dr over (a_mod, inf), one scipy range between each
+    # two breaks and one beyond the last; quad's extrapolation copes with the
     # weight's singularity at r = 0
-    lo = max(a_mod, 1.0)
-    val = scipy_quad(lambda u: math.exp(p * u) * fn(math.exp(u)), math.log(lo), math.log(R_MAX),
-                     {math.log(b) for b in breaks if lo < b < R_MAX})
-    if a_mod < lo:
-        val += scipy_quad(lambda r: r ** (p - 1.0) * fn(r), a_mod, lo, {b for b in breaks if b < lo})
-    return val
+    edges = [a_mod, *sorted(b for b in breaks if b > a_mod), math.inf]
+    return sum(scipy_quad(lambda r: r ** (p - 1.0) * fn(r), lo, hi)
+               for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 # the three shapes with basepoint 1 at half their decay exponent, and the
@@ -138,13 +133,8 @@ MOMENT_CASES.append((Disk(2.0, basepoint=0.0), 0.5, (2.0,)))
 @pytest.mark.parametrize("d, p, breaks", MOMENT_CASES, ids=[repr(d) for d, _, _ in MOMENT_CASES])
 def test_moment_integrals_match_adaptive_quadrature(d, p, breaks):
     a_mod = abs(d.basepoint)
-    q = d.decay_exponent
     rhs = scipy_radial(lambda t: exact_hm(d, t) * (1.0 - (a_mod / t) ** p), a_mod, p, breaks)
     lhs = scipy_radial(lambda r: scipy_circle_integral(d, r, points=[0.0]), a_mod, p, breaks)
-    if math.isfinite(q):
-        omega_top = exact_hm(d, R_MAX)
-        rhs += omega_top * (R_MAX**p / (q - p) - a_mod**p / q)
-        lhs += 2.0 * math.pi * omega_top * R_MAX**p / (q * (q - p))
     report = fubini_identity(d, p)
     assert report.lhs == pytest.approx(lhs, rel=1e-8)
     assert report.rhs == pytest.approx(2.0 * math.pi / p * rhs, rel=1e-8)
@@ -163,7 +153,7 @@ def test_circle_average_matches_tail_integral_on_halfplane():
 
 def test_circle_average_identity_on_sector():
     d = Sector(math.pi / 2, 1.0)
-    for r in (2.0, 8.0, 64.0):
+    for r in (2.0, 8.0, 64.0, 1e6):
         report = baernstein_identity(d, r)
         assert report.passed, report
 
@@ -202,6 +192,20 @@ def test_moment_exchange_on_halfplane():
     assert report.lhs > 0.0
 
 
+def test_moment_exchange_takes_a_far_basepoint():
+    # no truncation radius for the basepoint to exceed
+    report = fubini_identity(HalfPlane(2e4), p=0.5)
+    assert report.passed, report
+
+
+def test_moment_exchange_near_the_decay_exponent():
+    # at p = 0.99 q the radii of the w nodes nearest 0 overflow; they are read
+    # at the far radius, where fn t^q has reached its limit
+    for d in (HalfPlane(1.0), Sector(2 * math.pi, 1.0)):
+        report = fubini_identity(d, p=0.99 * d.decay_exponent)
+        assert report.relative_error <= 1e-12, report
+
+
 def test_moment_exchange_divergent_exponent_rejected():
     # the r^(p-1) moment diverges once p reaches the decay exponent
     with pytest.raises(DivergentCase):
@@ -227,15 +231,28 @@ def test_suite_composition_and_pass():
     assert names == {"circle_average_vs_tail": 10, "moment_exchange": 1}
 
 
-def test_suite_fails_a_tail_closed_form_off_by_1e_8(monkeypatch):
-    # both identities read the half-plane's tail measure, so a closed form
-    # wrong in the eighth digit must fail each of them
+def _failed_with_scaled_tail(monkeypatch, factor):
+    # both identities read the half-plane's tail measure
     tail = HalfPlane._tail
-    monkeypatch.setattr(HalfPlane, "_tail", lambda self, r: (1.0 + 1e-8) * tail(self, r))
-    failed = {rep.name for rep in run_identity_suite() if not rep.passed}
+    monkeypatch.setattr(HalfPlane, "_tail", lambda self, r: factor * tail(self, r))
+    return {rep.name for rep in run_identity_suite() if not rep.passed}
+
+
+def test_suite_fails_a_tail_closed_form_off_by_1e_8(monkeypatch):
+    failed = _failed_with_scaled_tail(monkeypatch, 1.0 + 1e-8)
+    assert failed == {"circle_average_vs_tail", "moment_exchange"}
+
+
+def test_suite_fails_a_tail_closed_form_off_by_1e_12(monkeypatch):
+    failed = _failed_with_scaled_tail(monkeypatch, 1.0 + 1e-12)
     assert failed == {"circle_average_vs_tail", "moment_exchange"}
 
 
 def test_suite_accepts_other_domains():
-    reports = run_identity_suite(Sector(math.pi, 1.0))
-    assert all(rep.passed for rep in reports)
+    # every closed-form unbounded shape, on the axis and off it; the slit's
+    # moment exchange runs at half its decay exponent 1/2
+    for opening in (None, 0.5 * math.pi, math.pi, 1.5 * math.pi, 2.0 * math.pi):
+        for a in (1.0, 1.0 + 0.5j):
+            d = HalfPlane(a) if opening is None else Sector(opening, a)
+            reports = run_identity_suite(d)
+            assert all(rep.passed for rep in reports), reports
